@@ -159,8 +159,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cluster_once(nodes, config: ScenarioConfig, workers: int):
-    clusters = expac_cluster(nodes, config.tx_range, workers)
+def _cluster_once(nodes, config: ScenarioConfig):
+    clusters = expac_cluster(nodes, config.tx_range)
     energies = EnergySnapshot(0, {n.node_id: n.energy for n in nodes})
     return psopac_rebuild(clusters, energies, config.energy_threshold, config.comparator)
 
@@ -168,7 +168,7 @@ def _cluster_once(nodes, config: ScenarioConfig, workers: int):
 def cmd_cluster(args: argparse.Namespace) -> int:
     config = resolve_config(args)
     nodes, config, input_hash = _load_nodes(args, config)
-    clusters = _cluster_once(nodes, config, args.threads)
+    clusters = _cluster_once(nodes, config)
     out = _out_dir(args)
     table = out / f"clusters.{args.format}"
     write_table(table, CLUSTERS_COLUMNS, clusters_rows(clusters, nodes), args.format)
@@ -194,7 +194,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     config = resolve_config(args)
     cluster_set, positions, _energies = read_clusters_csv(args.clusters)
     try:
-        index = dunn_index(cluster_set, positions, args.threads)
+        index = dunn_index(cluster_set, positions)
     except UndefinedIndexError as err:
         print("UNDEFINED_INDEX")
         if args.strict:
@@ -321,7 +321,7 @@ def _simulate_tables(snapshots) -> dict[str, list[dict]]:
 def cmd_simulate(args: argparse.Namespace) -> int:
     config = resolve_config(args)
     nodes, config, input_hash = _load_nodes(args, config)
-    snapshots = run_simulation(config, nodes, workers=args.threads, prefix=args.prefix)
+    snapshots = run_simulation(config, nodes, prefix=args.prefix)
     out = _out_dir(args)
     tables = _simulate_tables(snapshots)
     fmt = args.format
@@ -358,10 +358,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         for offset in range(args.seeds):
             run_config = replace(config, node_count=size, seed=config.seed + offset).validate()
             nodes = generate_scenario(run_config)
-            clusters = _cluster_once(nodes, run_config, args.threads)
+            clusters = _cluster_once(nodes, run_config)
             positions = {n.node_id: n.pos for n in nodes}
             try:
-                index = dunn_index(clusters, positions, args.threads)
+                index = dunn_index(clusters, positions)
             except UndefinedIndexError:
                 rows.append({"node_count": size, "seed": run_config.seed, "dunn_index": None})
                 continue
@@ -402,7 +402,9 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["below", "at-or-above", "at_or_above"],
         help="energy membership test (default: below)",
     )
-    common.add_argument("--threads", type=int, default=1, help="worker threads (default: 1)")
+    common.add_argument(
+        "--threads", type=int, default=1, help="accepted for compatibility; has no effect"
+    )
     common.add_argument(
         "--strict", action="store_true", help="treat an undefined index as an error"
     )

@@ -75,14 +75,11 @@ def _validate_or_none(
     clusters: ClusterSet,
     positions: dict[NodeId, Position],
     config: ScenarioConfig,
-    workers: int,
 ) -> ValidationReport | None:
     # A single-cluster partition has no defined index; the run carries on
     # without a report rather than dying mid-simulation.
     try:
-        return validate_clusters(
-            clusters, positions, config.dunn_recluster_threshold, workers
-        )
+        return validate_clusters(clusters, positions, config.dunn_recluster_threshold)
     except UndefinedIndexError:
         return None
 
@@ -90,7 +87,6 @@ def _validate_or_none(
 def run_simulation(
     config: ScenarioConfig,
     nodes: list[Node] | None = None,
-    workers: int = 1,
     prefix: str | int = DEFAULT_PREFIX,
 ) -> list[SimSnapshot]:
     """Run the full scenario, returning one snapshot per tick (tick 0 included).
@@ -108,13 +104,13 @@ def run_simulation(
     snapshots: list[SimSnapshot] = []
     try:
         energies = EnergySnapshot(0, {n.node_id: n.energy for n in nodes})
-        clusters = expac_cluster(nodes, config.tx_range, workers)
+        clusters = expac_cluster(nodes, config.tx_range)
         clusters = psopac_rebuild(
             clusters, energies, config.energy_threshold, config.comparator
         )
         addresses, messages = assign_addresses(clusters, prefix)
         events: list[Event] = [AddressEvent(0, dict(addresses), tuple(messages))]
-        report = _validate_or_none(clusters, positions, config, workers)
+        report = _validate_or_none(clusters, positions, config)
         snapshots.append(
             SimSnapshot(0, clusters, energies, report, tuple(events), dict(addresses))
         )
@@ -130,10 +126,10 @@ def run_simulation(
             events = list(changes)
             report = None
             if t % config.validation_interval == 0:
-                report = _validate_or_none(clusters, positions, config, workers)
+                report = _validate_or_none(clusters, positions, config)
                 if report is not None and report.recommend_recluster:
                     old_count = len(clusters.clusters)
-                    clusters = expac_cluster(nodes, config.tx_range, workers)
+                    clusters = expac_cluster(nodes, config.tx_range)
                     clusters = psopac_rebuild(
                         clusters, energies, config.energy_threshold, config.comparator
                     )

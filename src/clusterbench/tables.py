@@ -104,6 +104,13 @@ def _parse_bool(text: str, where: str) -> bool:
     raise InputError(f"{where}: expected true/false, got {text!r}")
 
 
+def _finite(row: dict, column: str) -> float:
+    value = float(row[column])
+    if not math.isfinite(value):
+        raise ValueError(f"{column} must be finite, got {row[column]!r}")
+    return value
+
+
 def _read_csv(path: str | Path, required: list[str]) -> list[dict]:
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -129,8 +136,8 @@ def read_nodes_csv(path: str | Path) -> list[Node]:
             nodes.append(
                 Node(
                     int(row["node_id"]),
-                    Position(float(row["x"]), float(row["y"])),
-                    float(row["energy"]),
+                    Position(_finite(row, "x"), _finite(row, "y")),
+                    _finite(row, "energy"),
                 )
             )
         except (TypeError, ValueError) as err:
@@ -161,8 +168,8 @@ def read_clusters_csv(
             cid = int(row["cluster_id"])
             nid = int(row["node_id"])
             is_head = _parse_bool(row["is_head"], where)
-            energy = float(row["energy"])
-            pos = Position(float(row["x"]), float(row["y"]))
+            energy = _finite(row, "energy")
+            pos = Position(_finite(row, "x"), _finite(row, "y"))
             exempt = _parse_bool(row.get("exempt") or "", where)
         except (TypeError, ValueError) as err:
             raise InputError(f"{where}: {err}") from err

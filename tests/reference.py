@@ -1,0 +1,85 @@
+"""Brute-force reference kernels, kept as oracles for the grid-indexed ones.
+
+These are the original O(N^2) loops: every node against every node for the
+range candidates, a full rescan of all candidates per greedy round, and
+every cross-cluster pair of members for the minimum inter-cluster distance.
+The library's kernels must return exactly what these return.
+"""
+
+from __future__ import annotations
+
+import math
+
+from clusterbench import (
+    Cluster,
+    ClusterSet,
+    DegenerateGeometryError,
+    UndefinedIndexError,
+    cluster_diameter,
+    inter_cluster_distance,
+    manhattan_distance,
+)
+from clusterbench.clustering import CandidateCluster, _check_nodes
+
+
+def ref_pac_candidates(nodes, tx_range):
+    _check_nodes(nodes)
+    by_id = {n.node_id: n for n in nodes}
+    order = sorted(by_id)
+    out = []
+    for head in order:
+        hp = by_id[head].pos
+        in_range = [
+            other
+            for other in order
+            if other != head and manhattan_distance(hp, by_id[other].pos) < tx_range
+        ]
+        out.append(CandidateCluster(head, (head, *in_range)))
+    return out
+
+
+def ref_expac_cluster(nodes, tx_range):
+    remaining = {c.temp_head: set(c.covered) for c in ref_pac_candidates(nodes, tx_range)}
+    clusters = []
+    clustered = set()
+    while remaining:
+        best_head = None
+        best_size = 0
+        for head in sorted(remaining):
+            size = len(remaining[head])
+            if size > best_size:
+                best_head, best_size = head, size
+        if best_head is None or best_size <= 1:
+            break
+        members = remaining.pop(best_head)
+        clusters.append(Cluster(len(clusters), best_head, tuple(sorted(members))))
+        clustered |= members
+        for head in list(remaining):
+            if head in clustered:
+                del remaining[head]
+            else:
+                remaining[head] -= members
+    for node_id in sorted(n.node_id for n in nodes):
+        if node_id not in clustered:
+            clusters.append(Cluster(len(clusters), node_id, (node_id,)))
+            clustered.add(node_id)
+    return ClusterSet(tuple(clusters), len(nodes))
+
+
+def ref_dunn_index(clusters, positions):
+    cs = clusters.clusters
+    if len(cs) < 2:
+        raise UndefinedIndexError(f"index needs at least two clusters, got {len(cs)}")
+    min_dist = min(
+        inter_cluster_distance(cs[i], cs[j], positions)
+        for i in range(len(cs))
+        for j in range(i + 1, len(cs))
+    )
+    max_dia = max(cluster_diameter(c, positions) for c in cs)
+    if max_dia == 0.0:
+        if min_dist == 0.0:
+            raise DegenerateGeometryError(
+                "all clusters are single points and two of them coincide"
+            )
+        return math.inf
+    return min_dist / max_dia

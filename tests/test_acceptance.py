@@ -287,3 +287,24 @@ def test_c9_large_population_pipeline_time():
     elapsed = time.perf_counter() - start
     ok = elapsed < 1.0 and len(addresses) == 300 and report is not None
     _report(9, "300-node cluster+elect+address+validate under 1 s", ok, f"{elapsed * 1000:.0f} ms")
+
+
+def test_c10_ten_thousand_node_pipeline_time():
+    # 10 000 nodes at 25 nodes/ha: a 2000 x 2000 m square.
+    cfg = ScenarioConfig(node_count=10_000, area=(2000.0, 2000.0))
+    nodes = generate_scenario(cfg)
+    positions = {n.node_id: n.pos for n in nodes}
+    energies = EnergySnapshot(0, {n.node_id: n.energy for n in nodes})
+    start = time.perf_counter()
+    clusters = expac_cluster(nodes, cfg.tx_range)
+    clusters = psopac_rebuild(clusters, energies, cfg.energy_threshold, cfg.comparator)
+    addresses, _trace = assign_addresses(clusters)
+    report = validate_clusters(clusters, positions, cfg.dunn_recluster_threshold)
+    elapsed = time.perf_counter() - start
+    ok = elapsed < 2.0 and len(addresses) == 10_000 and report is not None
+    _report(
+        10,
+        "10 000-node cluster+elect+address+validate at 25 nodes/ha under 2 s",
+        ok,
+        f"{elapsed * 1000:.0f} ms",
+    )

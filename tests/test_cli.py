@@ -104,6 +104,24 @@ def test_unknown_config_key_is_config_error(tmp_path, capsys):
     assert "node_cuont" in capsys.readouterr().err
 
 
+def test_non_finite_config_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"tx_range": NaN}')
+    assert run("cluster", "--config", str(cfg), "--out", str(tmp_path / "c")) == 2
+    assert "tx_range" in capsys.readouterr().err
+
+
+def test_non_finite_tables_are_input_errors(tmp_path, capsys):
+    nodes = tmp_path / "nodes.csv"
+    nodes.write_text("node_id,x,y,energy\n0,inf,1,5\n1,2,2,5\n")
+    assert run("cluster", "--nodes", str(nodes), "--out", str(tmp_path / "c")) == 3
+    assert "row 1" in capsys.readouterr().err
+    clusters = tmp_path / "clusters.csv"
+    write_clusters(clusters, ["0,0,true,5,0,0\n", "1,1,true,5,nan,0\n"])
+    assert run("validate", "--clusters", str(clusters)) == 3
+    assert "row 2" in capsys.readouterr().err
+
+
 # --- cluster ----------------------------------------------------------------
 
 

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -14,6 +15,8 @@ from clusterbench import (
     manhattan_distance,
     pac_candidates,
 )
+from reference import ref_expac_cluster, ref_pac_candidates
+from strategies import edge_scenes
 
 
 def make_nodes(points, energy=100.0):
@@ -217,9 +220,52 @@ def test_expac_first_cluster_has_global_max_count():
     assert len(cs.clusters[0].members) == best + 1
 
 
-def test_expac_worker_count_does_not_change_result():
-    cfg = ScenarioConfig(node_count=60, seed=5)
-    nodes = generate_scenario(cfg)
-    assert expac_cluster(nodes, cfg.tx_range, workers=1) == expac_cluster(
-        nodes, cfg.tx_range, workers=4
-    )
+# --- grid kernels against the brute-force references ------------------------
+
+
+def _scene_nodes(positions):
+    return [Node(i, p, 1.0) for i, p in positions.items()]
+
+
+@settings(max_examples=500, deadline=None)
+@given(scene=edge_scenes())
+def test_candidates_match_reference_at_cell_edges(scene):
+    tx_range, positions = scene
+    nodes = _scene_nodes(positions)
+    assert pac_candidates(nodes, tx_range) == ref_pac_candidates(nodes, tx_range)
+
+
+@settings(max_examples=500, deadline=None)
+@given(scene=edge_scenes())
+def test_expac_matches_reference_at_cell_edges(scene):
+    tx_range, positions = scene
+    nodes = _scene_nodes(positions)
+    assert expac_cluster(nodes, tx_range) == ref_expac_cluster(nodes, tx_range)
+
+
+def test_expac_matches_reference_on_generated_scenarios():
+    for seed in range(5):
+        cfg = ScenarioConfig(node_count=400, area=(400.0, 400.0), seed=seed)
+        nodes = generate_scenario(cfg)
+        assert expac_cluster(nodes, cfg.tx_range) == ref_expac_cluster(nodes, cfg.tx_range)
+
+
+def test_candidates_far_from_origin_match_reference():
+    # |x| / tx_range is far beyond the exact range of float //, so the cells widen.
+    for x0, tx_range in ((1e300, 1e-10), (2.0**53, 1.0), (-3e16, 0.5)):
+        nodes = _scene_nodes(
+            {i: Position(x0 + i * tx_range, -x0 + (i % 3) * tx_range) for i in range(12)}
+        )
+        assert pac_candidates(nodes, tx_range) == ref_pac_candidates(nodes, tx_range)
+        assert expac_cluster(nodes, tx_range) == ref_expac_cluster(nodes, tx_range)
+
+
+def test_candidates_reject_non_finite_position_and_range():
+    for bad in (math.nan, math.inf, -math.inf):
+        nodes = _scene_nodes({0: Position(0.0, 0.0), 1: Position(bad, 1.0)})
+        with pytest.raises(InputError):
+            pac_candidates(nodes, 20.0)
+    nodes = _scene_nodes({0: Position(0.0, 0.0), 1: Position(1.0, 1.0)})
+    for bad in (0.0, -1.0, math.nan):
+        with pytest.raises(InputError):
+            pac_candidates(nodes, bad)

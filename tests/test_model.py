@@ -84,6 +84,13 @@ def test_generated_nodes_respect_bounds(seed, n):
         ("execution_time", -1.0),
         ("energy_threshold", -2.0),
         ("area", (0.0, 100.0)),
+        ("tx_range", float("nan")),
+        ("tx_range", float("inf")),
+        ("tx_range", 10**400),
+        ("execution_time", float("inf")),
+        ("drain_head", float("nan")),
+        ("area", (float("inf"), 100.0)),
+        ("initial_energy", (400.0, float("inf"))),
     ],
 )
 def test_config_rejects_bad_field(field, value):
@@ -114,6 +121,12 @@ def test_config_from_dict_accepts_pairs_as_lists():
 def test_config_from_dict_rejects_bad_pair():
     with pytest.raises(ConfigError):
         config_from_dict({"area": [50]})
+
+
+def test_config_from_dict_rejects_json_non_finite():
+    for text in ('{"tx_range": NaN}', '{"tick": Infinity}', '{"area": [-Infinity, 5]}'):
+        with pytest.raises(ConfigError):
+            config_from_dict(json.loads(text))
 
 
 def test_config_roundtrip():

@@ -13,7 +13,9 @@ from clusterbench import (
     drain,
     run_simulation,
 )
+from clusterbench import sim, validation
 from clusterbench.sim import AddressEvent
+from reference import ref_dunn_index, ref_expac_cluster
 
 
 def line_nodes(xs, energies):
@@ -161,6 +163,9 @@ def test_simulation_is_deterministic():
     assert run_simulation(cfg) == run_simulation(cfg)
 
 
-def test_worker_count_does_not_change_timeline():
-    cfg = ScenarioConfig(seed=11)
-    assert run_simulation(cfg, workers=1) == run_simulation(cfg, workers=4)
+def test_timeline_matches_reference_kernels(monkeypatch):
+    cfg = ScenarioConfig(node_count=60, seed=11)
+    fast = run_simulation(cfg)
+    monkeypatch.setattr(sim, "expac_cluster", ref_expac_cluster)
+    monkeypatch.setattr(validation, "dunn_index", ref_dunn_index)
+    assert run_simulation(cfg) == fast

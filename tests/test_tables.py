@@ -94,6 +94,31 @@ def test_read_nodes_rejects_garbage_cell(tmp_path):
         read_nodes_csv(path)
 
 
+@pytest.mark.parametrize("column", ["x", "y", "energy"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_read_nodes_rejects_non_finite(tmp_path, column, value):
+    row = {"node_id": "1", "x": "2", "y": "3", "energy": "5", column: value}
+    path = tmp_path / "bad.csv"
+    path.write_text("node_id,x,y,energy\n0,1,1,5\n" + ",".join(row.values()) + "\n")
+    with pytest.raises(InputError) as err:
+        read_nodes_csv(path)
+    assert "row 2" in str(err.value) and column in str(err.value)
+
+
+@pytest.mark.parametrize("column", ["x", "y", "energy"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_read_clusters_rejects_non_finite(tmp_path, column, value):
+    row = {"cluster_id": "0", "node_id": "1", "is_head": "false", "energy": "4", "x": "1", "y": "1"}
+    row[column] = value
+    path = tmp_path / "bad.csv"
+    path.write_text(
+        "cluster_id,node_id,is_head,energy,x,y\n0,0,true,5,0,0\n" + ",".join(row.values()) + "\n"
+    )
+    with pytest.raises(InputError) as err:
+        read_clusters_csv(path)
+    assert "row 2" in str(err.value) and column in str(err.value)
+
+
 def test_read_clusters_requires_single_head(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text(

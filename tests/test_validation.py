@@ -21,7 +21,8 @@ from clusterbench import (
     inter_cluster_distance,
     validate_clusters,
 )
-from strategies import partitions, random_partition
+from reference import ref_dunn_index
+from strategies import edge_partitions, partitions, random_partition
 
 
 def grid(points):
@@ -99,9 +100,46 @@ def test_index_coincident_singletons_error():
         dunn_index(two_clusters([0], 2), pos)
 
 
-def test_index_worker_count_does_not_change_result():
-    cs, pos = random_partition(random.Random(3), min_nodes=20, max_nodes=40)
-    assert dunn_index(cs, pos, workers=1) == dunn_index(cs, pos, workers=4)
+def _outcome(fn, clusters, positions):
+    try:
+        return repr(fn(clusters, positions))
+    except Exception as err:  # the exception type is part of the contract
+        return type(err)
+
+
+@settings(max_examples=500, deadline=None)
+@given(data=edge_partitions())
+def test_index_matches_reference_at_cell_edges(data):
+    clusters, pos = data
+    assert _outcome(dunn_index, clusters, pos) == _outcome(ref_dunn_index, clusters, pos)
+
+
+def test_index_matches_reference_on_random_partitions():
+    rnd = random.Random(3)
+    for _ in range(200):
+        cs, pos = random_partition(rnd, min_nodes=2, max_nodes=80, max_clusters=40)
+        assert _outcome(dunn_index, cs, pos) == _outcome(ref_dunn_index, cs, pos)
+
+
+def test_index_far_from_origin_and_overflowing():
+    # Cells widen far from the origin. In the first case every cross-cluster
+    # distance overflows to inf, so no pair is ever shorter than the side and
+    # the scan has to stop once all occupied cells neighbour each other.
+    cases = [
+        {0: Position(-1e308, 0.0), 1: Position(-1e308, 1.0), 2: Position(1e308, 0.0)},
+        {i: Position(1e300 + i * 1e285, 1e300) for i in range(4)},
+        {i: Position(2.0**60 + i * 512, -(2.0**60)) for i in range(4)},
+    ]
+    for pos in cases:
+        cs = two_clusters([0, 1], len(pos))
+        assert _outcome(dunn_index, cs, pos) == _outcome(ref_dunn_index, cs, pos)
+
+
+def test_index_rejects_non_finite_position():
+    for bad in (math.nan, math.inf):
+        pos = {0: Position(0.0, 0.0), 1: Position(bad, 0.0), 2: Position(1.0, 0.0)}
+        with pytest.raises(InputError):
+            dunn_index(two_clusters([0, 1], 3), pos)
 
 
 # --- classification ---------------------------------------------------------
