@@ -11,7 +11,6 @@ Exit codes: 0 success, 2 config error, 3 input-data error, 4 domain error.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import statistics
 import sys
@@ -35,12 +34,14 @@ from .model import (
     config_from_dict,
     generate_scenario,
     normalize_comparator,
+    read_config_file,
 )
 from .sim import AddressEvent, ReclusterEvent, run_simulation
 from .tables import (
     CLUSTERS_COLUMNS,
     NODES_COLUMNS,
     clusters_rows,
+    manifest_timestamp,
     nodes_rows,
     read_clusters_csv,
     read_nodes_csv,
@@ -80,29 +81,13 @@ MESSAGES_COLUMNS = ["at_tick", "seq", "from", "to", "kind", "payload"]
 SWEEP_COLUMNS = ["node_count", "seed", "dunn_index"]
 
 
-def _load_raw_config(path: str) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as err:
-        raise ConfigError(f"cannot read config {path}: {err}") from err
-    except json.JSONDecodeError as err:
-        raise ConfigError(f"config {path} is not valid JSON: {err}") from err
-    if not isinstance(data, dict):
-        raise ConfigError(f"config {path} must hold a JSON object")
-    # A run manifest can be replayed directly: use its embedded config echo.
-    if isinstance(data.get("config"), dict):
-        return data["config"]
-    return data
-
-
 def resolve_config(args: argparse.Namespace) -> ScenarioConfig:
     """Merge config file, flags, and environment into a validated config.
 
     Seed precedence: --seed, then the config file, then CLUSTERBENCH_SEED,
     then the default of 0.
     """
-    raw = _load_raw_config(args.config) if args.config else {}
+    raw = read_config_file(args.config) if args.config else {}
     if args.seed is not None:
         raw["seed"] = args.seed
     elif "seed" not in raw:
@@ -448,6 +433,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse prints its own message
         return int(exc.code or 0)
     try:
+        manifest_timestamp()  # a bad SOURCE_DATE_EPOCH fails before any output
         return args.func(args)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)

@@ -231,8 +231,9 @@ def config_from_dict(data: dict) -> ScenarioConfig:
     return ScenarioConfig(**kwargs).validate()
 
 
-def load_config(path: str) -> ScenarioConfig:
-    """Read a JSON config file (all keys optional, unknown keys rejected)."""
+def read_config_file(path: str) -> dict:
+    """The raw mapping in a JSON config file; a run manifest yields its
+    embedded ``config``, so a manifest replays the run."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -240,7 +241,17 @@ def load_config(path: str) -> ScenarioConfig:
         raise ConfigError(f"cannot read config {path}: {err}") from err
     except json.JSONDecodeError as err:
         raise ConfigError(f"config {path} is not valid JSON: {err}") from err
-    return config_from_dict(data)
+    if not isinstance(data, dict):
+        raise ConfigError(f"config {path} must hold a JSON object")
+    if isinstance(data.get("config"), dict):
+        return data["config"]
+    return data
+
+
+def load_config(path: str) -> ScenarioConfig:
+    """Read a JSON config file or run manifest (all keys optional, unknown
+    keys rejected)."""
+    return config_from_dict(read_config_file(path))
 
 
 def generate_scenario(config: ScenarioConfig) -> list[Node]:

@@ -3,14 +3,17 @@
 Tick 0 sets the network up: place nodes, cluster by range, elect heads by
 energy, hand out addresses, and validate the partition. Every later tick
 drains energy (heads pay the higher rate), re-elects heads from the fresh
-energies, validates on schedule, and — when the validator recommends it —
-rebuilds the partition from scratch and re-addresses it. Tick 0 never
-re-clusters: the initial partition stands until the first scheduled
-validation after drain. Positions are static; energies only ever decrease.
+energies, reports the validation on schedule, and — when the report
+recommends it — re-clusters and re-addresses. Positions are static and
+energies only ever decrease. The partition depends on positions alone, so a
+re-cluster reproduces the tick-0 partition, index and addresses; only the
+Hello/Reply/Assign trace, which follows the current heads, is rebuilt.
+Tick 0 never re-clusters.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from ipaddress import IPv6Address
 
@@ -22,7 +25,6 @@ from .model import (
     ClusterSet,
     Node,
     NodeId,
-    Position,
     ScenarioConfig,
     generate_scenario,
 )
@@ -71,17 +73,12 @@ def drain(
     return EnergySnapshot(energies.at_tick + 1, drained)
 
 
-def _validate_or_none(
-    clusters: ClusterSet,
-    positions: dict[NodeId, Position],
-    config: ScenarioConfig,
-) -> ValidationReport | None:
-    # A single-cluster partition has no defined index; the run carries on
-    # without a report rather than dying mid-simulation.
-    try:
-        return validate_clusters(clusters, positions, config.dunn_recluster_threshold)
-    except UndefinedIndexError:
-        return None
+def _step_count(config: ScenarioConfig) -> int:
+    # A ratio within a relative 1e-9 of an integer is that integer: in floats
+    # 0.3 / 0.1 is 2.9999999999999996 and 0.3 // 0.1 is 2.0.
+    ratio = config.execution_time / config.tick
+    nearest = round(ratio)
+    return nearest if math.isclose(ratio, nearest, rel_tol=1e-9) else math.floor(ratio)
 
 
 def run_simulation(
@@ -98,10 +95,8 @@ def run_simulation(
     config.validate()
     if nodes is None:
         nodes = generate_scenario(config)
-    positions = {n.node_id: n.pos for n in nodes}
-    steps = int(config.execution_time // config.tick)
+    steps = _step_count(config)
 
-    snapshots: list[SimSnapshot] = []
     try:
         energies = EnergySnapshot(0, {n.node_id: n.energy for n in nodes})
         clusters = expac_cluster(nodes, config.tx_range)
@@ -109,14 +104,23 @@ def run_simulation(
             clusters, energies, config.energy_threshold, config.comparator
         )
         addresses, messages = assign_addresses(clusters, prefix)
+        positions = {n.node_id: n.pos for n in nodes}
+        try:
+            report = validate_clusters(clusters, positions, config.dunn_recluster_threshold)
+        except UndefinedIndexError:
+            # A single-cluster partition has no defined index; the run
+            # carries on without a report rather than dying mid-simulation.
+            report = None
         events: list[Event] = [AddressEvent(0, dict(addresses), tuple(messages))]
-        report = _validate_or_none(clusters, positions, config)
-        snapshots.append(
-            SimSnapshot(0, clusters, energies, report, tuple(events), dict(addresses))
-        )
+        snapshots = [SimSnapshot(0, clusters, energies, report, tuple(events), dict(addresses))]
     except ClusterBenchError as err:
         raise type(err)(f"tick 0: {err}") from err
 
+    # expac_cluster reads only the static positions and rotate_heads keeps
+    # membership, so every later partition, Dunn report and address map is
+    # the tick-0 one: a re-cluster keeps the cluster count and re-runs only
+    # the handshake, whose trace depends on the current heads.
+    count = len(clusters.clusters)
     for t in range(1, steps + 1):
         try:
             energies = drain(energies, clusters, config)
@@ -124,22 +128,13 @@ def run_simulation(
                 clusters, energies, config.energy_threshold, config.comparator
             )
             events = list(changes)
-            report = None
-            if t % config.validation_interval == 0:
-                report = _validate_or_none(clusters, positions, config)
-                if report is not None and report.recommend_recluster:
-                    old_count = len(clusters.clusters)
-                    clusters = expac_cluster(nodes, config.tx_range)
-                    clusters = psopac_rebuild(
-                        clusters, energies, config.energy_threshold, config.comparator
-                    )
-                    addresses, messages = assign_addresses(clusters, prefix)
-                    events.append(
-                        ReclusterEvent(t, report.dunn_index, old_count, len(clusters.clusters))
-                    )
-                    events.append(AddressEvent(t, dict(addresses), tuple(messages)))
+            scheduled = report if t % config.validation_interval == 0 else None
+            if scheduled is not None and scheduled.recommend_recluster:
+                _, messages = assign_addresses(clusters, prefix)
+                events.append(ReclusterEvent(t, scheduled.dunn_index, count, count))
+                events.append(AddressEvent(t, dict(addresses), tuple(messages)))
             snapshots.append(
-                SimSnapshot(t, clusters, energies, report, tuple(events), dict(addresses))
+                SimSnapshot(t, clusters, energies, scheduled, tuple(events), dict(addresses))
             )
         except ClusterBenchError as err:
             raise type(err)(f"tick {t}: {err}") from err

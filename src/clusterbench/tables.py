@@ -13,7 +13,7 @@ from enum import Enum
 from ipaddress import IPv6Address
 from pathlib import Path
 
-from .errors import ClusterBenchError, InputError
+from .errors import ClusterBenchError, ConfigError, InputError
 from .model import Cluster, ClusterSet, EnergyLevel, Node, NodeId, Position
 
 NODES_COLUMNS = ["node_id", "x", "y", "energy"]
@@ -212,8 +212,14 @@ def sha256_file(path: str | Path) -> str:
 def manifest_timestamp() -> str:
     """UTC ISO-8601 stamp; honors SOURCE_DATE_EPOCH for reproducible output."""
     epoch = os.environ.get("SOURCE_DATE_EPOCH")
-    moment = int(epoch) if epoch else int(time.time())
-    return datetime.fromtimestamp(moment, tz=timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+    try:
+        moment = int(epoch) if epoch else int(time.time())
+        return datetime.fromtimestamp(moment, tz=timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+    except (ValueError, OverflowError, OSError):
+        raise ConfigError(
+            f"SOURCE_DATE_EPOCH must be an integer count of seconds in the "
+            f"datetime range, got {epoch!r}"
+        ) from None
 
 
 def write_manifest(path: str | Path, data: dict) -> None:

@@ -97,6 +97,15 @@ def test_bad_env_seed_is_config_error(tmp_path, monkeypatch, capsys):
     assert "CLUSTERBENCH_SEED" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["abc", "-99999999999999"])
+def test_bad_source_date_epoch_is_config_error(tmp_path, monkeypatch, capsys, value):
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", value)
+    out = tmp_path / "s"
+    assert run("simulate", "--out", str(out)) == 2
+    assert "SOURCE_DATE_EPOCH" in capsys.readouterr().err
+    assert not out.exists()  # failed before any table was written
+
+
 def test_unknown_config_key_is_config_error(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"node_cuont": 5}))

@@ -142,6 +142,13 @@ def test_load_config(tmp_path):
     assert cfg.seed == 5
 
 
+def test_load_config_accepts_manifest(tmp_path):
+    cfg = ScenarioConfig(node_count=9, seed=5, comparator="at_or_above")
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({"command": "simulate", "seed": 5, "config": cfg.to_dict()}))
+    assert load_config(str(path)) == cfg
+
+
 def test_load_config_missing_file():
     with pytest.raises(ConfigError):
         load_config("/nonexistent/cfg.json")

@@ -63,6 +63,14 @@ def test_fractional_horizon_floors_tick_count():
     assert [s.at_tick for s in snaps] == [0, 1, 2]
 
 
+@pytest.mark.parametrize(
+    "execution_time, tick, steps", [(0.3, 0.1, 3), (0.7, 0.1, 7), (2.5, 1.0, 2)]
+)
+def test_tick_count_tolerates_float_division(execution_time, tick, steps):
+    cfg = ScenarioConfig(node_count=4, seed=3, execution_time=execution_time, tick=tick)
+    assert [s.at_tick for s in run_simulation(cfg)] == list(range(steps + 1))
+
+
 def test_initial_snapshot_has_addresses_and_setup_event():
     snaps = run_simulation(ScenarioConfig(seed=3))
     first = snaps[0]
@@ -169,3 +177,47 @@ def test_timeline_matches_reference_kernels(monkeypatch):
     monkeypatch.setattr(sim, "expac_cluster", ref_expac_cluster)
     monkeypatch.setattr(validation, "dunn_index", ref_dunn_index)
     assert run_simulation(cfg) == fast
+
+
+# --- the re-cluster fixed point ---------------------------------------------
+
+
+def test_recluster_reproduces_tick_zero_partition():
+    # Positions are static and rotation keeps membership, so the partition,
+    # the Dunn report and the addresses never leave their tick-0 values.
+    reclusters = 0
+    for seed in range(5):
+        snaps = run_simulation(ScenarioConfig(seed=seed, execution_time=10.0))
+        reclusters += len(recluster_events(snaps))
+        first = snaps[0]
+        membership = [(c.cluster_id, c.members) for c in first.clusters.clusters]
+        for snap in snaps:
+            assert [(c.cluster_id, c.members) for c in snap.clusters.clusters] == membership
+            assert snap.report is None or snap.report == first.report
+            assert snap.addresses == first.addresses
+            for event in snap.events:
+                if isinstance(event, ReclusterEvent):
+                    assert event.old_cluster_count == event.new_cluster_count
+                elif isinstance(event, AddressEvent):
+                    assert event.assigned == first.addresses
+    assert reclusters > 0
+
+
+def test_partition_and_index_computed_once_per_run(monkeypatch):
+    calls = {"expac_cluster": 0, "dunn_index": 0}
+
+    def counted(module, name):
+        inner = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(sim, "expac_cluster")
+    counted(validation, "dunn_index")
+    for seed in range(5):
+        calls.update(expac_cluster=0, dunn_index=0)
+        run_simulation(ScenarioConfig(seed=seed))
+        assert calls == {"expac_cluster": 1, "dunn_index": 1}
