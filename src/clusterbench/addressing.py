@@ -16,7 +16,7 @@ from enum import Enum
 from ipaddress import AddressValueError, IPv6Address, IPv6Network
 
 from .errors import CapacityError, InputError
-from .model import ClusterSet, Node, NodeId
+from .model import ClusterSet, NodeId
 
 DEFAULT_PREFIX = "fd00::/48"
 
@@ -116,11 +116,3 @@ def assign_addresses(
             addresses[member] = addr
     return addresses, messages
 
-
-def apply_addresses(nodes: list[Node], addresses: dict[NodeId, IPv6Address]) -> list[Node]:
-    """Return a copy of the node list with addresses filled in."""
-    out = []
-    for node in nodes:
-        addr = addresses.get(node.node_id, node.address)
-        out.append(Node(node.node_id, node.pos, node.energy, addr))
-    return out

@@ -26,59 +26,39 @@ from .errors import (
     InputError,
     UndefinedIndexError,
 )
-from .head_election import EnergySnapshot, HeadChange, psopac_rebuild
+from .head_election import EnergySnapshot, psopac_rebuild
 from .model import (
-    PLACEMENT_MODEL,
-    RNG_NAME,
     ScenarioConfig,
     config_from_dict,
     generate_scenario,
-    normalize_comparator,
     read_config_file,
 )
-from .sim import AddressEvent, ReclusterEvent, run_simulation
+from .sim import run_simulation
 from .tables import (
     CLUSTERS_COLUMNS,
+    ENERGY_DAT_COLUMNS,
+    MEDIAN_DAT_COLUMNS,
     NODES_COLUMNS,
+    SWEEP_COLUMNS,
+    VALIDATION_COLUMNS,
     clusters_rows,
+    energy_dat_rows,
+    manifest_data,
     manifest_timestamp,
     nodes_rows,
     read_clusters_csv,
     read_nodes_csv,
+    report_row,
     sha256_file,
+    simulation_tables,
+    sweep_rows,
+    write_dat,
     write_manifest,
     write_table,
 )
 from .validation import classify, dunn_index
 
 SEED_ENV_VAR = "CLUSTERBENCH_SEED"
-
-TIMELINE_COLUMNS = ["tick", "node_id", "cluster_id", "is_head", "exempt", "energy", "address"]
-EVENTS_COLUMNS = [
-    "at_tick",
-    "kind",
-    "cluster_id",
-    "old_head",
-    "new_head",
-    "trigger_index",
-    "old_cluster_count",
-    "new_cluster_count",
-    "assigned",
-    "messages",
-]
-VALIDATION_COLUMNS = [
-    "at_tick",
-    "dunn_index",
-    "separation_pct",
-    "overlap_pct",
-    "compactness",
-    "classification",
-    "recommend_recluster",
-    "footnote",
-]
-ADDRESSES_COLUMNS = ["node_id", "cluster_id", "address"]
-MESSAGES_COLUMNS = ["at_tick", "seq", "from", "to", "kind", "payload"]
-SWEEP_COLUMNS = ["node_count", "seed", "dunn_index"]
 
 
 def resolve_config(args: argparse.Namespace) -> ScenarioConfig:
@@ -100,7 +80,7 @@ def resolve_config(args: argparse.Namespace) -> ScenarioConfig:
                     f"{SEED_ENV_VAR} must be an integer, got {env_seed!r}"
                 ) from None
     if getattr(args, "comparator", None):
-        raw["comparator"] = normalize_comparator(args.comparator)
+        raw["comparator"] = args.comparator
     return config_from_dict(raw)
 
 
@@ -108,20 +88,6 @@ def _out_dir(args: argparse.Namespace) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
-
-
-def _manifest_data(command: str, config: ScenarioConfig, fmt: str) -> dict:
-    return {
-        "command": command,
-        "tool": "clusterbench",
-        "tool_version": __version__,
-        "rng": RNG_NAME,
-        "placement": PLACEMENT_MODEL,
-        "comparator": config.comparator,
-        "seed": config.seed,
-        "config": config.to_dict(),
-        "format": fmt,
-    }
 
 
 def _load_nodes(args: argparse.Namespace, config: ScenarioConfig):
@@ -139,7 +105,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     out = _out_dir(args)
     table = out / f"nodes.{args.format}"
     write_table(table, NODES_COLUMNS, nodes_rows(nodes), args.format)
-    write_manifest(out / "manifest.json", _manifest_data("generate", config, args.format))
+    write_manifest(out / "manifest.json", manifest_data("generate", config, args.format))
     print(f"wrote {len(nodes)} nodes to {table}")
     return 0
 
@@ -157,17 +123,10 @@ def cmd_cluster(args: argparse.Namespace) -> int:
     out = _out_dir(args)
     table = out / f"clusters.{args.format}"
     write_table(table, CLUSTERS_COLUMNS, clusters_rows(clusters, nodes), args.format)
+    for cluster_id, rows in energy_dat_rows(clusters, nodes):
+        write_dat(out / f"cluster_{cluster_id:03d}_energy.dat", ENERGY_DAT_COLUMNS, rows)
 
-    by_id = {n.node_id: n for n in nodes}
-    for cluster in clusters.clusters:
-        data = out / f"cluster_{cluster.cluster_id:03d}_energy.dat"
-        with open(data, "w", encoding="utf-8", newline="") as fh:
-            fh.write("# node_id energy is_head\n")
-            for member in cluster.members:
-                is_head = 1 if member == cluster.head else 0
-                fh.write(f"{member} {by_id[member].energy} {is_head}\n")
-
-    manifest = _manifest_data("cluster", config, args.format)
+    manifest = manifest_data("cluster", config, args.format)
     if input_hash:
         manifest["input_nodes_sha256"] = input_hash
     write_manifest(out / "manifest.json", manifest)
@@ -196,111 +155,12 @@ def cmd_validate(args: argparse.Namespace) -> int:
         print(f"note: {report.footnote}")
     if args.out:
         out = _out_dir(args)
-        row = {
-            "at_tick": 0,
-            "dunn_index": report.dunn_index,
-            "separation_pct": report.separation_pct,
-            "overlap_pct": report.overlap_pct,
-            "compactness": report.compactness,
-            "classification": report.classification,
-            "recommend_recluster": report.recommend_recluster,
-            "footnote": report.footnote,
-        }
-        write_table(out / f"report.{args.format}", VALIDATION_COLUMNS, [row], args.format)
-        manifest = _manifest_data("validate", config, args.format)
+        rows = [report_row(0, report)]
+        write_table(out / f"report.{args.format}", VALIDATION_COLUMNS, rows, args.format)
+        manifest = manifest_data("validate", config, args.format)
         manifest["input_clusters_sha256"] = sha256_file(args.clusters)
         write_manifest(out / "manifest.json", manifest)
     return 0
-
-
-def _simulate_tables(snapshots) -> dict[str, list[dict]]:
-    timeline, events, validation, messages = [], [], [], []
-    for snap in snapshots:
-        by_node = snap.clusters.by_node()
-        for node_id in sorted(by_node):
-            cluster = by_node[node_id]
-            timeline.append(
-                {
-                    "tick": snap.at_tick,
-                    "node_id": node_id,
-                    "cluster_id": cluster.cluster_id,
-                    "is_head": node_id == cluster.head,
-                    "exempt": node_id in cluster.threshold_exempt,
-                    "energy": snap.energies.energies[node_id],
-                    "address": snap.addresses.get(node_id),
-                }
-            )
-        for event in snap.events:
-            if isinstance(event, HeadChange):
-                events.append(
-                    {
-                        "at_tick": event.at_tick,
-                        "kind": "head_change",
-                        "cluster_id": event.cluster_id,
-                        "old_head": event.old_head,
-                        "new_head": event.new_head,
-                    }
-                )
-            elif isinstance(event, ReclusterEvent):
-                events.append(
-                    {
-                        "at_tick": event.at_tick,
-                        "kind": "recluster",
-                        "trigger_index": event.trigger_index,
-                        "old_cluster_count": event.old_cluster_count,
-                        "new_cluster_count": event.new_cluster_count,
-                    }
-                )
-            elif isinstance(event, AddressEvent):
-                events.append(
-                    {
-                        "at_tick": event.at_tick,
-                        "kind": "address",
-                        "assigned": len(event.assigned),
-                        "messages": len(event.messages),
-                    }
-                )
-                for msg in event.messages:
-                    messages.append(
-                        {
-                            "at_tick": event.at_tick,
-                            "seq": msg.seq,
-                            "from": msg.sender,
-                            "to": msg.receiver,
-                            "kind": msg.kind,
-                            "payload": msg.payload,
-                        }
-                    )
-        if snap.report is not None:
-            validation.append(
-                {
-                    "at_tick": snap.at_tick,
-                    "dunn_index": snap.report.dunn_index,
-                    "separation_pct": snap.report.separation_pct,
-                    "overlap_pct": snap.report.overlap_pct,
-                    "compactness": snap.report.compactness,
-                    "classification": snap.report.classification,
-                    "recommend_recluster": snap.report.recommend_recluster,
-                    "footnote": snap.report.footnote,
-                }
-            )
-    final = snapshots[-1]
-    by_node = final.clusters.by_node()
-    addresses = [
-        {
-            "node_id": node_id,
-            "cluster_id": by_node[node_id].cluster_id,
-            "address": final.addresses.get(node_id),
-        }
-        for node_id in sorted(by_node)
-    ]
-    return {
-        "timeline": timeline,
-        "events": events,
-        "validation": validation,
-        "addresses": addresses,
-        "messages": messages,
-    }
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -308,14 +168,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     nodes, config, input_hash = _load_nodes(args, config)
     snapshots = run_simulation(config, nodes, prefix=args.prefix)
     out = _out_dir(args)
-    tables = _simulate_tables(snapshots)
     fmt = args.format
-    write_table(out / f"timeline.{fmt}", TIMELINE_COLUMNS, tables["timeline"], fmt)
-    write_table(out / f"events.{fmt}", EVENTS_COLUMNS, tables["events"], fmt)
-    write_table(out / f"validation.{fmt}", VALIDATION_COLUMNS, tables["validation"], fmt)
-    write_table(out / f"addresses.{fmt}", ADDRESSES_COLUMNS, tables["addresses"], fmt)
-    write_table(out / f"messages.{fmt}", MESSAGES_COLUMNS, tables["messages"], fmt)
-    manifest = _manifest_data("simulate", config, fmt)
+    for stem, (columns, rows) in simulation_tables(snapshots).items():
+        write_table(out / f"{stem}.{fmt}", columns, rows, fmt)
+    manifest = manifest_data("simulate", config, fmt)
     if input_hash:
         manifest["input_nodes_sha256"] = input_hash
     if args.prefix != DEFAULT_PREFIX:
@@ -336,7 +192,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.seeds < 1:
         raise ConfigError(f"--seeds must be >= 1, got {args.seeds}")
 
-    rows = []
+    results = []
     medians: list[tuple[int, float]] = []
     for size in sizes:
         indices = []
@@ -347,23 +203,19 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             positions = {n.node_id: n.pos for n in nodes}
             try:
                 index = dunn_index(clusters, positions)
+                indices.append(index)
             except UndefinedIndexError:
-                rows.append({"node_count": size, "seed": run_config.seed, "dunn_index": None})
-                continue
-            rows.append({"node_count": size, "seed": run_config.seed, "dunn_index": index})
-            indices.append(index)
+                index = None
+            results.append((size, run_config.seed, index))
         if indices:
             medians.append((size, statistics.median(indices)))
         else:
             print(f"warning: no defined index for node_count={size}", file=sys.stderr)
 
     out = _out_dir(args)
-    write_table(out / f"sweep.{args.format}", SWEEP_COLUMNS, rows, args.format)
-    with open(out / "median_index.dat", "w", encoding="utf-8", newline="") as fh:
-        fh.write("# node_count median_dunn_index\n")
-        for size, median in medians:
-            fh.write(f"{size} {median}\n")
-    write_manifest(out / "manifest.json", _manifest_data("sweep", config, args.format))
+    write_table(out / f"sweep.{args.format}", SWEEP_COLUMNS, sweep_rows(results), args.format)
+    write_dat(out / "median_index.dat", MEDIAN_DAT_COLUMNS, medians)
+    write_manifest(out / "manifest.json", manifest_data("sweep", config, args.format))
     for size, median in medians:
         print(f"node_count={size} median_index={median}")
     return 0

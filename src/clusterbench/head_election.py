@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 
 from .errors import ConfigError, ConsistencyError, InputError
 from .model import (
-    COMPARATOR_AT_OR_ABOVE,
     COMPARATOR_BELOW,
     COMPARATORS,
     Cluster,
@@ -59,9 +58,7 @@ def _passes(energy: EnergyLevel, threshold: EnergyLevel, comparator: str) -> boo
     # is under the threshold. "at_or_above" is the conventional reading.
     if comparator == COMPARATOR_BELOW:
         return energy < threshold
-    if comparator == COMPARATOR_AT_OR_ABOVE:
-        return energy >= threshold
-    raise ConfigError(f"comparator must be one of {COMPARATORS}, got {comparator!r}")
+    return energy >= threshold
 
 
 def psopac_rebuild(

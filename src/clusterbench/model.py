@@ -6,7 +6,6 @@ import json
 import math
 import random
 from dataclasses import dataclass, fields
-from ipaddress import IPv6Address
 
 from .errors import ConfigError, InvariantViolation
 
@@ -32,12 +31,11 @@ class Position:
 
 @dataclass(frozen=True)
 class Node:
-    """A radio particle: id, position, remaining energy, optional address."""
+    """A radio particle: id, position, remaining energy."""
 
     node_id: NodeId
     pos: Position
     energy: EnergyLevel
-    address: IPv6Address | None = None
 
     def __post_init__(self) -> None:
         if self.node_id < 0:
@@ -144,6 +142,11 @@ class ScenarioConfig:
             raise ConfigError(f"execution_time must be >= 0, got {self.execution_time!r}")
         if not _is_num(self.tick) or self.tick <= 0:
             raise ConfigError(f"tick must be > 0, got {self.tick!r}")
+        if not math.isfinite(self.execution_time / self.tick):
+            raise ConfigError(
+                f"execution_time / tick must be a finite tick count, "
+                f"got {self.execution_time!r} / {self.tick!r}"
+            )
         if not _is_int(self.seed) or not 0 <= self.seed < 2**64:
             raise ConfigError(f"seed must be an integer in [0, 2^64), got {self.seed!r}")
         lo_hi = self.initial_energy

@@ -1,4 +1,9 @@
-"""Tabular I/O: CSV/JSON tables, scenario readers, and run manifests."""
+"""The output format and tabular I/O.
+
+Every output file's columns, rows and cells are decided here: the CSV/JSON
+tables, the ``.dat`` plot files and the run manifest, plus the readers that
+load node and cluster tables back.
+"""
 
 from __future__ import annotations
 
@@ -8,18 +13,64 @@ import json
 import math
 import os
 import time
+from collections.abc import Iterable, Iterator
+from dataclasses import fields
 from datetime import datetime, timezone
 from enum import Enum
 from ipaddress import IPv6Address
 from pathlib import Path
 
+from . import __version__
 from .errors import ClusterBenchError, ConfigError, InputError
-from .model import Cluster, ClusterSet, EnergyLevel, Node, NodeId, Position
+from .head_election import HeadChange
+from .model import (
+    PLACEMENT_MODEL,
+    RNG_NAME,
+    Cluster,
+    ClusterSet,
+    EnergyLevel,
+    Node,
+    NodeId,
+    Position,
+    ScenarioConfig,
+)
+from .sim import AddressEvent, ReclusterEvent, SimSnapshot
+from .validation import ValidationReport
 
 NODES_COLUMNS = ["node_id", "x", "y", "energy"]
 CLUSTERS_COLUMNS = ["cluster_id", "node_id", "is_head", "energy", "x", "y", "exempt"]
+TIMELINE_COLUMNS = ["tick", "node_id", "cluster_id", "is_head", "exempt", "energy", "address"]
+EVENTS_COLUMNS = [
+    "at_tick",
+    "kind",
+    "cluster_id",
+    "old_head",
+    "new_head",
+    "trigger_index",
+    "old_cluster_count",
+    "new_cluster_count",
+    "assigned",
+    "messages",
+]
+VALIDATION_COLUMNS = [
+    "at_tick",
+    "dunn_index",
+    "separation_pct",
+    "overlap_pct",
+    "compactness",
+    "classification",
+    "recommend_recluster",
+    "footnote",
+]
+ADDRESSES_COLUMNS = ["node_id", "cluster_id", "address"]
+MESSAGES_COLUMNS = ["at_tick", "seq", "from", "to", "kind", "payload"]
+SWEEP_COLUMNS = ["node_count", "seed", "dunn_index"]
+ENERGY_DAT_COLUMNS = ["node_id", "energy", "is_head"]
+MEDIAN_DAT_COLUMNS = ["node_count", "median_dunn_index"]
 
 FORMATS = ("csv", "json")
+
+_EVENT_KINDS = {HeadChange: "head_change", ReclusterEvent: "recluster", AddressEvent: "address"}
 
 
 def _csv_cell(value) -> str:
@@ -27,12 +78,8 @@ def _csv_cell(value) -> str:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float) and math.isinf(value):
-        return "inf" if value > 0 else "-inf"
     if isinstance(value, Enum):
         return value.value
-    if isinstance(value, IPv6Address):
-        return str(value)
     return str(value)
 
 
@@ -68,6 +115,15 @@ def write_table(path: str | Path, columns: list[str], rows: list[dict], fmt: str
             fh.write("\n")
 
 
+def write_dat(path: str | Path, columns: list[str], rows: Iterable[tuple]) -> None:
+    """Write a plot data file: ``#`` and the column names, then one line of
+    space-separated values per row (a tuple in column order)."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("# " + " ".join(columns) + "\n")
+        for row in rows:
+            fh.write(" ".join(map(str, row)) + "\n")
+
+
 def nodes_rows(nodes: list[Node]) -> list[dict]:
     return [
         {"node_id": n.node_id, "x": n.pos.x, "y": n.pos.y, "energy": n.energy}
@@ -93,6 +149,84 @@ def clusters_rows(clusters: ClusterSet, nodes: list[Node]) -> list[dict]:
                 }
             )
     return rows
+
+
+def energy_dat_rows(clusters: ClusterSet, nodes: list[Node]) -> Iterator[tuple[int, list[tuple]]]:
+    """Per cluster, its id and the rows of its ``cluster_NNN_energy.dat`` file."""
+    by_id = {n.node_id: n for n in nodes}
+    for c in clusters.clusters:
+        yield c.cluster_id, [(m, by_id[m].energy, int(m == c.head)) for m in c.members]
+
+
+def _field_values(obj) -> dict:
+    # Not vars(obj): reading __dict__ gives the instance a dict that lives as
+    # long as it does, and a run keeps every event in its snapshots.
+    return {f.name: getattr(obj, f.name) for f in fields(obj)}
+
+
+def report_row(at_tick: int, report: ValidationReport) -> dict:
+    """One validation-report row; the report's fields are column names."""
+    return {"at_tick": at_tick, **_field_values(report)}
+
+
+def event_row(event) -> dict:
+    """One events-table row. HeadChange and ReclusterEvent fields are column
+    names; an AddressEvent gives the counts of its addresses and messages."""
+    row = _field_values(event)
+    row["kind"] = _EVENT_KINDS[type(event)]
+    if isinstance(event, AddressEvent):
+        row["assigned"], row["messages"] = len(event.assigned), len(event.messages)
+    return row
+
+
+def simulation_tables(snapshots: list[SimSnapshot]) -> dict[str, tuple[list[str], list[dict]]]:
+    """The simulate command's tables, by file stem: (columns, rows)."""
+    timeline, events, validation, messages = [], [], [], []
+    for snap in snapshots:
+        by_node = snap.clusters.by_node()
+        for node_id in sorted(by_node):
+            cluster = by_node[node_id]
+            timeline.append(
+                {
+                    "tick": snap.at_tick,
+                    "node_id": node_id,
+                    "cluster_id": cluster.cluster_id,
+                    "is_head": node_id == cluster.head,
+                    "exempt": node_id in cluster.threshold_exempt,
+                    "energy": snap.energies.energies[node_id],
+                    "address": snap.addresses.get(node_id),
+                }
+            )
+        for event in snap.events:
+            events.append(event_row(event))
+            if isinstance(event, AddressEvent):
+                for msg in event.messages:
+                    messages.append(
+                        {
+                            "at_tick": event.at_tick,
+                            "seq": msg.seq,
+                            "from": msg.sender,
+                            "to": msg.receiver,
+                            "kind": msg.kind,
+                            "payload": msg.payload,
+                        }
+                    )
+        if snap.report is not None:
+            validation.append(report_row(snap.at_tick, snap.report))
+    # The final tick's timeline rows hold every addresses column.
+    addresses = timeline[-snapshots[-1].clusters.node_universe :]
+    return {
+        "timeline": (TIMELINE_COLUMNS, timeline),
+        "events": (EVENTS_COLUMNS, events),
+        "validation": (VALIDATION_COLUMNS, validation),
+        "addresses": (ADDRESSES_COLUMNS, addresses),
+        "messages": (MESSAGES_COLUMNS, messages),
+    }
+
+
+def sweep_rows(results: list[tuple[int, int, float | None]]) -> list[dict]:
+    """Sweep-table rows from (node_count, seed, index or None) results."""
+    return [dict(zip(SWEEP_COLUMNS, result)) for result in results]
 
 
 def _parse_bool(text: str, where: str) -> bool:
@@ -220,6 +354,22 @@ def manifest_timestamp() -> str:
             f"SOURCE_DATE_EPOCH must be an integer count of seconds in the "
             f"datetime range, got {epoch!r}"
         ) from None
+
+
+def manifest_data(command: str, config: ScenarioConfig, fmt: str) -> dict:
+    """The manifest fields every command records; feeding the manifest back
+    through --config replays the run."""
+    return {
+        "command": command,
+        "tool": "clusterbench",
+        "tool_version": __version__,
+        "rng": RNG_NAME,
+        "placement": PLACEMENT_MODEL,
+        "comparator": config.comparator,
+        "seed": config.seed,
+        "config": config.to_dict(),
+        "format": fmt,
+    }
 
 
 def write_manifest(path: str | Path, data: dict) -> None:

@@ -10,11 +10,9 @@ from clusterbench import (
     ClusterSet,
     InputError,
     MessageKind,
-    Node,
-    Position,
     assign_addresses,
 )
-from clusterbench.addressing import apply_addresses, node_address, parse_prefix
+from clusterbench.addressing import node_address, parse_prefix
 from strategies import partitions, random_partition
 
 
@@ -91,15 +89,6 @@ def test_address_encodes_cluster_membership():
     after, _ = assign_addresses(regrouped)
     assert before[1] != after[1]  # node 1 moved clusters, so its address moved
     assert before[0] == after[0]  # node 0 stayed in cluster 0
-
-
-def test_apply_addresses():
-    nodes = [Node(0, Position(0, 0), 5.0), Node(1, Position(1, 1), 6.0)]
-    clusters = ClusterSet((Cluster(0, 0, (0, 1)),), 2)
-    addresses, _ = assign_addresses(clusters)
-    out = apply_addresses(nodes, addresses)
-    assert [n.address for n in out] == [addresses[0], addresses[1]]
-    assert [n.energy for n in out] == [5.0, 6.0]
 
 
 @settings(max_examples=100)

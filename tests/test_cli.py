@@ -1,4 +1,6 @@
+import csv
 import json
+import math
 
 import pytest
 
@@ -104,6 +106,16 @@ def test_bad_source_date_epoch_is_config_error(tmp_path, monkeypatch, capsys, va
     assert run("simulate", "--out", str(out)) == 2
     assert "SOURCE_DATE_EPOCH" in capsys.readouterr().err
     assert not out.exists()  # failed before any table was written
+
+
+def test_overflowing_tick_count_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"execution_time": 1e308, "tick": 1e-300}))
+    out = tmp_path / "s"
+    assert run("simulate", "--config", str(cfg), "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_unknown_config_key_is_config_error(tmp_path, capsys):
@@ -236,6 +248,39 @@ def test_validate_writes_report_when_asked(tmp_path):
     assert "0,0.3,30,70,Low,CompactLessSeparated,true," in lines[1]
 
 
+def assert_csv_matches_json(csv_path, json_path):
+    """Same columns and rows; cells agree: None is an empty cell, bools are
+    true/false, numbers compare by value."""
+    with open(csv_path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        columns, csv_rows = reader.fieldnames, list(reader)
+    json_rows = json.loads(json_path.read_text())
+    assert json_rows and len(csv_rows) == len(json_rows)
+    for text_row, row in zip(csv_rows, json_rows):
+        assert list(row) == columns
+        for column, value in row.items():
+            text = text_row[column]
+            if value is None:
+                assert text == ""
+            elif isinstance(value, bool):
+                assert text == ("true" if value else "false")
+            elif isinstance(value, (int, float)):
+                assert float(text) == value
+            else:
+                assert text == value
+
+
+def test_validate_report_csv_matches_json(tmp_path):
+    path = tmp_path / "clusters.csv"
+    write_clusters(
+        path, ["0,0,true,5,0,0\n", "0,1,false,5,10,0\n", "1,2,true,5,13,0\n", "1,3,false,5,20,0\n"]
+    )
+    for fmt in ("csv", "json"):
+        out = str(tmp_path / fmt)
+        assert run("validate", "--clusters", str(path), "--out", out, "--format", fmt) == 0
+    assert_csv_matches_json(tmp_path / "csv" / "report.csv", tmp_path / "json" / "report.json")
+
+
 # --- simulate ---------------------------------------------------------------
 
 
@@ -271,6 +316,22 @@ def test_simulate_json_format(tmp_path):
     assert run("simulate", "--seed", "2", "--out", str(out), "--format", "json") == 0
     rows = json.loads((out / "timeline.json").read_text())
     assert len(rows) == 6 * 25
+
+
+def test_simulate_csv_matches_json(tmp_path):
+    side = 100.0 * math.sqrt(200 / 25)  # 200 nodes at 25 nodes/ha
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(
+        json.dumps({"node_count": 200, "area": [side, side], "dunn_recluster_threshold": 2.0})
+    )
+    for fmt in ("csv", "json"):
+        out = tmp_path / fmt
+        assert run("simulate", "--config", str(cfg), "--out", str(out), "--format", fmt) == 0
+    kinds = {row["kind"] for row in json.loads((tmp_path / "json" / "events.json").read_text())}
+    assert kinds == {"head_change", "recluster", "address"}
+    for table in ("timeline", "events", "validation", "addresses", "messages"):
+        csv_path, json_path = tmp_path / "csv" / f"{table}.csv", tmp_path / "json" / f"{table}.json"
+        assert_csv_matches_json(csv_path, json_path)
 
 
 def test_simulate_comparator_flag_recorded(tmp_path):

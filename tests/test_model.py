@@ -39,7 +39,6 @@ def test_single_node_scenario():
     nodes = generate_scenario(ScenarioConfig(node_count=1, seed=42))
     assert len(nodes) == 1
     assert nodes[0].node_id == 0
-    assert nodes[0].address is None
 
 
 def test_generation_is_deterministic():
@@ -98,6 +97,14 @@ def test_config_rejects_bad_field(field, value):
     with pytest.raises(ConfigError) as err:
         cfg.validate()
     assert field in str(err.value)
+
+
+def test_config_rejects_tick_count_overflow():
+    # each field is finite, but execution_time / tick overflows to inf
+    cfg = ScenarioConfig(execution_time=1e308, tick=1e-300)
+    with pytest.raises(ConfigError) as err:
+        cfg.validate()
+    assert "execution_time / tick" in str(err.value)
 
 
 def test_config_from_dict_rejects_unknown_keys():
