@@ -51,7 +51,6 @@ from .tables import (
     report_row,
     sha256_file,
     simulation_tables,
-    sweep_rows,
     write_dat,
     write_manifest,
     write_table,
@@ -85,7 +84,7 @@ def resolve_config(args: argparse.Namespace) -> ScenarioConfig:
 
 
 def _out_dir(args: argparse.Namespace) -> Path:
-    out = Path(args.out)
+    out = Path("out" if args.out is None else args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -213,7 +212,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             print(f"warning: no defined index for node_count={size}", file=sys.stderr)
 
     out = _out_dir(args)
-    write_table(out / f"sweep.{args.format}", SWEEP_COLUMNS, sweep_rows(results), args.format)
+    write_table(out / f"sweep.{args.format}", SWEEP_COLUMNS, results, args.format)
     write_dat(out / "median_index.dat", MEDIAN_DAT_COLUMNS, medians)
     write_manifest(out / "manifest.json", manifest_data("sweep", config, args.format))
     for size, median in medians:
@@ -232,7 +231,9 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON config file (or a manifest to replay)")
     common.add_argument("--seed", type=int, help="RNG seed; overrides config and environment")
-    common.add_argument("--out", default="out", help="output directory (default: out)")
+    common.add_argument(
+        "--out", help="output directory (default: out; validate writes files only when given)"
+    )
     common.add_argument("--format", choices=["csv", "json"], default="csv")
     common.add_argument(
         "--comparator",
@@ -241,9 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument(
         "--threads", type=int, default=1, help="accepted for compatibility; has no effect"
-    )
-    common.add_argument(
-        "--strict", action="store_true", help="treat an undefined index as an error"
     )
 
     sub = parser.add_subparsers(dest="command", required=True)
@@ -259,6 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", parents=[common], help="score a cluster table")
     p.add_argument("--clusters", required=True, help="cluster table CSV")
+    p.add_argument("--strict", action="store_true", help="treat an undefined index as an error")
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("simulate", parents=[common], help="run the tick simulation")

@@ -50,7 +50,11 @@ class AddressEvent:
 
 @dataclass(frozen=True)
 class SimSnapshot:
-    """State at the end of one tick."""
+    """State at the end of one tick.
+
+    The address map is fixed after tick 0, so every snapshot and address event
+    of a run shares that one dict; treat it as read-only.
+    """
 
     at_tick: int
     clusters: ClusterSet
@@ -111,8 +115,8 @@ def run_simulation(
             # A single-cluster partition has no defined index; the run
             # carries on without a report rather than dying mid-simulation.
             report = None
-        events: list[Event] = [AddressEvent(0, dict(addresses), tuple(messages))]
-        snapshots = [SimSnapshot(0, clusters, energies, report, tuple(events), dict(addresses))]
+        events: list[Event] = [AddressEvent(0, addresses, tuple(messages))]
+        snapshots = [SimSnapshot(0, clusters, energies, report, tuple(events), addresses)]
     except ClusterBenchError as err:
         raise type(err)(f"tick 0: {err}") from err
 
@@ -132,9 +136,9 @@ def run_simulation(
             if scheduled is not None and scheduled.recommend_recluster:
                 _, messages = assign_addresses(clusters, prefix)
                 events.append(ReclusterEvent(t, scheduled.dunn_index, count, count))
-                events.append(AddressEvent(t, dict(addresses), tuple(messages)))
+                events.append(AddressEvent(t, addresses, tuple(messages)))
             snapshots.append(
-                SimSnapshot(t, clusters, energies, scheduled, tuple(events), dict(addresses))
+                SimSnapshot(t, clusters, energies, scheduled, tuple(events), addresses)
             )
         except ClusterBenchError as err:
             raise type(err)(f"tick {t}: {err}") from err

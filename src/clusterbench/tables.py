@@ -14,14 +14,13 @@ import math
 import os
 import time
 from collections.abc import Iterable, Iterator
-from dataclasses import fields
 from datetime import datetime, timezone
 from enum import Enum
 from ipaddress import IPv6Address
 from pathlib import Path
 
 from . import __version__
-from .errors import ClusterBenchError, ConfigError, InputError
+from .errors import ClusterBenchError, ConfigError, InputError, InvariantViolation
 from .head_election import HeadChange
 from .model import (
     PLACEMENT_MODEL,
@@ -70,8 +69,6 @@ MEDIAN_DAT_COLUMNS = ["node_count", "median_dunn_index"]
 
 FORMATS = ("csv", "json")
 
-_EVENT_KINDS = {HeadChange: "head_change", ReclusterEvent: "recluster", AddressEvent: "address"}
-
 
 def _csv_cell(value) -> str:
     if value is None:
@@ -93,8 +90,8 @@ def _json_cell(value):
     return value
 
 
-def write_table(path: str | Path, columns: list[str], rows: list[dict], fmt: str = "csv") -> None:
-    """Write rows (dicts keyed by column) as CSV or JSON with a trailing newline.
+def write_table(path: str | Path, columns: list[str], rows: list[tuple], fmt: str = "csv") -> None:
+    """Write rows (tuples in column order) as CSV or JSON with a trailing newline.
 
     Output is byte-deterministic: fixed column order, LF line endings, and a
     stable rendering for floats, enums, booleans, and addresses.
@@ -107,9 +104,9 @@ def write_table(path: str | Path, columns: list[str], rows: list[dict], fmt: str
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(columns)
             for row in rows:
-                writer.writerow([_csv_cell(row.get(col)) for col in columns])
+                writer.writerow([_csv_cell(v) for v in row])
     else:
-        payload = [{col: _json_cell(row.get(col)) for col in columns} for row in rows]
+        payload = [dict(zip(columns, map(_json_cell, row))) for row in rows]
         with open(path, "w", encoding="utf-8", newline="") as fh:
             json.dump(payload, fh, indent=2)
             fh.write("\n")
@@ -124,29 +121,26 @@ def write_dat(path: str | Path, columns: list[str], rows: Iterable[tuple]) -> No
             fh.write(" ".join(map(str, row)) + "\n")
 
 
-def nodes_rows(nodes: list[Node]) -> list[dict]:
-    return [
-        {"node_id": n.node_id, "x": n.pos.x, "y": n.pos.y, "energy": n.energy}
-        for n in nodes
-    ]
+def nodes_rows(nodes: list[Node]) -> list[tuple]:
+    return [(n.node_id, n.pos.x, n.pos.y, n.energy) for n in nodes]
 
 
-def clusters_rows(clusters: ClusterSet, nodes: list[Node]) -> list[dict]:
+def clusters_rows(clusters: ClusterSet, nodes: list[Node]) -> list[tuple]:
     by_id = {n.node_id: n for n in nodes}
     rows = []
     for cluster in sorted(clusters.clusters, key=lambda c: c.cluster_id):
         for member in cluster.members:
             node = by_id[member]
             rows.append(
-                {
-                    "cluster_id": cluster.cluster_id,
-                    "node_id": member,
-                    "is_head": member == cluster.head,
-                    "energy": node.energy,
-                    "x": node.pos.x,
-                    "y": node.pos.y,
-                    "exempt": member in cluster.threshold_exempt,
-                }
+                (
+                    cluster.cluster_id,
+                    member,
+                    member == cluster.head,
+                    node.energy,
+                    node.pos.x,
+                    node.pos.y,
+                    member in cluster.threshold_exempt,
+                )
             )
     return rows
 
@@ -158,28 +152,34 @@ def energy_dat_rows(clusters: ClusterSet, nodes: list[Node]) -> Iterator[tuple[i
         yield c.cluster_id, [(m, by_id[m].energy, int(m == c.head)) for m in c.members]
 
 
-def _field_values(obj) -> dict:
-    # Not vars(obj): reading __dict__ gives the instance a dict that lives as
-    # long as it does, and a run keeps every event in its snapshots.
-    return {f.name: getattr(obj, f.name) for f in fields(obj)}
+def report_row(at_tick: int, report: ValidationReport) -> tuple:
+    """One validation-report row."""
+    return (
+        at_tick,
+        report.dunn_index,
+        report.separation_pct,
+        report.overlap_pct,
+        report.compactness,
+        report.classification,
+        report.recommend_recluster,
+        report.footnote,
+    )
 
 
-def report_row(at_tick: int, report: ValidationReport) -> dict:
-    """One validation-report row; the report's fields are column names."""
-    return {"at_tick": at_tick, **_field_values(report)}
+def event_row(event) -> tuple:
+    """One events-table row; each event kind leaves the other kinds' columns
+    empty. An AddressEvent gives the counts of its addresses and messages."""
+    if isinstance(event, HeadChange):
+        heads = (event.cluster_id, event.old_head, event.new_head)
+        return (event.at_tick, "head_change", *heads, None, None, None, None, None)
+    if isinstance(event, ReclusterEvent):
+        counts = (event.trigger_index, event.old_cluster_count, event.new_cluster_count)
+        return (event.at_tick, "recluster", None, None, None, *counts, None, None)
+    sizes = (len(event.assigned), len(event.messages))  # an AddressEvent
+    return (event.at_tick, "address", None, None, None, None, None, None, *sizes)
 
 
-def event_row(event) -> dict:
-    """One events-table row. HeadChange and ReclusterEvent fields are column
-    names; an AddressEvent gives the counts of its addresses and messages."""
-    row = _field_values(event)
-    row["kind"] = _EVENT_KINDS[type(event)]
-    if isinstance(event, AddressEvent):
-        row["assigned"], row["messages"] = len(event.assigned), len(event.messages)
-    return row
-
-
-def simulation_tables(snapshots: list[SimSnapshot]) -> dict[str, tuple[list[str], list[dict]]]:
+def simulation_tables(snapshots: list[SimSnapshot]) -> dict[str, tuple[list[str], list[tuple]]]:
     """The simulate command's tables, by file stem: (columns, rows)."""
     timeline, events, validation, messages = [], [], [], []
     for snap in snapshots:
@@ -187,34 +187,30 @@ def simulation_tables(snapshots: list[SimSnapshot]) -> dict[str, tuple[list[str]
         for node_id in sorted(by_node):
             cluster = by_node[node_id]
             timeline.append(
-                {
-                    "tick": snap.at_tick,
-                    "node_id": node_id,
-                    "cluster_id": cluster.cluster_id,
-                    "is_head": node_id == cluster.head,
-                    "exempt": node_id in cluster.threshold_exempt,
-                    "energy": snap.energies.energies[node_id],
-                    "address": snap.addresses.get(node_id),
-                }
+                (
+                    snap.at_tick,
+                    node_id,
+                    cluster.cluster_id,
+                    node_id == cluster.head,
+                    node_id in cluster.threshold_exempt,
+                    snap.energies.energies[node_id],
+                    snap.addresses.get(node_id),
+                )
             )
         for event in snap.events:
             events.append(event_row(event))
             if isinstance(event, AddressEvent):
                 for msg in event.messages:
                     messages.append(
-                        {
-                            "at_tick": event.at_tick,
-                            "seq": msg.seq,
-                            "from": msg.sender,
-                            "to": msg.receiver,
-                            "kind": msg.kind,
-                            "payload": msg.payload,
-                        }
+                        (event.at_tick, msg.seq, msg.sender, msg.receiver, msg.kind, msg.payload)
                     )
         if snap.report is not None:
             validation.append(report_row(snap.at_tick, snap.report))
-    # The final tick's timeline rows hold every addresses column.
-    addresses = timeline[-snapshots[-1].clusters.node_universe :]
+    final = snapshots[-1]
+    addresses = [
+        (node_id, cluster.cluster_id, final.addresses.get(node_id))
+        for node_id, cluster in sorted(final.clusters.by_node().items())
+    ]
     return {
         "timeline": (TIMELINE_COLUMNS, timeline),
         "events": (EVENTS_COLUMNS, events),
@@ -222,11 +218,6 @@ def simulation_tables(snapshots: list[SimSnapshot]) -> dict[str, tuple[list[str]
         "addresses": (ADDRESSES_COLUMNS, addresses),
         "messages": (MESSAGES_COLUMNS, messages),
     }
-
-
-def sweep_rows(results: list[tuple[int, int, float | None]]) -> list[dict]:
-    """Sweep-table rows from (node_count, seed, index or None) results."""
-    return [dict(zip(SWEEP_COLUMNS, result)) for result in results]
 
 
 def _parse_bool(text: str, where: str) -> bool:
@@ -274,7 +265,7 @@ def read_nodes_csv(path: str | Path) -> list[Node]:
                     _finite(row, "energy"),
                 )
             )
-        except (TypeError, ValueError) as err:
+        except (TypeError, ValueError, InvariantViolation) as err:
             raise InputError(f"{where}: {err}") from err
     ids = sorted(n.node_id for n in nodes)
     if ids != list(range(len(nodes))):

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from clusterbench import cli
+from clusterbench import cli, config_from_dict, run_simulation
 
 
 def run(*argv):
@@ -143,6 +143,15 @@ def test_non_finite_tables_are_input_errors(tmp_path, capsys):
     assert "row 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line", ["1,2,2,-5", "-1,2,2,5"], ids=["energy", "node_id"])
+def test_negative_node_cells_are_input_errors(tmp_path, capsys, line):
+    nodes = tmp_path / "nodes.csv"
+    nodes.write_text("node_id,x,y,energy\n0,1,1,5\n" + line + "\n")
+    assert run("cluster", "--nodes", str(nodes), "--out", str(tmp_path / "c")) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and "row 2" in err
+
+
 # --- cluster ----------------------------------------------------------------
 
 
@@ -228,6 +237,19 @@ def test_validate_undefined_index(tmp_path, capsys):
     assert run("validate", "--clusters", str(path)) == 0
     assert capsys.readouterr().out.strip() == "UNDEFINED_INDEX"
     assert run("validate", "--clusters", str(path), "--strict") == 4
+
+
+def test_validate_without_out_writes_nothing(tmp_path, monkeypatch):
+    path = tmp_path / "clusters.csv"
+    write_clusters(path, ["0,0,true,5,0,0\n", "0,1,false,5,10,0\n", "1,2,true,5,13,0\n"])
+    monkeypatch.chdir(tmp_path)
+    assert run("validate", "--clusters", str(path)) == 0
+    assert [p.name for p in tmp_path.iterdir()] == ["clusters.csv"]
+
+
+def test_strict_is_a_validate_flag(tmp_path):
+    assert run("simulate", "--strict", "--out", str(tmp_path / "s")) == 2
+    assert not (tmp_path / "s").exists()
 
 
 def test_validate_writes_report_when_asked(tmp_path):
@@ -318,12 +340,13 @@ def test_simulate_json_format(tmp_path):
     assert len(rows) == 6 * 25
 
 
+SIDE = 100.0 * math.sqrt(200 / 25)  # 200 nodes at 25 nodes/ha
+RECLUSTERING = {"node_count": 200, "area": [SIDE, SIDE], "dunn_recluster_threshold": 2.0}
+
+
 def test_simulate_csv_matches_json(tmp_path):
-    side = 100.0 * math.sqrt(200 / 25)  # 200 nodes at 25 nodes/ha
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(
-        json.dumps({"node_count": 200, "area": [side, side], "dunn_recluster_threshold": 2.0})
-    )
+    cfg.write_text(json.dumps(RECLUSTERING))
     for fmt in ("csv", "json"):
         out = tmp_path / fmt
         assert run("simulate", "--config", str(cfg), "--out", str(out), "--format", fmt) == 0
@@ -332,6 +355,32 @@ def test_simulate_csv_matches_json(tmp_path):
     for table in ("timeline", "events", "validation", "addresses", "messages"):
         csv_path, json_path = tmp_path / "csv" / f"{table}.csv", tmp_path / "json" / f"{table}.json"
         assert_csv_matches_json(csv_path, json_path)
+
+
+# Each event type's kind and the columns it fills; every other cell is empty.
+EVENT_KINDS = {
+    "HeadChange": ("head_change", ("cluster_id", "old_head", "new_head")),
+    "ReclusterEvent": ("recluster", ("trigger_index", "old_cluster_count", "new_cluster_count")),
+    "AddressEvent": ("address", ("assigned", "messages")),
+}
+
+
+def test_simulate_events_fill_their_kind_columns(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(RECLUSTERING))
+    assert run("simulate", "--config", str(cfg), "--out", str(tmp_path / "s")) == 0
+    with open(tmp_path / "s" / "events.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    events = [e for snap in run_simulation(config_from_dict(RECLUSTERING)) for e in snap.events]
+    assert len(rows) == len(events)
+    assert {type(e).__name__ for e in events} == set(EVENT_KINDS)
+    for row, event in zip(rows, events):
+        kind, used = EVENT_KINDS[type(event).__name__]
+        assert (row["at_tick"], row["kind"]) == (str(event.at_tick), kind)
+        for column in used:
+            value = getattr(event, column)
+            assert row[column] == str(len(value) if kind == "address" else value), (column, row)
+        assert all(row[c] == "" for c in row if c not in ("at_tick", "kind", *used)), row
 
 
 def test_simulate_comparator_flag_recorded(tmp_path):

@@ -3,16 +3,30 @@ import math
 
 import pytest
 
-from clusterbench import Cluster, ClusterSet, InputError, Node, Position
+from clusterbench import (
+    Cluster,
+    ClusterSet,
+    InputError,
+    Node,
+    Position,
+    config_from_dict,
+    generate_scenario,
+    run_simulation,
+)
 from clusterbench.tables import (
     CLUSTERS_COLUMNS,
+    ENERGY_DAT_COLUMNS,
     NODES_COLUMNS,
+    VALIDATION_COLUMNS,
     clusters_rows,
+    energy_dat_rows,
     manifest_timestamp,
     nodes_rows,
     read_clusters_csv,
     read_nodes_csv,
+    report_row,
     sha256_file,
+    simulation_tables,
     write_manifest,
     write_table,
 )
@@ -50,12 +64,34 @@ def test_clusters_roundtrip(tmp_path):
     assert energies == {n.node_id: n.energy for n in nodes}
 
 
+def test_every_row_has_one_cell_per_column():
+    # JSON zips cells with columns, so a short row would lose cells silently.
+    side = 100.0 * math.sqrt(200 / 25)  # 200 nodes at 25 nodes/ha
+    config = config_from_dict(
+        {"node_count": 200, "area": [side, side], "dunn_recluster_threshold": 2.0}
+    )
+    nodes = generate_scenario(config)
+    snapshots = run_simulation(config, nodes)
+    clusters = snapshots[0].clusters
+    tables = [
+        (NODES_COLUMNS, nodes_rows(nodes)),
+        (CLUSTERS_COLUMNS, clusters_rows(clusters, nodes)),
+        (VALIDATION_COLUMNS, [report_row(0, snapshots[0].report)]),
+    ]
+    tables += [(ENERGY_DAT_COLUMNS, rows) for _, rows in energy_dat_rows(clusters, nodes)]
+    tables += simulation_tables(snapshots).values()
+    for columns, rows in tables:
+        assert rows
+        for row in rows:
+            assert isinstance(row, tuple) and len(row) == len(columns), (columns, row)
+
+
 def test_csv_cells_are_stable(tmp_path):
     path = tmp_path / "t.csv"
     write_table(
         path,
         ["a", "b", "c", "d"],
-        [{"a": True, "b": None, "c": math.inf, "d": 0.1}],
+        [(True, None, math.inf, 0.1)],
         "csv",
     )
     assert path.read_text() == "a,b,c,d\ntrue,,inf,0.1\n"
@@ -63,7 +99,7 @@ def test_csv_cells_are_stable(tmp_path):
 
 def test_json_table(tmp_path):
     path = tmp_path / "t.json"
-    write_table(path, ["a", "b"], [{"a": 1, "b": math.inf}], "json")
+    write_table(path, ["a", "b"], [(1, math.inf)], "json")
     data = json.loads(path.read_text())
     assert data == [{"a": 1, "b": "inf"}]
 
@@ -103,6 +139,15 @@ def test_read_nodes_rejects_non_finite(tmp_path, column, value):
     with pytest.raises(InputError) as err:
         read_nodes_csv(path)
     assert "row 2" in str(err.value) and column in str(err.value)
+
+
+@pytest.mark.parametrize("line", ["1,2,3,-5", "-1,2,3,5"], ids=["energy", "node_id"])
+def test_read_nodes_rejects_negative_cells(tmp_path, line):
+    path = tmp_path / "bad.csv"
+    path.write_text("node_id,x,y,energy\n0,1,1,5\n" + line + "\n")
+    with pytest.raises(InputError) as err:
+        read_nodes_csv(path)
+    assert "row 2" in str(err.value)
 
 
 @pytest.mark.parametrize("column", ["x", "y", "energy"])
