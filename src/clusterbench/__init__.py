@@ -49,7 +49,6 @@ from .validation import (
     classify,
     cluster_diameter,
     dunn_index,
-    inter_cluster_distance,
     validate_clusters,
 )
 
@@ -89,7 +88,6 @@ __all__ = [
     "dunn_index",
     "expac_cluster",
     "generate_scenario",
-    "inter_cluster_distance",
     "load_config",
     "manhattan_distance",
     "max_energy_node",

@@ -30,8 +30,6 @@ from .model import (
 )
 from .validation import ValidationReport, validate_clusters
 
-Event = object  # HeadChange | ReclusterEvent | AddressEvent
-
 
 @dataclass(frozen=True)
 class ReclusterEvent:
@@ -46,6 +44,9 @@ class AddressEvent:
     at_tick: int
     assigned: dict[NodeId, IPv6Address]
     messages: tuple[Message, ...]
+
+
+Event = HeadChange | ReclusterEvent | AddressEvent
 
 
 @dataclass(frozen=True)

@@ -15,8 +15,6 @@ import os
 import time
 from collections.abc import Iterable, Iterator
 from datetime import datetime, timezone
-from enum import Enum
-from ipaddress import IPv6Address
 from pathlib import Path
 
 from . import __version__
@@ -70,46 +68,43 @@ MEDIAN_DAT_COLUMNS = ["node_count", "median_dunn_index"]
 FORMATS = ("csv", "json")
 
 
-def _csv_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, Enum):
-        return value.value
-    return str(value)
-
-
 def _json_cell(value):
     if isinstance(value, float) and not math.isfinite(value):
         return "inf" if value > 0 else "-inf"
-    if isinstance(value, Enum):
-        return value.value
-    if isinstance(value, IPv6Address):
-        return str(value)
     return value
+
+
+# One row object of ``json.dump(rows, fh, indent=2)``, minus its braces: the
+# C encoder runs only without ``indent``, so the indent goes in the separator.
+_json_row = json.JSONEncoder(separators=(",\n    ", ": ")).encode
 
 
 def write_table(path: str | Path, columns: list[str], rows: list[tuple], fmt: str = "csv") -> None:
     """Write rows (tuples in column order) as CSV or JSON with a trailing newline.
 
-    Output is byte-deterministic: fixed column order, LF line endings, and a
-    stable rendering for floats, enums, booleans, and addresses.
+    Output is byte-deterministic: fixed column order and LF line endings. CSV
+    cells go to ``csv.writer`` as they are, except that booleans (picked by
+    type, since ``True == 1``) become ``true``/``false``; str enums render
+    as their values. JSON is the layout of ``json.dump(indent=2)``, written
+    one row at a time, with infinite floats as the strings ``inf``/``-inf``.
     """
     if fmt not in FORMATS:
         raise InputError(f"format must be one of {FORMATS}, got {fmt!r}")
-    path = Path(path)
-    if fmt == "csv":
-        with open(path, "w", encoding="utf-8", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        if fmt == "csv":
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(columns)
+            writer.writerows(
+                [("true" if v else "false") if type(v) is bool else v for v in row] for row in rows
+            )
+        elif not rows:
+            fh.write("[]\n")
+        else:
+            sep = "[\n"
             for row in rows:
-                writer.writerow([_csv_cell(v) for v in row])
-    else:
-        payload = [dict(zip(columns, map(_json_cell, row))) for row in rows]
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+                fh.write(sep + "  {\n    " + _json_row(dict(zip(columns, map(_json_cell, row))))[1:-1])
+                sep = "\n  },\n"
+            fh.write("\n  }\n]\n")
 
 
 def write_dat(path: str | Path, columns: list[str], rows: Iterable[tuple]) -> None:
@@ -180,9 +175,22 @@ def event_row(event) -> tuple:
 
 
 def simulation_tables(snapshots: list[SimSnapshot]) -> dict[str, tuple[list[str], list[tuple]]]:
-    """The simulate command's tables, by file stem: (columns, rows)."""
+    """The simulate command's tables, by file stem: (columns, rows). Each
+    distinct address is rendered as text once, however many cells show it."""
     timeline, events, validation, messages = [], [], [], []
+    texts = {}  # each distinct address as text, by its value
+
+    def text(address):
+        key = int(address)
+        if key not in texts:
+            texts[key] = str(address)
+        return texts[key]
+
+    address_map = shown = None  # the address map last rendered, and its texts
     for snap in snapshots:
+        if snap.addresses is not address_map:
+            address_map = snap.addresses
+            shown = {node_id: text(a) for node_id, a in address_map.items()}
         by_node = snap.clusters.by_node()
         for node_id in sorted(by_node):
             cluster = by_node[node_id]
@@ -194,21 +202,22 @@ def simulation_tables(snapshots: list[SimSnapshot]) -> dict[str, tuple[list[str]
                     node_id == cluster.head,
                     node_id in cluster.threshold_exempt,
                     snap.energies.energies[node_id],
-                    snap.addresses.get(node_id),
+                    shown.get(node_id),
                 )
             )
         for event in snap.events:
             events.append(event_row(event))
             if isinstance(event, AddressEvent):
                 for msg in event.messages:
+                    payload = None if msg.payload is None else text(msg.payload)
                     messages.append(
-                        (event.at_tick, msg.seq, msg.sender, msg.receiver, msg.kind, msg.payload)
+                        (event.at_tick, msg.seq, msg.sender, msg.receiver, msg.kind, payload)
                     )
         if snap.report is not None:
             validation.append(report_row(snap.at_tick, snap.report))
     final = snapshots[-1]
     addresses = [
-        (node_id, cluster.cluster_id, final.addresses.get(node_id))
+        (node_id, cluster.cluster_id, shown.get(node_id))
         for node_id, cluster in sorted(final.clusters.by_node().items())
     ]
     return {
@@ -294,6 +303,8 @@ def read_clusters_csv(
             nid = int(row["node_id"])
             is_head = _parse_bool(row["is_head"], where)
             energy = _finite(row, "energy")
+            if energy < 0:
+                raise ValueError(f"energy must be >= 0, got {row['energy']!r}")
             pos = Position(_finite(row, "x"), _finite(row, "y"))
             exempt = _parse_bool(row.get("exempt") or "", where)
         except (TypeError, ValueError) as err:

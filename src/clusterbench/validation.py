@@ -28,7 +28,6 @@ from .clustering import Cell, cell_of, cell_side, manhattan_distance, near_pairs
 from .errors import (
     DegenerateGeometryError,
     InputError,
-    InvariantViolation,
     UndefinedIndexError,
 )
 from .model import Cluster, ClusterSet, NodeId, Position
@@ -65,21 +64,6 @@ class ValidationReport:
     classification: Classification
     recommend_recluster: bool
     footnote: str | None = None
-
-
-def inter_cluster_distance(
-    a: Cluster, b: Cluster, positions: dict[NodeId, Position]
-) -> float:
-    """Minimum Manhattan distance over all cross pairs of members."""
-    if set(a.members) & set(b.members):
-        raise InvariantViolation(
-            f"clusters {a.cluster_id} and {b.cluster_id} share members"
-        )
-    return min(
-        manhattan_distance(positions[m], positions[n])
-        for m in a.members
-        for n in b.members
-    )
 
 
 def cluster_diameter(cluster: Cluster, positions: dict[NodeId, Position]) -> float:

@@ -1,22 +1,25 @@
-"""Brute-force reference kernels, kept as oracles for the grid-indexed ones.
+"""Reference implementations, kept as oracles for the library's fast paths.
 
-These are the original O(N^2) loops: every node against every node for the
-range candidates, a full rescan of all candidates per greedy round, and
-every cross-cluster pair of members for the minimum inter-cluster distance.
-The library's kernels must return exactly what these return.
+The brute-force kernels are the original O(N^2) loops: every node against
+every node for the range candidates, a full rescan of all candidates per
+greedy round, and every cross-cluster pair of members for the minimum
+inter-cluster distance. The library's kernels must return exactly what these
+return. ``ref_csv_cell`` and ``ref_json_cell`` are the per-cell renderings
+that ``write_table`` must reproduce.
 """
 
 from __future__ import annotations
 
 import math
+from enum import Enum
 
 from clusterbench import (
     Cluster,
     ClusterSet,
     DegenerateGeometryError,
+    InvariantViolation,
     UndefinedIndexError,
     cluster_diameter,
-    inter_cluster_distance,
     manhattan_distance,
 )
 from clusterbench.clustering import CandidateCluster, _check_nodes
@@ -64,6 +67,37 @@ def ref_expac_cluster(nodes, tx_range):
             clusters.append(Cluster(len(clusters), node_id, (node_id,)))
             clustered.add(node_id)
     return ClusterSet(tuple(clusters), len(nodes))
+
+
+def ref_csv_cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, Enum):
+        return value.value
+    return str(value)
+
+
+def ref_json_cell(value):
+    if isinstance(value, float) and not math.isfinite(value):
+        return "inf" if value > 0 else "-inf"
+    if isinstance(value, Enum):
+        return value.value
+    return value
+
+
+def inter_cluster_distance(a, b, positions):
+    """Minimum Manhattan distance over all cross pairs of members."""
+    if set(a.members) & set(b.members):
+        raise InvariantViolation(
+            f"clusters {a.cluster_id} and {b.cluster_id} share members"
+        )
+    return min(
+        manhattan_distance(positions[m], positions[n])
+        for m in a.members
+        for n in b.members
+    )
 
 
 def ref_dunn_index(clusters, positions):

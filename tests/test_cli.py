@@ -118,6 +118,15 @@ def test_overflowing_tick_count_is_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_tick_count_above_limit_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"execution_time": 1e300, "tick": 1}))
+    out = tmp_path / "s"
+    assert run("simulate", "--config", str(cfg), "--out", str(out)) == 2
+    assert "at most" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unknown_config_key_is_config_error(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"node_cuont": 5}))
@@ -150,6 +159,14 @@ def test_negative_node_cells_are_input_errors(tmp_path, capsys, line):
     assert run("cluster", "--nodes", str(nodes), "--out", str(tmp_path / "c")) == 3
     err = capsys.readouterr().err
     assert err.startswith("input error: ") and "row 2" in err
+
+
+def test_negative_cluster_energy_is_input_error(tmp_path, capsys):
+    clusters = tmp_path / "clusters.csv"
+    write_clusters(clusters, ["0,0,true,-5,0,0\n", "0,1,false,4,1,1\n", "1,2,true,5,50,50\n"])
+    assert run("validate", "--clusters", str(clusters)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and "row 1" in err
 
 
 # --- cluster ----------------------------------------------------------------

@@ -16,6 +16,7 @@ from clusterbench import (
     generate_scenario,
     load_config,
 )
+from clusterbench.model import MAX_TICKS
 
 
 def test_defaults_match_benchmark():
@@ -105,6 +106,14 @@ def test_config_rejects_tick_count_overflow():
     with pytest.raises(ConfigError) as err:
         cfg.validate()
     assert "execution_time / tick" in str(err.value)
+
+
+def test_config_limits_tick_count():
+    assert ScenarioConfig(execution_time=float(MAX_TICKS)).validate()
+    for execution_time in (MAX_TICKS + 1.0, 1e300):
+        with pytest.raises(ConfigError) as err:
+            ScenarioConfig(execution_time=execution_time).validate()
+        assert "execution_time / tick" in str(err.value)
 
 
 def test_config_from_dict_rejects_unknown_keys():

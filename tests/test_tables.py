@@ -1,14 +1,27 @@
+import csv
+import importlib
+import io
 import json
 import math
+import pkgutil
+from enum import Enum
+from ipaddress import IPv6Address
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import clusterbench
 from clusterbench import (
+    Classification,
     Cluster,
     ClusterSet,
+    Compactness,
     InputError,
+    MessageKind,
     Node,
     Position,
+    ReclusterEvent,
     config_from_dict,
     generate_scenario,
     run_simulation,
@@ -30,6 +43,7 @@ from clusterbench.tables import (
     write_manifest,
     write_table,
 )
+from reference import ref_csv_cell, ref_json_cell
 
 
 def sample_nodes():
@@ -64,14 +78,19 @@ def test_clusters_roundtrip(tmp_path):
     assert energies == {n.node_id: n.energy for n in nodes}
 
 
-def test_every_row_has_one_cell_per_column():
-    # JSON zips cells with columns, so a short row would lose cells silently.
-    side = 100.0 * math.sqrt(200 / 25)  # 200 nodes at 25 nodes/ha
+def reclustering_run():
+    """200 nodes at 25 nodes/ha that re-cluster on every tick: nodes, snapshots."""
+    side = 100.0 * math.sqrt(200 / 25)
     config = config_from_dict(
         {"node_count": 200, "area": [side, side], "dunn_recluster_threshold": 2.0}
     )
     nodes = generate_scenario(config)
-    snapshots = run_simulation(config, nodes)
+    return nodes, run_simulation(config, nodes)
+
+
+def test_every_row_has_one_cell_per_column():
+    # JSON zips cells with columns, so a short row would lose cells silently.
+    nodes, snapshots = reclustering_run()
     clusters = snapshots[0].clusters
     tables = [
         (NODES_COLUMNS, nodes_rows(nodes)),
@@ -84,6 +103,86 @@ def test_every_row_has_one_cell_per_column():
         assert rows
         for row in rows:
             assert isinstance(row, tuple) and len(row) == len(columns), (columns, row)
+
+
+def test_each_address_is_rendered_once():
+    # Every address cell is text, and equal addresses share one string: the
+    # timeline's, the addresses table's and the re-clusters' Assign payloads.
+    _, snapshots = reclustering_run()
+    assert sum(isinstance(e, ReclusterEvent) for s in snapshots for e in s.events) > 1
+    tables = simulation_tables(snapshots)
+    texts = {row[2]: row[2] for row in tables["addresses"][1]}
+    assert len(texts) == 200 and all(type(t) is str for t in texts)
+    cells = [row[6] for row in tables["timeline"][1]]
+    cells += [row[5] for row in tables["messages"][1] if row[4] is MessageKind.ASSIGN]
+    assert all(cell is texts[cell] for cell in cells)
+
+
+ENUM_MEMBERS = [*MessageKind, *Compactness, *Classification]
+TABLE_CELLS = st.one_of(
+    st.booleans(),
+    st.none(),
+    st.integers(),
+    st.sampled_from([0, 1, -1]),
+    st.floats(),
+    st.sampled_from([math.inf, -math.inf, -0.0, 5e-324, 1e-7, 1e22, 1.7976931348623157e308]),
+    st.text(st.characters(blacklist_categories=("Cs",))),
+    st.sampled_from(["a,b", 'say "hi"', "two\nlines", "cr\r", " ", ""]),
+    st.sampled_from(ENUM_MEMBERS),
+)
+
+
+@st.composite
+def tables(draw, cells):
+    columns = draw(st.lists(st.text(min_size=1, max_size=8), min_size=1, max_size=6, unique=True))
+    row = st.tuples(*[cells] * len(columns))
+    return columns, draw(st.lists(row, max_size=5))
+
+
+@pytest.fixture(scope="module")
+def scratch(tmp_path_factory):
+    return tmp_path_factory.mktemp("tables")
+
+
+@settings(max_examples=200, deadline=None)
+@given(table=tables(st.one_of(TABLE_CELLS, st.integers(0, 2**128 - 1).map(IPv6Address))))
+def test_csv_matches_reference_rendering(scratch, table):
+    columns, rows = table
+    path = scratch / "t.csv"
+    write_table(path, columns, rows, "csv")
+    expected = io.StringIO()
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(columns)
+    for row in rows:
+        writer.writerow([ref_csv_cell(v) for v in row])
+    assert path.read_bytes() == expected.getvalue().encode("utf-8")
+
+
+@settings(max_examples=200, deadline=None)
+@given(table=tables(TABLE_CELLS))
+def test_json_matches_reference_rendering(scratch, table):
+    columns, rows = table
+    path = scratch / "t.json"
+    write_table(path, columns, rows, "json")
+    payload = [dict(zip(columns, map(ref_json_cell, row))) for row in rows]
+    assert path.read_text(encoding="utf-8") == json.dumps(payload, indent=2) + "\n"
+
+
+def test_every_enum_is_a_str_enum():
+    # write_table hands enum cells to csv.writer and to the JSON encoder as they
+    # are; both render a str subclass as its text, which is the enum's value.
+    enums = set()
+    for info in pkgutil.iter_modules(clusterbench.__path__):
+        if info.name != "__main__":  # importing it runs the CLI
+            module = importlib.import_module(f"clusterbench.{info.name}")
+            enums.update(
+                obj
+                for obj in vars(module).values()
+                if isinstance(obj, type) and issubclass(obj, Enum)
+                and obj.__module__ == module.__name__
+            )
+    assert {MessageKind, Compactness, Classification} <= enums
+    assert all(issubclass(e, str) for e in enums)
 
 
 def test_csv_cells_are_stable(tmp_path):
@@ -162,6 +261,14 @@ def test_read_clusters_rejects_non_finite(tmp_path, column, value):
     with pytest.raises(InputError) as err:
         read_clusters_csv(path)
     assert "row 2" in str(err.value) and column in str(err.value)
+
+
+def test_read_clusters_rejects_negative_energy(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("cluster_id,node_id,is_head,energy,x,y\n0,0,true,-5,0,0\n0,1,false,4,1,1\n")
+    with pytest.raises(InputError) as err:
+        read_clusters_csv(path)
+    assert "row 1" in str(err.value) and "energy" in str(err.value)
 
 
 def test_read_clusters_requires_single_head(tmp_path):

@@ -18,10 +18,9 @@ from clusterbench import (
     classify,
     cluster_diameter,
     dunn_index,
-    inter_cluster_distance,
     validate_clusters,
 )
-from reference import ref_dunn_index
+from reference import inter_cluster_distance, ref_dunn_index
 from strategies import edge_partitions, partitions, random_partition
 
 
