@@ -71,20 +71,7 @@ def psopac_rebuild(
 
     Membership is preserved exactly; only the head and the exempt set change.
     """
-    if not clusters.clusters:
-        raise InputError("cluster set is empty")
-    if comparator not in COMPARATORS:
-        raise ConfigError(f"comparator must be one of {COMPARATORS}, got {comparator!r}")
-    rebuilt = []
-    for cluster in clusters.clusters:
-        head = max_energy_node(cluster, snapshot)
-        exempt = frozenset(
-            m
-            for m in cluster.members
-            if m != head and not _passes(snapshot.energies[m], threshold, comparator)
-        )
-        rebuilt.append(Cluster(cluster.cluster_id, head, cluster.members, exempt))
-    return ClusterSet(tuple(rebuilt), clusters.node_universe)
+    return rotate_heads(clusters, snapshot, threshold, comparator)[0]
 
 
 def rotate_heads(
@@ -93,11 +80,25 @@ def rotate_heads(
     threshold: EnergyLevel,
     comparator: str = COMPARATOR_BELOW,
 ) -> tuple[ClusterSet, list[HeadChange]]:
-    """Recompute every head from current energies, reporting the changes."""
-    rebuilt = psopac_rebuild(clusters, snapshot, threshold, comparator)
-    changes = [
-        HeadChange(old.cluster_id, old.head, new.head, snapshot.at_tick)
-        for old, new in zip(clusters.clusters, rebuilt.clusters)
-        if old.head != new.head
-    ]
-    return rebuilt, changes
+    """Recompute every head and exempt set from current energies, reporting
+    the head changes. A cluster whose head and exempt set are unchanged is
+    returned as is: it was checked with exactly these members and flags."""
+    if not clusters.clusters:
+        raise InputError("cluster set is empty")
+    if comparator not in COMPARATORS:
+        raise ConfigError(f"comparator must be one of {COMPARATORS}, got {comparator!r}")
+    elected = []
+    changes = []
+    for cluster in clusters.clusters:
+        head = max_energy_node(cluster, snapshot)
+        exempt = frozenset(
+            m
+            for m in cluster.members
+            if m != head and not _passes(snapshot.energies[m], threshold, comparator)
+        )
+        if head != cluster.head:
+            changes.append(HeadChange(cluster.cluster_id, cluster.head, head, snapshot.at_tick))
+        if head != cluster.head or exempt != cluster.threshold_exempt:
+            cluster = Cluster(cluster.cluster_id, head, cluster.members, exempt)
+        elected.append(cluster)
+    return ClusterSet(tuple(elected), clusters.node_universe), changes

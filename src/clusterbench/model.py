@@ -44,7 +44,7 @@ class Node:
     def __post_init__(self) -> None:
         if self.node_id < 0:
             raise InvariantViolation(f"node id must be non-negative, got {self.node_id}")
-        if self.energy < 0:
+        if not self.energy >= 0:  # NaN fails this too
             raise InvariantViolation(
                 f"node {self.node_id}: energy must be >= 0, got {self.energy}"
             )
@@ -179,21 +179,9 @@ class ScenarioConfig:
         return self
 
     def to_dict(self) -> dict:
-        return {
-            "node_count": self.node_count,
-            "area": list(self.area),
-            "tx_range": self.tx_range,
-            "energy_threshold": self.energy_threshold,
-            "execution_time": self.execution_time,
-            "tick": self.tick,
-            "seed": self.seed,
-            "initial_energy": list(self.initial_energy),
-            "drain_member": self.drain_member,
-            "drain_head": self.drain_head,
-            "dunn_recluster_threshold": self.dunn_recluster_threshold,
-            "validation_interval": self.validation_interval,
-            "comparator": self.comparator,
-        }
+        """Every field by name; the tuple fields become lists."""
+        values = ((f.name, getattr(self, f.name)) for f in fields(self))
+        return {name: list(v) if isinstance(v, tuple) else v for name, v in values}
 
 
 def _is_num(v) -> bool:

@@ -54,7 +54,9 @@ class SimSnapshot:
     """State at the end of one tick.
 
     The address map is fixed after tick 0, so every snapshot and address event
-    of a run shares that one dict; treat it as read-only.
+    of a run shares that one dict; treat it as read-only. Likewise a cluster
+    whose head and exempt set did not change is the same object as in the
+    previous snapshot.
     """
 
     at_tick: int
@@ -124,7 +126,9 @@ def run_simulation(
     # expac_cluster reads only the static positions and rotate_heads keeps
     # membership, so every later partition, Dunn report and address map is
     # the tick-0 one: a re-cluster keeps the cluster count and re-runs only
-    # the handshake, whose trace depends on the current heads.
+    # the handshake, whose trace depends on the current heads. rotate_heads
+    # re-elects every cluster but carries over, as the same object, each
+    # cluster whose head and exempt set are unchanged.
     count = len(clusters.clusters)
     for t in range(1, steps + 1):
         try:

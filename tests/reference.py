@@ -4,8 +4,9 @@ The brute-force kernels are the original O(N^2) loops: every node against
 every node for the range candidates, a full rescan of all candidates per
 greedy round, and every cross-cluster pair of members for the minimum
 inter-cluster distance. The library's kernels must return exactly what these
-return. ``ref_csv_cell`` and ``ref_json_cell`` are the per-cell renderings
-that ``write_table`` must reproduce.
+return. ``ref_rotate_heads`` is head election in two passes, rebuilding every
+cluster and then diffing the heads. ``ref_csv_cell`` and ``ref_json_cell`` are
+the per-cell renderings that ``write_table`` must reproduce.
 """
 
 from __future__ import annotations
@@ -23,6 +24,9 @@ from clusterbench import (
     manhattan_distance,
 )
 from clusterbench.clustering import CandidateCluster, _check_nodes
+from clusterbench.errors import ConfigError, InputError
+from clusterbench.head_election import HeadChange, _passes, max_energy_node
+from clusterbench.model import COMPARATOR_BELOW, COMPARATORS
 
 
 def ref_pac_candidates(nodes, tx_range):
@@ -67,6 +71,29 @@ def ref_expac_cluster(nodes, tx_range):
             clusters.append(Cluster(len(clusters), node_id, (node_id,)))
             clustered.add(node_id)
     return ClusterSet(tuple(clusters), len(nodes))
+
+
+def ref_rotate_heads(clusters, snapshot, threshold, comparator=COMPARATOR_BELOW):
+    if not clusters.clusters:
+        raise InputError("cluster set is empty")
+    if comparator not in COMPARATORS:
+        raise ConfigError(f"comparator must be one of {COMPARATORS}, got {comparator!r}")
+    rebuilt = []
+    for cluster in clusters.clusters:
+        head = max_energy_node(cluster, snapshot)
+        exempt = frozenset(
+            m
+            for m in cluster.members
+            if m != head and not _passes(snapshot.energies[m], threshold, comparator)
+        )
+        rebuilt.append(Cluster(cluster.cluster_id, head, cluster.members, exempt))
+    rebuilt = ClusterSet(tuple(rebuilt), clusters.node_universe)
+    changes = [
+        HeadChange(old.cluster_id, old.head, new.head, snapshot.at_tick)
+        for old, new in zip(clusters.clusters, rebuilt.clusters)
+        if old.head != new.head
+    ]
+    return rebuilt, changes
 
 
 def ref_csv_cell(value) -> str:

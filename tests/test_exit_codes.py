@@ -1,0 +1,229 @@
+"""Exit-code properties: bad values sent through ``cli.main`` come back as the
+README's exit codes (2 for a config error, 3 for an input-data error) and
+never as an exception.
+
+Every accepted config holds 12 nodes over at most 3 ticks. A value too large
+to run cheaply appears only where the config rejects it before any work.
+"""
+
+import csv
+import io
+import json
+import math
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from clusterbench import cli
+from clusterbench.model import MAX_TICKS
+
+BASE = {"node_count": 12, "execution_time": 2.0}
+FLOAT_MAX = 1.7976931348623157e308
+
+
+@pytest.fixture(autouse=True, scope="module")
+def _clean_env():
+    with pytest.MonkeyPatch.context() as mp:
+        mp.delenv("CLUSTERBENCH_SEED", raising=False)
+        mp.setenv("SOURCE_DATE_EPOCH", "1700000000")
+        yield
+
+
+def run_main(*argv):
+    """main's exit code and stderr; an exception from main fails the test."""
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = cli.main([str(a) for a in argv])
+    assert type(code) is int
+    return code, err.getvalue()
+
+
+# --- config values -----------------------------------------------------------
+
+NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+NOT_A_NUMBER = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.text(max_size=4),
+    st.lists(st.integers(0, 9), max_size=3),
+    st.just({}),
+)
+ANY_FLOAT = st.floats(allow_nan=False, allow_infinity=False)
+# A JSON integer that no float can hold. The integer keys accept it, so
+# they never draw it: a huge node_count is a huge run.
+OVERFLOWING = st.integers(2**1024, 2**1100)
+BAD_FLOAT = NON_FINITE | NOT_A_NUMBER | OVERFLOWING
+BAD_INT = NON_FINITE | NOT_A_NUMBER | ANY_FLOAT
+NEGATIVE = st.floats(max_value=-5e-324, allow_infinity=False) | st.integers(max_value=-1)
+NON_POSITIVE = NEGATIVE | st.sampled_from([0, 0.0, -0.0])
+POSITIVE = st.floats(min_value=5e-324, max_value=FLOAT_MAX)
+
+
+def bad_pair(bad_item, good_item):
+    """Not a pair, a list of the wrong length, or a pair with one bad item."""
+    return st.one_of(
+        st.none(),
+        st.booleans(),
+        st.text(max_size=4),
+        POSITIVE,
+        st.lists(good_item, max_size=3).filter(lambda v: len(v) != 2),
+        st.tuples(bad_item, good_item).map(list),
+        st.tuples(good_item, bad_item).map(list),
+    )
+
+
+# Values each numeric key must refuse, given BASE and the other defaults
+# (tick 1.0, drain_member 10.0, drain_head 50.0).
+REJECTED = {
+    "node_count": BAD_INT | st.integers(max_value=0),
+    "area": bad_pair(BAD_FLOAT | NON_POSITIVE, st.floats(1.0, 100.0)),
+    "tx_range": BAD_FLOAT | NON_POSITIVE,
+    "energy_threshold": BAD_FLOAT | NEGATIVE,
+    "execution_time": BAD_FLOAT
+    | NEGATIVE
+    | st.floats(min_value=MAX_TICKS + 1.0, allow_infinity=False),
+    "tick": BAD_FLOAT | NON_POSITIVE | st.floats(min_value=5e-324, max_value=1e-5),
+    "seed": BAD_INT | st.integers(max_value=-1) | st.integers(min_value=2**64),
+    "initial_energy": bad_pair(BAD_FLOAT | NEGATIVE, st.floats(0.0, 1.0))
+    | st.tuples(st.floats(2.0, FLOAT_MAX), st.floats(0.0, 1.0)).map(list),
+    "drain_member": BAD_FLOAT | NEGATIVE | st.floats(min_value=50.001, max_value=FLOAT_MAX),
+    "drain_head": BAD_FLOAT | st.floats(max_value=9.999, allow_infinity=False),
+    "dunn_recluster_threshold": BAD_FLOAT | NEGATIVE,
+    "validation_interval": BAD_INT | st.integers(max_value=0),
+}
+
+# Extreme values each numeric key must accept; every run stays small.
+ACCEPTED = {
+    "node_count": st.integers(1, 30),
+    "area": st.lists(POSITIVE, min_size=2, max_size=2),
+    "tx_range": POSITIVE,
+    "energy_threshold": st.just(0) | POSITIVE,
+    "execution_time": st.sampled_from([0, 0.0, 5e-324, 3.0]),
+    "tick": st.floats(min_value=0.7, max_value=FLOAT_MAX),
+    "seed": st.integers(0, 2**64 - 1),
+    "initial_energy": st.lists(st.just(0) | POSITIVE, min_size=2, max_size=2).map(sorted),
+    "drain_member": st.floats(0.0, 50.0),
+    "drain_head": st.floats(min_value=10.0, max_value=FLOAT_MAX),
+    "dunn_recluster_threshold": st.just(0) | POSITIVE,
+    "validation_interval": st.integers(1, 2**200),
+}
+
+
+def simulate_with(key, value):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "cfg.json"
+        cfg.write_text(json.dumps({**BASE, key: value}))
+        out = Path(tmp) / "out"
+        code, err = run_main("simulate", "--config", cfg, "--out", out)
+        return code, err, out.exists()
+
+
+@pytest.mark.parametrize("key", sorted(REJECTED))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_bad_config_value_exits_2_before_any_work(key, data):
+    value = data.draw(REJECTED[key], label=key)
+    code, err, wrote = simulate_with(key, value)
+    assert code == 2, err
+    assert err.startswith("config error: ") and key in err
+    assert not wrote
+
+
+@pytest.mark.parametrize("key", sorted(ACCEPTED))
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_extreme_config_value_runs(key, data):
+    value = data.draw(ACCEPTED[key], label=key)
+    code, err, wrote = simulate_with(key, value)
+    assert code == 0, err
+    assert wrote
+
+
+# --- table cells --------------------------------------------------------------
+
+NON_FINITE_TEXT = st.sampled_from(["nan", "NaN", "-nan", "inf", "-inf", "Infinity", "-Infinity"])
+NOT_NUMBER_TEXT = st.sampled_from(["", "abc", "1,5", "0x10", "1 2", "true", "--1", "1e"])
+OVERFLOWING_TEXT = st.sampled_from(["1e400", "-1e400", "1e309"])
+NEGATIVE_TEXT = NEGATIVE.map(repr)
+NOT_INT_TEXT = st.sampled_from(["1.5", "1e3", "0.0"]) | NON_FINITE_TEXT | NOT_NUMBER_TEXT
+BAD_COORDINATE = NON_FINITE_TEXT | NOT_NUMBER_TEXT | OVERFLOWING_TEXT
+BAD_ENERGY = BAD_COORDINATE | NEGATIVE_TEXT
+# An id that is not one of 0..N-1 breaks the dense range or the partition.
+OUT_OF_RANGE_ID = st.integers(max_value=-1).map(str) | st.integers(min_value=4).map(str)
+BAD_FLAG = st.sampled_from(["maybe", "2", "yes", "nan", "-1"])
+
+NODE_ROWS = [
+    ["0", "0", "0", "500"],
+    ["1", "10", "0", "400"],
+    ["2", "50", "50", "300"],
+    ["3", "55", "50", "200"],
+]
+NODE_BAD = {
+    "node_id": NOT_INT_TEXT | OUT_OF_RANGE_ID,
+    "x": BAD_COORDINATE,
+    "y": BAD_COORDINATE,
+    "energy": BAD_ENERGY,
+}
+NODE_COLUMNS = list(NODE_BAD)
+
+CLUSTER_ROWS = [
+    ["0", "0", "true", "5", "0", "0", "false"],
+    ["0", "1", "false", "5", "10", "0", "false"],
+    ["1", "2", "true", "5", "50", "50", "false"],
+    ["1", "3", "false", "5", "55", "50", "false"],
+]
+CLUSTER_BAD = {
+    "cluster_id": NOT_INT_TEXT | st.integers(max_value=-1).map(str),
+    "node_id": NOT_INT_TEXT | OUT_OF_RANGE_ID,
+    "is_head": BAD_FLAG,
+    "energy": BAD_ENERGY,
+    "x": BAD_COORDINATE,
+    "y": BAD_COORDINATE,
+    "exempt": BAD_FLAG,
+}
+CLUSTER_COLUMNS = list(CLUSTER_BAD)
+
+
+def with_cell(columns, rows, row, column, text):
+    rows = [list(r) for r in rows]
+    rows[row][columns.index(column)] = text
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def run_on_table(command, flag, table):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "table.csv"
+        path.write_text(table)
+        out = Path(tmp) / "out"
+        return run_main(command, flag, path, "--out", out)
+
+
+@pytest.mark.parametrize("command", ["cluster", "simulate"])
+@pytest.mark.parametrize("column", NODE_COLUMNS)
+@settings(max_examples=25, deadline=None)
+@given(row=st.integers(0, len(NODE_ROWS) - 1), data=st.data())
+def test_bad_node_cell_exits_3(command, column, row, data):
+    text = data.draw(NODE_BAD[column], label=column)
+    table = with_cell(NODE_COLUMNS, NODE_ROWS, row, column, text)
+    code, err = run_on_table(command, "--nodes", table)
+    assert code == 3, err
+    assert err.startswith("input error: ")
+
+
+@pytest.mark.parametrize("column", CLUSTER_COLUMNS)
+@settings(max_examples=25, deadline=None)
+@given(row=st.integers(0, len(CLUSTER_ROWS) - 1), data=st.data())
+def test_bad_cluster_cell_exits_3(column, row, data):
+    text = data.draw(CLUSTER_BAD[column], label=column)
+    table = with_cell(CLUSTER_COLUMNS, CLUSTER_ROWS, row, column, text)
+    code, err = run_on_table("validate", "--clusters", table)
+    assert code == 3, err
+    assert err.startswith("input error: ")

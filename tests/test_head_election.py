@@ -13,6 +13,8 @@ from clusterbench import (
     psopac_rebuild,
     rotate_heads,
 )
+from clusterbench.model import COMPARATORS
+from reference import ref_rotate_heads
 from strategies import partitions_with_energies
 
 
@@ -132,3 +134,30 @@ def test_rotate_new_head_loses_exempt_flag():
     assert changes[0].new_head == 1
     assert rotated.clusters[0].head == 1
     assert rotated.clusters[0].threshold_exempt == frozenset({0})
+
+
+@settings(max_examples=200)
+@given(
+    data=partitions_with_energies(max_energy=8),
+    threshold=st.integers(0, 8).map(float),
+    comparator=st.sampled_from(COMPARATORS),
+    draw=st.data(),
+)
+def test_rotate_matches_reference(data, threshold, comparator, draw):
+    # Energies of 0..8 against a threshold in 0..8 give tied heads and
+    # readings exactly at the threshold. The second partition carries the
+    # heads and exempt sets of a first election, so some clusters come out
+    # unchanged after the energies move.
+    clusters, _positions, energies = data
+    elected, _ = ref_rotate_heads(clusters, EnergySnapshot(0, energies), threshold, comparator)
+    moved = {
+        n: float(draw.draw(st.integers(0, 8))) if draw.draw(st.booleans()) else e
+        for n, e in energies.items()
+    }
+    snap = EnergySnapshot(1, moved)
+    for start in (clusters, elected):
+        rotated, changes = rotate_heads(start, snap, threshold, comparator)
+        assert (rotated, changes) == ref_rotate_heads(start, snap, threshold, comparator)
+        for old, new in zip(start.clusters, rotated.clusters):
+            unchanged = (new.head, new.threshold_exempt) == (old.head, old.threshold_exempt)
+            assert (new is old) == unchanged

@@ -1,4 +1,5 @@
 import json
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
@@ -182,6 +183,18 @@ def test_node_invariants():
         Node(-1, Position(0, 0), 10.0)
     with pytest.raises(InvariantViolation):
         Node(0, Position(0, 0), -1.0)
+
+
+def test_node_rejects_nan_energy():
+    # nan < 0 is false, so a plain negativity test lets NaN through.
+    with pytest.raises(InvariantViolation):
+        Node(0, Position(0.0, 0.0), float("nan"))
+
+
+def test_config_dict_has_every_field():
+    data = ScenarioConfig().to_dict()
+    assert list(data) == [f.name for f in fields(ScenarioConfig)]
+    assert data["area"] == [100.0, 100.0] and data["initial_energy"] == [400.0, 1000.0]
 
 
 def test_cluster_sorts_members_and_checks_head():

@@ -15,7 +15,7 @@ from clusterbench import (
 )
 from clusterbench import sim, validation
 from clusterbench.sim import AddressEvent
-from reference import ref_dunn_index, ref_expac_cluster
+from reference import ref_dunn_index, ref_expac_cluster, ref_rotate_heads
 
 
 def line_nodes(xs, energies):
@@ -221,3 +221,29 @@ def test_partition_and_index_computed_once_per_run(monkeypatch):
         calls.update(expac_cluster=0, dunn_index=0)
         run_simulation(ScenarioConfig(seed=seed))
         assert calls == {"expac_cluster": 1, "dunn_index": 1}
+
+
+def test_unchanged_clusters_carry_over_between_ticks():
+    # Energies straddle the literal threshold and drain slowly, so the run has
+    # unchanged clusters, head changes and exempt-only changes.
+    cfg = ScenarioConfig(
+        initial_energy=(480.0, 540.0), drain_member=1.0, drain_head=2.0, execution_time=20.0
+    )
+    snaps = run_simulation(cfg)
+    kinds = {"kept": 0, "head": 0, "exempt": 0}
+    for prev, cur in zip(snaps, snaps[1:]):
+        fresh, _ = ref_rotate_heads(
+            prev.clusters, cur.energies, cfg.energy_threshold, cfg.comparator
+        )
+        assert cur.clusters == fresh
+        for old, new, built in zip(prev.clusters.clusters, cur.clusters.clusters, fresh.clusters):
+            if new.head != old.head:
+                kinds["head"] += 1
+            elif new.threshold_exempt != old.threshold_exempt:
+                kinds["exempt"] += 1
+            else:
+                kinds["kept"] += 1
+                assert new is old
+                continue
+            assert new is not old and new == built
+    assert all(kinds.values()), kinds
