@@ -28,6 +28,7 @@ from .errors import (
 )
 from .head_election import EnergySnapshot, psopac_rebuild
 from .model import (
+    MAX_NODES,
     ScenarioConfig,
     config_from_dict,
     generate_scenario,
@@ -186,8 +187,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
     except ValueError:
         raise ConfigError(f"--sizes must be comma-separated integers, got {args.sizes!r}") from None
-    if not sizes or any(n < 1 for n in sizes):
-        raise ConfigError(f"--sizes must name populations >= 1, got {args.sizes!r}")
+    if not sizes or any(not 1 <= n <= MAX_NODES for n in sizes):
+        raise ConfigError(f"--sizes must name populations in 1..{MAX_NODES}, got {args.sizes!r}")
     if args.seeds < 1:
         raise ConfigError(f"--seeds must be >= 1, got {args.seeds}")
 

@@ -11,8 +11,10 @@ Both stages are exact and near-linear at fixed node density.
 
 Candidates use a uniform grid (a cell list). A node at (x, y) sits in cell
 ``(int(x // side), int(y // side))`` with ``side >= tx_range``, and only
-pairs in the same or neighbouring cells are tested, each once, with the
-unchanged strict ``manhattan_distance(...) < tx_range``. No in-range pair is
+pairs in the same or neighbouring cells are tested (``cell_pairs``), each
+once, with the strict ``abs(ax - bx) + abs(ay - by) < tx_range`` written
+inline: bit for bit ``manhattan_distance`` on the same pair, since
+``abs(ax - bx) == abs(bx - ax)`` in IEEE arithmetic. No in-range pair is
 missed: a float sum of two non-negative terms is at least each term, and
 rounding is monotone, so a float distance below ``tx_range`` means both
 real coordinate gaps are below it; float ``//`` is the exact floor while the
@@ -64,20 +66,21 @@ def cell_of(pos: Position, side: float) -> Cell:
     return int(cx), int(cy)
 
 
-def near_pairs(cells: dict[Cell, list[T]]) -> Iterator[tuple[T, T]]:
-    """Every unordered pair of items in the same or in neighbouring cells, once.
+def cell_pairs(cells: dict[Cell, list[T]]) -> Iterator[tuple[list[T], list[T]]]:
+    """Every occupied cell once with itself, then once with each occupied cell
+    of its forward half-neighbourhood: the cells to the right (lower, level
+    and upper) and the one above.
 
-    Each cell is paired with itself and with its forward half-neighbourhood:
-    the cells to the right (lower, level and upper) and the one above.
+    Taking each item of a self pair against the items after it, and each item
+    of a cross pair against every item of the other cell, visits every
+    unordered pair of items in the same or in neighbouring cells exactly once.
     """
     for (cx, cy), here in cells.items():
-        for i, a in enumerate(here):
-            for b in here[i + 1 :]:
-                yield a, b
+        yield here, here
         for key in ((cx + 1, cy - 1), (cx + 1, cy), (cx + 1, cy + 1), (cx, cy + 1)):
-            for b in cells.get(key, ()):
-                for a in here:
-                    yield a, b
+            there = cells.get(key)
+            if there is not None:
+                yield here, there
 
 
 @dataclass(frozen=True)
@@ -111,16 +114,26 @@ def pac_candidates(nodes: list[Node], tx_range: float) -> list[CandidateCluster]
         raise InputError(f"tx_range must be > 0, got {tx_range!r}")
     pos = [n.pos for n in sorted(nodes, key=lambda n: n.node_id)]
     side = cell_side(pos, tx_range)
-    cells: dict[Cell, list[NodeId]] = {}
+    cells: dict[Cell, list[tuple[float, float, NodeId]]] = {}
     for node_id, p in enumerate(pos):
-        cells.setdefault(cell_of(p, side), []).append(node_id)
+        cells.setdefault(cell_of(p, side), []).append((p.x, p.y, node_id))
 
     near: list[list[NodeId]] = [[] for _ in pos]
-    for a, b in near_pairs(cells):
-        if manhattan_distance(pos[a], pos[b]) < tx_range:
-            near[a].append(b)
-            near[b].append(a)
-    return [CandidateCluster(head, (head, *sorted(others))) for head, others in enumerate(near)]
+    for here, there in cell_pairs(cells):
+        for i, (ax, ay, a) in enumerate(here):
+            near_a = near[a]
+            for bx, by, b in here[i + 1 :] if there is here else there:
+                if abs(ax - bx) + abs(ay - by) < tx_range:
+                    near_a.append(b)
+                    near[b].append(a)
+    # Each list is emptied once its tuple is built, so the two copies of the
+    # in-range pairs never coexist in full.
+    candidates: list[CandidateCluster] = []
+    for head, others in enumerate(near):
+        others.sort()
+        candidates.append(CandidateCluster(head, (head, *others)))
+        others.clear()
+    return candidates
 
 
 def expac_cluster(nodes: list[Node], tx_range: float) -> ClusterSet:

@@ -24,6 +24,11 @@ COMPARATORS = (COMPARATOR_BELOW, COMPARATOR_AT_OR_ABOVE)
 #: memory: at the limit, the default 25 nodes give 2.5 million timeline rows.
 MAX_TICKS = 100_000
 
+#: The most nodes a scenario may have: 100 times the largest population the
+#: benchmarks run (10 000). Placement builds every node up front, so without
+#: a bound a config such as 10**30 nodes would start a loop that never ends.
+MAX_NODES = 1_000_000
+
 
 @dataclass(frozen=True)
 class Position:
@@ -134,8 +139,10 @@ class ScenarioConfig:
     comparator: str = COMPARATOR_BELOW
 
     def validate(self) -> "ScenarioConfig":
-        if not _is_int(self.node_count) or self.node_count < 1:
-            raise ConfigError(f"node_count must be an integer >= 1, got {self.node_count!r}")
+        if not _is_int(self.node_count) or not 1 <= self.node_count <= MAX_NODES:
+            raise ConfigError(
+                f"node_count must be an integer in 1..{MAX_NODES}, got {self.node_count!r}"
+            )
         if len(self.area) != 2 or not all(_is_num(v) and v > 0 for v in self.area):
             raise ConfigError(f"area must be two positive numbers, got {self.area!r}")
         if not _is_num(self.tx_range) or self.tx_range <= 0:

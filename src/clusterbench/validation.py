@@ -8,14 +8,16 @@ The minimum inter-cluster distance is the closest pair of members that sit
 in different clusters, found by a grid scan instead of a loop over all
 cluster pairs. Every member goes into a square cell (``clustering.cell_of``)
 and each pair of members in the same or neighbouring cells is tested once
-(``clustering.near_pairs``). The first side is span/sqrt(N), about one
+(``clustering.cell_pairs``), with ``manhattan_distance``'s exact expression
+written inline. The first side is span/sqrt(N), about one
 member per cell. A cross-cluster pair whose float distance is below the
 side lies in neighbouring cells, by the exact-floor argument in
 ``clustering``; so once the best pair found is shorter than the side, or
 every occupied cell neighbours every other, the best pair is the exact
 minimum. Otherwise the side doubles and the scan repeats. At fixed node
 density one scan suffices and costs O(N). Diameters come from
-``cluster_diameter``, O(sum of squared cluster sizes).
+``cluster_diameter``, one flat loop over each cluster's member pairs with
+the same inline expression, O(sum of squared cluster sizes).
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .clustering import Cell, cell_of, cell_side, manhattan_distance, near_pairs
+from .clustering import Cell, cell_of, cell_pairs, cell_side
 from .errors import (
     DegenerateGeometryError,
     InputError,
@@ -68,14 +70,14 @@ class ValidationReport:
 
 def cluster_diameter(cluster: Cluster, positions: dict[NodeId, Position]) -> float:
     """Maximum Manhattan distance between two members; 0 for a singleton."""
-    members = cluster.members
-    if len(members) < 2:
-        return 0.0
-    return max(
-        manhattan_distance(positions[members[i]], positions[members[j]])
-        for i in range(len(members))
-        for j in range(i + 1, len(members))
-    )
+    points = [(p.x, p.y) for p in map(positions.__getitem__, cluster.members)]
+    widest = 0.0
+    for i, (ax, ay) in enumerate(points):
+        for bx, by in points[i + 1 :]:
+            d = abs(ax - bx) + abs(ay - by)
+            if d > widest:
+                widest = d
+    return widest
 
 
 def _min_cross_distance(clusters: tuple[Cluster, ...], positions: dict[NodeId, Position]) -> float:
@@ -87,13 +89,17 @@ def _min_cross_distance(clusters: tuple[Cluster, ...], positions: dict[NodeId, P
     # A zero side means every member sits at the origin: any side then works.
     side = cell_side((p for p, _ in members), span / math.sqrt(len(members))) or 1.0
     while True:
-        cells: dict[Cell, list[tuple[Position, int]]] = {}
-        for member in members:
-            cells.setdefault(cell_of(member[0], side), []).append(member)
-        best = min(
-            (manhattan_distance(p, q) for (p, a), (q, b) in near_pairs(cells) if a != b),
-            default=math.inf,
-        )
+        cells: dict[Cell, list[tuple[float, float, int]]] = {}
+        for p, label in members:
+            cells.setdefault(cell_of(p, side), []).append((p.x, p.y, label))
+        best = math.inf
+        for here, there in cell_pairs(cells):
+            for i, (ax, ay, a) in enumerate(here):
+                for bx, by, b in here[i + 1 :] if there is here else there:
+                    if a != b:
+                        d = abs(ax - bx) + abs(ay - by)
+                        if d < best:
+                            best = d
         kxs = [cx for cx, _ in cells]
         kys = [cy for _, cy in cells]
         if best < side or (max(kxs) - min(kxs) <= 1 and max(kys) - min(kys) <= 1):
@@ -106,9 +112,11 @@ def dunn_index(clusters: ClusterSet, positions: dict[NodeId, Position]) -> float
 
     Needs at least two clusters. All-singleton partitions have diameter 0,
     which yields +inf when the clusters are apart and is an error when two
-    clusters touch (distance 0 too). The minimum inter-cluster distance is
-    the closest pair of members in different clusters, found by a grid scan
-    that is near-linear at fixed node density; diameters are per cluster.
+    clusters touch (distance 0 too). When both distances overflow to +inf
+    the index is inf / inf, and that is an ``InputError``. The minimum
+    inter-cluster distance is the closest pair of members in different
+    clusters, found by a grid scan that is near-linear at fixed node
+    density; diameters are per cluster.
     """
     cs = clusters.clusters
     if len(cs) < 2:
@@ -118,6 +126,11 @@ def dunn_index(clusters: ClusterSet, positions: dict[NodeId, Position]) -> float
 
     min_dist = _min_cross_distance(cs, positions)
     max_dia = max(cluster_diameter(c, positions) for c in cs)
+    if min_dist == max_dia == math.inf:
+        raise InputError(
+            "Manhattan distances overflow: the closest cross-cluster pair and the "
+            "widest cluster both exceed the largest float, so the index is inf / inf"
+        )
     if max_dia == 0.0:
         if min_dist == 0.0:
             raise DegenerateGeometryError(

@@ -2,9 +2,10 @@
 
 The brute-force kernels are the original O(N^2) loops: every node against
 every node for the range candidates, a full rescan of all candidates per
-greedy round, and every cross-cluster pair of members for the minimum
-inter-cluster distance. The library's kernels must return exactly what these
-return. ``ref_rotate_heads`` is head election in two passes, rebuilding every
+greedy round, every cross-cluster pair of members for the minimum
+inter-cluster distance, and every pair of members for a cluster's diameter.
+The library's kernels must return exactly what these return.
+``ref_rotate_heads`` is head election in two passes, rebuilding every
 cluster and then diffing the heads. ``ref_csv_cell`` and ``ref_json_cell`` are
 the per-cell renderings that ``write_table`` must reproduce.
 """
@@ -20,7 +21,6 @@ from clusterbench import (
     DegenerateGeometryError,
     InvariantViolation,
     UndefinedIndexError,
-    cluster_diameter,
     manhattan_distance,
 )
 from clusterbench.clustering import CandidateCluster, _check_nodes
@@ -127,6 +127,18 @@ def inter_cluster_distance(a, b, positions):
     )
 
 
+def ref_cluster_diameter(cluster, positions):
+    """Maximum Manhattan distance over all pairs of members; 0 for a singleton."""
+    members = cluster.members
+    if len(members) < 2:
+        return 0.0
+    return max(
+        manhattan_distance(positions[members[i]], positions[members[j]])
+        for i in range(len(members))
+        for j in range(i + 1, len(members))
+    )
+
+
 def ref_dunn_index(clusters, positions):
     cs = clusters.clusters
     if len(cs) < 2:
@@ -136,7 +148,9 @@ def ref_dunn_index(clusters, positions):
         for i in range(len(cs))
         for j in range(i + 1, len(cs))
     )
-    max_dia = max(cluster_diameter(c, positions) for c in cs)
+    max_dia = max(ref_cluster_diameter(c, positions) for c in cs)
+    if math.isinf(min_dist) and math.isinf(max_dia):
+        raise InputError("Manhattan distances overflow: the index is inf / inf")
     if max_dia == 0.0:
         if min_dist == 0.0:
             raise DegenerateGeometryError(

@@ -2,9 +2,9 @@
 
 Positions live on integer grids and energies are integers so that exact
 (==) assertions about translation/scale invariance are legitimate — every
-intermediate value stays exactly representable. The cell-edge scenes are the
-exception: they feed the comparisons against the brute-force references in
-``reference.py``, which must hold for any float input.
+intermediate value stays exactly representable. The cell-edge and dense
+scenes are the exception: they feed the comparisons against the brute-force
+references in ``reference.py``, which must hold for any float input.
 """
 
 from __future__ import annotations
@@ -124,10 +124,36 @@ def edge_partitions(draw, max_nodes=30, max_clusters=6):
     """An edge scene split into up to ``max_clusters`` random clusters."""
     rnd = random.Random(draw(st.integers(0, 2**32 - 1)))
     _tx_range, positions = random_edge_scene(rnd, 2, max_nodes)
+    return random_labels(rnd, len(positions), max_clusters), positions
+
+
+def dense_scene(seed: int, duplicate_share: float = 0.0, clump_share: float = 0.0):
+    """300 seeded positions in a 40 x 40 m square: tens of nodes share each
+    grid cell at a 20 m range. ``duplicate_share`` of them repeat an earlier
+    position; ``clump_share`` of them sit in a 1 m square at the centre, so a
+    grid sized for the whole span holds them in a cell or four."""
+    rnd = random.Random(seed)
+    side = 40.0
+    positions: list[Position] = []
+    for _ in range(300):
+        roll = rnd.random()
+        if positions and roll < duplicate_share:
+            positions.append(rnd.choice(positions))
+        elif roll < duplicate_share + clump_share:
+            positions.append(
+                Position(side / 2 + rnd.random(), side / 2 + rnd.random())
+            )
+        else:
+            positions.append(Position(rnd.uniform(0.0, side), rnd.uniform(0.0, side)))
+    return dict(enumerate(positions))
+
+
+def random_labels(rnd: random.Random, node_count: int, max_clusters: int) -> ClusterSet:
+    """Node ids split into up to ``max_clusters`` clusters by a random label each."""
     groups: dict[int, list[int]] = {}
-    for node_id in positions:
+    for node_id in range(node_count):
         groups.setdefault(rnd.randrange(max_clusters), []).append(node_id)
     clusters = tuple(
         Cluster(cid, group[0], tuple(group)) for cid, group in enumerate(groups.values())
     )
-    return ClusterSet(clusters, len(positions)), positions
+    return ClusterSet(clusters, node_count)

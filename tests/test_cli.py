@@ -127,6 +127,17 @@ def test_tick_count_above_limit_is_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["generate", "cluster", "simulate"])
+def test_node_count_above_limit_is_config_error(tmp_path, capsys, command):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"node_count": 10**30}))
+    out = tmp_path / "o"
+    assert run(command, "--config", str(cfg), "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "node_count" in err
+    assert not out.exists()
+
+
 def test_unknown_config_key_is_config_error(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"node_cuont": 5}))
@@ -159,6 +170,24 @@ def test_negative_node_cells_are_input_errors(tmp_path, capsys, line):
     assert run("cluster", "--nodes", str(nodes), "--out", str(tmp_path / "c")) == 3
     err = capsys.readouterr().err
     assert err.startswith("input error: ") and "row 2" in err
+
+
+def test_overflowing_distances_are_input_errors(tmp_path, capsys):
+    # every coordinate is finite, but both the widest cluster and the
+    # closest cross-cluster pair are further apart than the largest float
+    clusters = tmp_path / "clusters.csv"
+    write_clusters(
+        clusters,
+        [
+            "0,0,true,5,1e308,1e308\n",
+            "0,1,false,5,-1e308,-1e308\n",
+            "1,2,true,5,0,0\n",
+            "1,3,false,5,1,0\n",
+        ],
+    )
+    assert run("validate", "--clusters", str(clusters)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and "overflow" in err
 
 
 def test_negative_cluster_energy_is_input_error(tmp_path, capsys):
@@ -431,6 +460,13 @@ def test_sweep_outputs(tmp_path, capsys):
 def test_sweep_rejects_bad_sizes(tmp_path, capsys):
     assert run("sweep", "--sizes", "5,x", "--out", str(tmp_path / "sw")) == 2
     assert "--sizes" in capsys.readouterr().err
+
+
+def test_sweep_rejects_sizes_above_limit(tmp_path, capsys):
+    out = tmp_path / "sw"
+    assert run("sweep", "--sizes", f"5,{10**30}", "--out", str(out)) == 2
+    assert "--sizes" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # --- misc -------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -15,8 +16,9 @@ from clusterbench import (
     manhattan_distance,
     pac_candidates,
 )
+from clusterbench.clustering import cell_of
 from reference import ref_expac_cluster, ref_pac_candidates
-from strategies import edge_scenes
+from strategies import dense_scene, edge_scenes
 
 
 def make_nodes(points, energy=100.0):
@@ -248,6 +250,20 @@ def test_expac_matches_reference_on_generated_scenarios():
         cfg = ScenarioConfig(node_count=400, area=(400.0, 400.0), seed=seed)
         nodes = generate_scenario(cfg)
         assert expac_cluster(nodes, cfg.tx_range) == ref_expac_cluster(nodes, cfg.tx_range)
+
+
+@pytest.mark.parametrize(
+    "seed,duplicate_share,clump_share",
+    [(0, 0.0, 0.0), (1, 0.3, 0.0), (2, 0.0, 0.5)],
+    ids=["uniform", "duplicates", "clump"],
+)
+def test_candidates_match_reference_on_dense_cells(seed, duplicate_share, clump_share):
+    positions = dense_scene(seed, duplicate_share, clump_share)
+    cells = Counter(cell_of(p, 20.0) for p in positions.values())
+    assert max(cells.values()) >= 30  # the self-cell and neighbour loops run long
+    nodes = _scene_nodes(positions)
+    assert pac_candidates(nodes, 20.0) == ref_pac_candidates(nodes, 20.0)
+    assert expac_cluster(nodes, 20.0) == ref_expac_cluster(nodes, 20.0)
 
 
 def test_candidates_far_from_origin_match_reference():

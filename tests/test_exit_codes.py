@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clusterbench import cli
-from clusterbench.model import MAX_TICKS
+from clusterbench.model import MAX_NODES, MAX_TICKS
 
 BASE = {"node_count": 12, "execution_time": 2.0}
 FLOAT_MAX = 1.7976931348623157e308
@@ -53,8 +53,9 @@ NOT_A_NUMBER = st.one_of(
     st.just({}),
 )
 ANY_FLOAT = st.floats(allow_nan=False, allow_infinity=False)
-# A JSON integer that no float can hold. The integer keys accept it, so
-# they never draw it: a huge node_count is a huge run.
+# A JSON integer that no float can hold. The integer keys other than
+# node_count accept it, so they never draw it; node_count rejects it with
+# every other count above MAX_NODES.
 OVERFLOWING = st.integers(2**1024, 2**1100)
 BAD_FLOAT = NON_FINITE | NOT_A_NUMBER | OVERFLOWING
 BAD_INT = NON_FINITE | NOT_A_NUMBER | ANY_FLOAT
@@ -79,7 +80,7 @@ def bad_pair(bad_item, good_item):
 # Values each numeric key must refuse, given BASE and the other defaults
 # (tick 1.0, drain_member 10.0, drain_head 50.0).
 REJECTED = {
-    "node_count": BAD_INT | st.integers(max_value=0),
+    "node_count": BAD_INT | st.integers(max_value=0) | st.integers(min_value=MAX_NODES + 1),
     "area": bad_pair(BAD_FLOAT | NON_POSITIVE, st.floats(1.0, 100.0)),
     "tx_range": BAD_FLOAT | NON_POSITIVE,
     "energy_threshold": BAD_FLOAT | NEGATIVE,

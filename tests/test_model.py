@@ -17,7 +17,7 @@ from clusterbench import (
     generate_scenario,
     load_config,
 )
-from clusterbench.model import MAX_TICKS
+from clusterbench.model import MAX_NODES, MAX_TICKS
 
 
 def test_defaults_match_benchmark():
@@ -92,6 +92,8 @@ def test_generated_nodes_respect_bounds(seed, n):
         ("drain_head", float("nan")),
         ("area", (float("inf"), 100.0)),
         ("initial_energy", (400.0, float("inf"))),
+        ("node_count", MAX_NODES + 1),
+        ("node_count", 10**30),
     ],
 )
 def test_config_rejects_bad_field(field, value):
@@ -115,6 +117,14 @@ def test_config_limits_tick_count():
         with pytest.raises(ConfigError) as err:
             ScenarioConfig(execution_time=execution_time).validate()
         assert "execution_time / tick" in str(err.value)
+
+
+def test_config_limits_node_count():
+    # validates only: a run at the limit would place a million nodes
+    assert ScenarioConfig(node_count=MAX_NODES).validate()
+    with pytest.raises(ConfigError) as err:
+        config_from_dict({"node_count": MAX_NODES + 1})
+    assert f"1..{MAX_NODES}" in str(err.value)
 
 
 def test_config_from_dict_rejects_unknown_keys():

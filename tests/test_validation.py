@@ -13,15 +13,17 @@ from clusterbench import (
     DegenerateGeometryError,
     InputError,
     InvariantViolation,
+    Node,
     Position,
     UndefinedIndexError,
     classify,
     cluster_diameter,
     dunn_index,
+    expac_cluster,
     validate_clusters,
 )
-from reference import inter_cluster_distance, ref_dunn_index
-from strategies import edge_partitions, partitions, random_partition
+from reference import inter_cluster_distance, ref_cluster_diameter, ref_dunn_index
+from strategies import dense_scene, edge_partitions, partitions, random_labels, random_partition
 
 
 def grid(points):
@@ -64,6 +66,36 @@ def test_cluster_diameter_examples():
     assert cluster_diameter(Cluster(0, 0, (0, 1)), pos) == 10
     pos = grid([(0, 0), (4, 0), (1, 1)])
     assert cluster_diameter(Cluster(0, 0, (0, 1, 2)), pos) == 4
+
+
+@settings(max_examples=500, deadline=None)
+@given(data=edge_partitions())
+def test_cluster_diameter_matches_reference_at_cell_edges(data):
+    clusters, pos = data
+    for c in clusters.clusters:
+        assert cluster_diameter(c, pos) == ref_cluster_diameter(c, pos)
+
+
+# Far from the origin the float gaps are coarse; in the first and last cases
+# some distances overflow to inf.
+FAR_AND_OVERFLOWING = [
+    {0: Position(-1e308, 0.0), 1: Position(-1e308, 1.0), 2: Position(1e308, 0.0)},
+    {i: Position(1e300 + i * 1e285, 1e300) for i in range(4)},
+    {i: Position(2.0**60 + i * 512, -(2.0**60)) for i in range(4)},
+    {
+        0: Position(1e308, 1e308),
+        1: Position(-1e308, -1e308),
+        2: Position(0.0, 0.0),
+        3: Position(1.0, 0.0),
+    },
+]
+
+
+def test_cluster_diameter_far_from_origin_and_overflowing():
+    for pos in FAR_AND_OVERFLOWING:
+        for c in two_clusters([0, 1], len(pos)).clusters:
+            assert cluster_diameter(c, pos) == ref_cluster_diameter(c, pos)
+    assert cluster_diameter(Cluster(0, 0, (0, 1)), FAR_AND_OVERFLOWING[3]) == math.inf
 
 
 # --- the index --------------------------------------------------------------
@@ -123,15 +155,46 @@ def test_index_matches_reference_on_random_partitions():
 def test_index_far_from_origin_and_overflowing():
     # Cells widen far from the origin. In the first case every cross-cluster
     # distance overflows to inf, so no pair is ever shorter than the side and
-    # the scan has to stop once all occupied cells neighbour each other.
-    cases = [
-        {0: Position(-1e308, 0.0), 1: Position(-1e308, 1.0), 2: Position(1e308, 0.0)},
-        {i: Position(1e300 + i * 1e285, 1e300) for i in range(4)},
-        {i: Position(2.0**60 + i * 512, -(2.0**60)) for i in range(4)},
-    ]
-    for pos in cases:
+    # the scan has to stop once all occupied cells neighbour each other. In
+    # the last the diameter overflows too, and both reject the input.
+    for pos in FAR_AND_OVERFLOWING:
         cs = two_clusters([0, 1], len(pos))
         assert _outcome(dunn_index, cs, pos) == _outcome(ref_dunn_index, cs, pos)
+
+
+def test_index_rejects_overflowing_distances():
+    # the widest cluster and the closest cross-cluster pair both overflow
+    pos = FAR_AND_OVERFLOWING[3]
+    cs = two_clusters([0, 1], 4)
+    with pytest.raises(InputError, match="overflow"):
+        dunn_index(cs, pos)
+    assert _outcome(ref_dunn_index, cs, pos) is InputError
+
+
+def test_index_with_one_overflowing_side():
+    # only the cross-cluster distance overflows: the index is inf / 1 = inf
+    pos = FAR_AND_OVERFLOWING[0]
+    assert dunn_index(two_clusters([0, 1], 3), pos) == math.inf
+    # only the diameter overflows: the index is 1 / inf = 0
+    pos = {0: Position(1e308, 0.0), 1: Position(-1e308, 0.0), 2: Position(1e308, 1.0)}
+    assert dunn_index(two_clusters([0, 1], 3), pos) == 0.0
+    assert ref_dunn_index(two_clusters([0, 1], 3), pos) == 0.0
+
+
+@pytest.mark.parametrize(
+    "seed,duplicate_share,clump_share",
+    [(0, 0.0, 0.0), (1, 0.3, 0.0), (2, 0.0, 0.5)],
+    ids=["uniform", "duplicates", "clump"],
+)
+def test_index_matches_reference_on_dense_cells(seed, duplicate_share, clump_share):
+    pos = dense_scene(seed, duplicate_share, clump_share)
+    nodes = [Node(i, p, 1.0) for i, p in pos.items()]
+    rnd = random.Random(seed)
+    n = len(pos)
+    for cs in (expac_cluster(nodes, 20.0), random_labels(rnd, n, 5), random_labels(rnd, n, 60)):
+        assert _outcome(dunn_index, cs, pos) == _outcome(ref_dunn_index, cs, pos)
+        for c in cs.clusters:
+            assert cluster_diameter(c, pos) == ref_cluster_diameter(c, pos)
 
 
 def test_index_rejects_non_finite_position():
