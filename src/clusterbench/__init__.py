@@ -27,7 +27,6 @@ from .errors import (
 from .head_election import (
     EnergySnapshot,
     HeadChange,
-    max_energy_node,
     psopac_rebuild,
     rotate_heads,
 )
@@ -90,7 +89,6 @@ __all__ = [
     "generate_scenario",
     "load_config",
     "manhattan_distance",
-    "max_energy_node",
     "pac_candidates",
     "psopac_rebuild",
     "rotate_heads",

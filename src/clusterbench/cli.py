@@ -56,7 +56,7 @@ from .tables import (
     write_manifest,
     write_table,
 )
-from .validation import classify, dunn_index
+from .validation import dunn_index, validate_clusters
 
 SEED_ENV_VAR = "CLUSTERBENCH_SEED"
 
@@ -136,16 +136,15 @@ def cmd_cluster(args: argparse.Namespace) -> int:
 
 def cmd_validate(args: argparse.Namespace) -> int:
     config = resolve_config(args)
-    cluster_set, positions, _energies = read_clusters_csv(args.clusters)
+    cluster_set, positions = read_clusters_csv(args.clusters)
     try:
-        index = dunn_index(cluster_set, positions)
+        report = validate_clusters(cluster_set, positions, config.dunn_recluster_threshold)
     except UndefinedIndexError as err:
         print("UNDEFINED_INDEX")
         if args.strict:
             print(f"error[{err.code}]: {err}", file=sys.stderr)
             return 4
         return 0
-    report = classify(index, config.dunn_recluster_threshold)
     # Table row: population, index, separation, overlap, compactness.
     print(
         f"{cluster_set.node_universe}, {report.dunn_index}, "

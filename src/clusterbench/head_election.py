@@ -37,30 +37,6 @@ class HeadChange:
     at_tick: int
 
 
-def max_energy_node(cluster: Cluster, snapshot: EnergySnapshot) -> NodeId:
-    """The cluster member with the highest energy; ties go to the lower id."""
-    best: NodeId | None = None
-    best_energy = float("-inf")
-    for member in cluster.members:  # members are kept ascending
-        try:
-            energy = snapshot.energies[member]
-        except KeyError:
-            raise ConsistencyError(f"no energy reading for node {member}") from None
-        if energy > best_energy:
-            best, best_energy = member, energy
-    if best is None:
-        raise InputError("cannot elect a head from an empty member list")
-    return best
-
-
-def _passes(energy: EnergyLevel, threshold: EnergyLevel, comparator: str) -> bool:
-    # "below" keeps the published behaviour: a member passes while its energy
-    # is under the threshold. "at_or_above" is the conventional reading.
-    if comparator == COMPARATOR_BELOW:
-        return energy < threshold
-    return energy >= threshold
-
-
 def psopac_rebuild(
     clusters: ClusterSet,
     snapshot: EnergySnapshot,
@@ -87,18 +63,34 @@ def rotate_heads(
         raise InputError("cluster set is empty")
     if comparator not in COMPARATORS:
         raise ConfigError(f"comparator must be one of {COMPARATORS}, got {comparator!r}")
+    # "below" keeps the published behaviour: a member passes while its energy
+    # is under the threshold. "at_or_above" is the conventional reading.
+    below = comparator == COMPARATOR_BELOW
+    energies = snapshot.energies
     elected = []
     changes = []
     for cluster in clusters.clusters:
-        head = max_energy_node(cluster, snapshot)
-        exempt = frozenset(
-            m
-            for m in cluster.members
-            if m != head and not _passes(snapshot.energies[m], threshold, comparator)
-        )
+        head = None
+        best = float("-inf")
+        failed = set()
+        for member in cluster.members:  # ascending, so a tie keeps the lower id
+            try:
+                energy = energies[member]
+            except KeyError:
+                raise ConsistencyError(f"no energy reading for node {member}") from None
+            if energy > best:
+                head, best = member, energy
+            if not (energy < threshold if below else energy >= threshold):
+                failed.add(member)
+        if head is None:
+            raise InputError(
+                f"cluster {cluster.cluster_id}: no energy reading is above -inf, "
+                "so no head can be elected"
+            )
+        failed.discard(head)
         if head != cluster.head:
             changes.append(HeadChange(cluster.cluster_id, cluster.head, head, snapshot.at_tick))
-        if head != cluster.head or exempt != cluster.threshold_exempt:
-            cluster = Cluster(cluster.cluster_id, head, cluster.members, exempt)
+        if head != cluster.head or failed != cluster.threshold_exempt:
+            cluster = Cluster(cluster.cluster_id, head, cluster.members, frozenset(failed))
         elected.append(cluster)
     return ClusterSet(tuple(elected), clusters.node_universe), changes

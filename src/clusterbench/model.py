@@ -109,9 +109,9 @@ class ClusterSet:
                 f"clusters must cover exactly the ids 0..{self.node_universe - 1}"
             )
 
-    def by_node(self) -> dict[NodeId, Cluster]:
-        """Map every node id to the cluster containing it."""
-        out: dict[NodeId, Cluster] = {}
+    def by_node(self) -> list[Cluster]:
+        """The cluster containing each node, indexed by node id."""
+        out: list[Cluster] = [None] * self.node_universe  # every slot is filled
         for c in self.clusters:
             for m in c.members:
                 out[m] = c

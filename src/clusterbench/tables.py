@@ -25,7 +25,6 @@ from .model import (
     RNG_NAME,
     Cluster,
     ClusterSet,
-    EnergyLevel,
     Node,
     NodeId,
     Position,
@@ -187,13 +186,14 @@ def simulation_tables(snapshots: list[SimSnapshot]) -> dict[str, tuple[list[str]
         return texts[key]
 
     address_map = shown = None  # the address map last rendered, and its texts
+    # Every row shares these ids: enumerate would make a new int per row above 256.
+    node_ids = list(range(snapshots[0].clusters.node_universe))
     for snap in snapshots:
         if snap.addresses is not address_map:
             address_map = snap.addresses
             shown = {node_id: text(a) for node_id, a in address_map.items()}
-        by_node = snap.clusters.by_node()
-        for node_id in sorted(by_node):
-            cluster = by_node[node_id]
+        energies = snap.energies.energies
+        for node_id, cluster in zip(node_ids, snap.clusters.by_node()):
             timeline.append(
                 (
                     snap.at_tick,
@@ -201,8 +201,8 @@ def simulation_tables(snapshots: list[SimSnapshot]) -> dict[str, tuple[list[str]
                     cluster.cluster_id,
                     node_id == cluster.head,
                     node_id in cluster.threshold_exempt,
-                    snap.energies.energies[node_id],
-                    shown.get(node_id),
+                    energies[node_id],
+                    shown[node_id],
                 )
             )
         for event in snap.events:
@@ -217,8 +217,8 @@ def simulation_tables(snapshots: list[SimSnapshot]) -> dict[str, tuple[list[str]
             validation.append(report_row(snap.at_tick, snap.report))
     final = snapshots[-1]
     addresses = [
-        (node_id, cluster.cluster_id, shown.get(node_id))
-        for node_id, cluster in sorted(final.clusters.by_node().items())
+        (node_id, cluster.cluster_id, shown[node_id])
+        for node_id, cluster in zip(node_ids, final.clusters.by_node())
     ]
     return {
         "timeline": (TIMELINE_COLUMNS, timeline),
@@ -282,20 +282,18 @@ def read_nodes_csv(path: str | Path) -> list[Node]:
     return sorted(nodes, key=lambda n: n.node_id)
 
 
-def read_clusters_csv(
-    path: str | Path,
-) -> tuple[ClusterSet, dict[NodeId, Position], dict[NodeId, EnergyLevel]]:
-    """Load a cluster table back into a partition plus positions and energies.
+def read_clusters_csv(path: str | Path) -> tuple[ClusterSet, dict[NodeId, Position]]:
+    """Load a cluster table back into a partition plus positions.
 
     Requires the positional columns (x, y) so the partition can be
-    re-validated; the exempt column is optional and defaults to false.
+    re-validated; the exempt column is optional and defaults to false. The
+    energy column is required and checked, but not returned.
     """
     rows = _read_csv(path, ["cluster_id", "node_id", "is_head", "energy", "x", "y"])
     if not rows:
         raise InputError(f"{path}: no cluster rows")
     grouped: dict[int, dict] = {}
     positions: dict[NodeId, Position] = {}
-    energies: dict[NodeId, EnergyLevel] = {}
     for i, row in enumerate(rows):
         where = f"{path} row {i + 1}"
         try:
@@ -316,7 +314,6 @@ def read_clusters_csv(
         if exempt:
             group["exempt"].add(nid)
         positions[nid] = pos
-        energies[nid] = energy
     clusters = []
     for cid in sorted(grouped):
         group = grouped[cid]
@@ -334,7 +331,7 @@ def read_clusters_csv(
         cluster_set = ClusterSet(tuple(clusters), len(positions))
     except ClusterBenchError as err:
         raise InputError(f"{path}: {err}") from err
-    return cluster_set, positions, energies
+    return cluster_set, positions
 
 
 def sha256_file(path: str | Path) -> str:

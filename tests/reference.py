@@ -6,8 +6,10 @@ greedy round, every cross-cluster pair of members for the minimum
 inter-cluster distance, and every pair of members for a cluster's diameter.
 The library's kernels must return exactly what these return.
 ``ref_rotate_heads`` is head election in two passes, rebuilding every
-cluster and then diffing the heads. ``ref_csv_cell`` and ``ref_json_cell`` are
-the per-cell renderings that ``write_table`` must reproduce.
+cluster and then diffing the heads; its argmax and its membership test are
+written out here and share no code with the library. ``ref_csv_cell`` and
+``ref_json_cell`` are the per-cell renderings that ``write_table`` must
+reproduce.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ from clusterbench import (
     manhattan_distance,
 )
 from clusterbench.clustering import CandidateCluster, _check_nodes
-from clusterbench.errors import ConfigError, InputError
-from clusterbench.head_election import HeadChange, _passes, max_energy_node
+from clusterbench.errors import ConfigError, ConsistencyError, InputError
+from clusterbench.head_election import HeadChange
 from clusterbench.model import COMPARATOR_BELOW, COMPARATORS
 
 
@@ -80,12 +82,23 @@ def ref_rotate_heads(clusters, snapshot, threshold, comparator=COMPARATOR_BELOW)
         raise ConfigError(f"comparator must be one of {COMPARATORS}, got {comparator!r}")
     rebuilt = []
     for cluster in clusters.clusters:
-        head = max_energy_node(cluster, snapshot)
-        exempt = frozenset(
-            m
-            for m in cluster.members
-            if m != head and not _passes(snapshot.energies[m], threshold, comparator)
-        )
+        readings = []
+        for m in cluster.members:
+            if m not in snapshot.energies:
+                raise ConsistencyError(f"no energy reading for node {m}")
+            readings.append((snapshot.energies[m], m))
+        # The highest reading; among equal readings the lowest id. NaN and
+        # -inf can never be the head.
+        candidates = [(e, m) for e, m in readings if e > -math.inf]
+        if not candidates:
+            raise InputError(f"cluster {cluster.cluster_id}: no reading above -inf")
+        top = max(e for e, _ in candidates)
+        head = min(m for e, m in candidates if e == top)
+        if comparator == COMPARATOR_BELOW:
+            passed = {m for e, m in readings if e < threshold}
+        else:
+            passed = {m for e, m in readings if e >= threshold}
+        exempt = frozenset(set(cluster.members) - passed - {head})
         rebuilt.append(Cluster(cluster.cluster_id, head, cluster.members, exempt))
     rebuilt = ClusterSet(tuple(rebuilt), clusters.node_universe)
     changes = [

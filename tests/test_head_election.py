@@ -9,7 +9,6 @@ from clusterbench import (
     ConsistencyError,
     EnergySnapshot,
     InputError,
-    max_energy_node,
     psopac_rebuild,
     rotate_heads,
 )
@@ -27,18 +26,27 @@ def one_cluster(energies, head=None):
 def test_max_energy_argmax():
     cs, snap = one_cluster({0: 50.0, 1: 100.0, 2: 500.0, 3: 300.0})
     # shift ids to match: members 0..3
-    assert max_energy_node(cs.clusters[0], snap) == 2
+    assert psopac_rebuild(cs, snap, 500.0).clusters[0].head == 2
 
 
 def test_max_energy_tie_takes_lower_id():
     cs, snap = one_cluster({0: 10.0, 1: 500.0, 2: 500.0})
-    assert max_energy_node(cs.clusters[0], snap) == 1
+    assert psopac_rebuild(cs, snap, 500.0).clusters[0].head == 1
 
 
 def test_max_energy_missing_reading():
-    cluster = Cluster(0, 0, (0, 1))
+    cs = ClusterSet((Cluster(0, 0, (0, 1)),), 2)
     with pytest.raises(ConsistencyError):
-        max_energy_node(cluster, EnergySnapshot(0, {0: 5.0}))
+        psopac_rebuild(cs, EnergySnapshot(0, {0: 5.0}), 500.0)
+
+
+@pytest.mark.parametrize("reading", [float("nan"), float("-inf")])
+def test_rotate_rejects_cluster_without_reading_above_minus_inf(reading):
+    # NaN and -inf never beat the running maximum, so no member can be head.
+    cs = ClusterSet((Cluster(0, 0, (0,)), Cluster(1, 1, (1, 2))), 3)
+    snap = EnergySnapshot(0, {0: 5.0, 1: reading, 2: reading})
+    with pytest.raises(InputError, match=r"^cluster 1: no energy reading is above -inf"):
+        rotate_heads(cs, snap, threshold=500.0)
 
 
 def test_rebuild_elects_head_and_passes_low_energy_members():

@@ -72,10 +72,9 @@ def test_clusters_roundtrip(tmp_path):
     clusters = sample_clusters()
     nodes = sample_nodes()
     write_table(path, CLUSTERS_COLUMNS, clusters_rows(clusters, nodes), "csv")
-    got, positions, energies = read_clusters_csv(path)
+    got, positions = read_clusters_csv(path)
     assert got == clusters
     assert positions == {n.node_id: n.pos for n in nodes}
-    assert energies == {n.node_id: n.energy for n in nodes}
 
 
 def reclustering_run():
@@ -116,6 +115,15 @@ def test_each_address_is_rendered_once():
     cells = [row[6] for row in tables["timeline"][1]]
     cells += [row[5] for row in tables["messages"][1] if row[4] is MessageKind.ASSIGN]
     assert all(cell is texts[cell] for cell in cells)
+
+
+def test_timeline_rows_share_node_ids():
+    # The rows live until the run is written, so a new int per row for each
+    # id above 256 would cost 28 bytes a row; all ticks share one per node.
+    snapshots = run_simulation(config_from_dict({"node_count": 300, "execution_time": 3.0}))
+    rows = simulation_tables(snapshots)["timeline"][1]
+    assert [row[1] for row in rows] == list(range(300)) * len(snapshots)
+    assert len({id(row[1]) for row in rows}) == 300
 
 
 ENUM_MEMBERS = [*MessageKind, *Compactness, *Classification]
@@ -290,7 +298,7 @@ def test_read_clusters_exempt_defaults_false(tmp_path):
         "0,0,true,5,0,0\n"
         "0,1,false,4,1,1\n"
     )
-    got, _pos, _energy = read_clusters_csv(path)
+    got, _pos = read_clusters_csv(path)
     assert got.clusters[0].threshold_exempt == frozenset()
 
 
