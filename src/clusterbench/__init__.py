@@ -24,12 +24,7 @@ from .errors import (
     InvariantViolation,
     UndefinedIndexError,
 )
-from .head_election import (
-    EnergySnapshot,
-    HeadChange,
-    psopac_rebuild,
-    rotate_heads,
-)
+from .head_election import HeadChange, psopac_rebuild, rotate_heads
 from .model import (
     Cluster,
     ClusterSet,
@@ -66,7 +61,6 @@ __all__ = [
     "ConsistencyError",
     "DEFAULT_PREFIX",
     "DegenerateGeometryError",
-    "EnergySnapshot",
     "HeadChange",
     "InputError",
     "InvariantViolation",

@@ -26,7 +26,7 @@ from .errors import (
     InputError,
     UndefinedIndexError,
 )
-from .head_election import EnergySnapshot, psopac_rebuild
+from .head_election import psopac_rebuild
 from .model import (
     MAX_NODES,
     ScenarioConfig,
@@ -94,7 +94,7 @@ def _load_nodes(args: argparse.Namespace, config: ScenarioConfig):
     if getattr(args, "nodes", None):
         nodes = read_nodes_csv(args.nodes)
         if len(nodes) != config.node_count:
-            config = replace(config, node_count=len(nodes)).validate()
+            config = replace(config, node_count=len(nodes))
         return nodes, config, sha256_file(args.nodes)
     return generate_scenario(config), config, None
 
@@ -110,16 +110,12 @@ def cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cluster_once(nodes, config: ScenarioConfig):
-    clusters = expac_cluster(nodes, config.tx_range)
-    energies = EnergySnapshot(0, {n.node_id: n.energy for n in nodes})
-    return psopac_rebuild(clusters, energies, config.energy_threshold, config.comparator)
-
-
 def cmd_cluster(args: argparse.Namespace) -> int:
     config = resolve_config(args)
     nodes, config, input_hash = _load_nodes(args, config)
-    clusters = _cluster_once(nodes, config)
+    clusters = expac_cluster(nodes, config.tx_range)
+    energies = {n.node_id: n.energy for n in nodes}
+    clusters = psopac_rebuild(clusters, energies, config.energy_threshold, config.comparator)
     out = _out_dir(args)
     table = out / f"clusters.{args.format}"
     write_table(table, CLUSTERS_COLUMNS, clusters_rows(clusters, nodes), args.format)
@@ -139,11 +135,10 @@ def cmd_validate(args: argparse.Namespace) -> int:
     cluster_set, positions = read_clusters_csv(args.clusters)
     try:
         report = validate_clusters(cluster_set, positions, config.dunn_recluster_threshold)
-    except UndefinedIndexError as err:
+    except UndefinedIndexError:
         print("UNDEFINED_INDEX")
         if args.strict:
-            print(f"error[{err.code}]: {err}", file=sys.stderr)
-            return 4
+            raise
         return 0
     # Table row: population, index, separation, overlap, compactness.
     print(
@@ -196,9 +191,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     for size in sizes:
         indices = []
         for offset in range(args.seeds):
-            run_config = replace(config, node_count=size, seed=config.seed + offset).validate()
+            run_config = replace(config, node_count=size, seed=config.seed + offset)
             nodes = generate_scenario(run_config)
-            clusters = _cluster_once(nodes, run_config)
+            # The index reads only membership and positions, so no heads are elected.
+            clusters = expac_cluster(nodes, run_config.tx_range)
             positions = {n.node_id: n.pos for n in nodes}
             try:
                 index = dunn_index(clusters, positions)

@@ -8,7 +8,7 @@ break the partition — but are flagged ``threshold_exempt``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ConfigError, ConsistencyError, InputError
 from .model import (
@@ -22,14 +22,6 @@ from .model import (
 
 
 @dataclass(frozen=True)
-class EnergySnapshot:
-    """Per-node energies as observed at one instant."""
-
-    at_tick: int
-    energies: dict[NodeId, EnergyLevel] = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
 class HeadChange:
     cluster_id: int
     old_head: NodeId
@@ -39,7 +31,7 @@ class HeadChange:
 
 def psopac_rebuild(
     clusters: ClusterSet,
-    snapshot: EnergySnapshot,
+    energies: dict[NodeId, EnergyLevel],
     threshold: EnergyLevel,
     comparator: str = COMPARATOR_BELOW,
 ) -> ClusterSet:
@@ -47,18 +39,20 @@ def psopac_rebuild(
 
     Membership is preserved exactly; only the head and the exempt set change.
     """
-    return rotate_heads(clusters, snapshot, threshold, comparator)[0]
+    return rotate_heads(clusters, energies, threshold, comparator)[0]
 
 
 def rotate_heads(
     clusters: ClusterSet,
-    snapshot: EnergySnapshot,
+    energies: dict[NodeId, EnergyLevel],
     threshold: EnergyLevel,
     comparator: str = COMPARATOR_BELOW,
+    at_tick: int = 0,
 ) -> tuple[ClusterSet, list[HeadChange]]:
     """Recompute every head and exempt set from current energies, reporting
-    the head changes. A cluster whose head and exempt set are unchanged is
-    returned as is: it was checked with exactly these members and flags."""
+    the head changes, each stamped ``at_tick``. A cluster whose head and
+    exempt set are unchanged is returned as is: it was checked with exactly
+    these members and flags."""
     if not clusters.clusters:
         raise InputError("cluster set is empty")
     if comparator not in COMPARATORS:
@@ -66,7 +60,6 @@ def rotate_heads(
     # "below" keeps the published behaviour: a member passes while its energy
     # is under the threshold. "at_or_above" is the conventional reading.
     below = comparator == COMPARATOR_BELOW
-    energies = snapshot.energies
     elected = []
     changes = []
     for cluster in clusters.clusters:
@@ -89,7 +82,7 @@ def rotate_heads(
             )
         failed.discard(head)
         if head != cluster.head:
-            changes.append(HeadChange(cluster.cluster_id, cluster.head, head, snapshot.at_tick))
+            changes.append(HeadChange(cluster.cluster_id, cluster.head, head, at_tick))
         if head != cluster.head or failed != cluster.threshold_exempt:
             cluster = Cluster(cluster.cluster_id, head, cluster.members, frozenset(failed))
         elected.append(cluster)

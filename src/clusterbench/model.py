@@ -122,7 +122,9 @@ class ClusterSet:
 class ScenarioConfig:
     """Simulation parameters. Defaults follow the standard 25-node benchmark:
     100x100 m area, 20 m transmission range, energy threshold 500 units,
-    5 s horizon at 1 s ticks."""
+    5 s horizon at 1 s ticks. Every field is checked when a config is built,
+    ``dataclasses.replace`` included, so an invalid config raises
+    ``ConfigError`` and never exists."""
 
     node_count: int = 25
     area: tuple[float, float] = (100.0, 100.0)
@@ -138,7 +140,7 @@ class ScenarioConfig:
     validation_interval: int = 1
     comparator: str = COMPARATOR_BELOW
 
-    def validate(self) -> "ScenarioConfig":
+    def __post_init__(self) -> None:
         if not _is_int(self.node_count) or not 1 <= self.node_count <= MAX_NODES:
             raise ConfigError(
                 f"node_count must be an integer in 1..{MAX_NODES}, got {self.node_count!r}"
@@ -153,7 +155,7 @@ class ScenarioConfig:
             raise ConfigError(f"execution_time must be >= 0, got {self.execution_time!r}")
         if not _is_num(self.tick) or self.tick <= 0:
             raise ConfigError(f"tick must be > 0, got {self.tick!r}")
-        if not self.execution_time / self.tick <= MAX_TICKS:  # an overflow to inf fails too
+        if not math.isfinite(self.execution_time / self.tick) or self.steps > MAX_TICKS:
             raise ConfigError(
                 f"execution_time / tick must be at most {MAX_TICKS} ticks, "
                 f"got {self.execution_time!r} / {self.tick!r}"
@@ -183,7 +185,15 @@ class ScenarioConfig:
             raise ConfigError(
                 f"comparator must be one of {COMPARATORS}, got {self.comparator!r}"
             )
-        return self
+
+    @property
+    def steps(self) -> int:
+        """The number of ticks after tick 0: execution_time / tick, where a
+        ratio within a relative 1e-9 of an integer is that integer (in floats
+        0.3 / 0.1 is 2.9999999999999996 and 0.3 // 0.1 is 2.0)."""
+        ratio = self.execution_time / self.tick
+        nearest = round(ratio)
+        return nearest if math.isclose(ratio, nearest, rel_tol=1e-9) else math.floor(ratio)
 
     def to_dict(self) -> dict:
         """Every field by name; the tuple fields become lists."""
@@ -230,7 +240,7 @@ def config_from_dict(data: dict) -> ScenarioConfig:
             kwargs[key] = tuple(value)
     if "comparator" in kwargs:
         kwargs["comparator"] = normalize_comparator(kwargs["comparator"])
-    return ScenarioConfig(**kwargs).validate()
+    return ScenarioConfig(**kwargs)
 
 
 def read_config_file(path: str) -> dict:
@@ -264,7 +274,6 @@ def generate_scenario(config: ScenarioConfig) -> list[Node]:
     ``config.seed`` — the same config always yields the identical node list.
     Ids are the dense range 0..node_count-1.
     """
-    config.validate()
     rng = random.Random(config.seed)
     width, height = config.area
     e_lo, e_hi = config.initial_energy

@@ -13,16 +13,16 @@ Tick 0 never re-clusters.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from ipaddress import IPv6Address
 
 from .addressing import DEFAULT_PREFIX, Message, assign_addresses
 from .clustering import expac_cluster
 from .errors import ClusterBenchError, UndefinedIndexError
-from .head_election import EnergySnapshot, HeadChange, psopac_rebuild, rotate_heads
+from .head_election import HeadChange, psopac_rebuild, rotate_heads
 from .model import (
     ClusterSet,
+    EnergyLevel,
     Node,
     NodeId,
     ScenarioConfig,
@@ -61,31 +61,22 @@ class SimSnapshot:
 
     at_tick: int
     clusters: ClusterSet
-    energies: EnergySnapshot
+    energies: dict[NodeId, EnergyLevel]
     report: ValidationReport | None
     events: tuple[Event, ...]
     addresses: dict[NodeId, IPv6Address]
 
 
 def drain(
-    energies: EnergySnapshot, clusters: ClusterSet, config: ScenarioConfig
-) -> EnergySnapshot:
+    energies: dict[NodeId, EnergyLevel], clusters: ClusterSet, config: ScenarioConfig
+) -> dict[NodeId, EnergyLevel]:
     """One tick of energy loss: heads pay drain_head, everyone else
-    drain_member, clamped at zero. The snapshot tick advances by one."""
+    drain_member, clamped at zero. Returns the drained energies."""
     heads = {c.head for c in clusters.clusters}
-    drained = {
+    return {
         nid: max(0.0, e - (config.drain_head if nid in heads else config.drain_member))
-        for nid, e in energies.energies.items()
+        for nid, e in energies.items()
     }
-    return EnergySnapshot(energies.at_tick + 1, drained)
-
-
-def _step_count(config: ScenarioConfig) -> int:
-    # A ratio within a relative 1e-9 of an integer is that integer: in floats
-    # 0.3 / 0.1 is 2.9999999999999996 and 0.3 // 0.1 is 2.0.
-    ratio = config.execution_time / config.tick
-    nearest = round(ratio)
-    return nearest if math.isclose(ratio, nearest, rel_tol=1e-9) else math.floor(ratio)
 
 
 def run_simulation(
@@ -99,13 +90,11 @@ def run_simulation(
     must still be the dense range 0..N-1. Any domain error is re-raised with
     the failing tick prefixed to its message.
     """
-    config.validate()
     if nodes is None:
         nodes = generate_scenario(config)
-    steps = _step_count(config)
 
     try:
-        energies = EnergySnapshot(0, {n.node_id: n.energy for n in nodes})
+        energies = {n.node_id: n.energy for n in nodes}
         clusters = expac_cluster(nodes, config.tx_range)
         clusters = psopac_rebuild(
             clusters, energies, config.energy_threshold, config.comparator
@@ -130,11 +119,11 @@ def run_simulation(
     # re-elects every cluster but carries over, as the same object, each
     # cluster whose head and exempt set are unchanged.
     count = len(clusters.clusters)
-    for t in range(1, steps + 1):
+    for t in range(1, config.steps + 1):
         try:
             energies = drain(energies, clusters, config)
             clusters, changes = rotate_heads(
-                clusters, energies, config.energy_threshold, config.comparator
+                clusters, energies, config.energy_threshold, config.comparator, t
             )
             events = list(changes)
             scheduled = report if t % config.validation_interval == 0 else None

@@ -192,7 +192,7 @@ def simulation_tables(snapshots: list[SimSnapshot]) -> dict[str, tuple[list[str]
         if snap.addresses is not address_map:
             address_map = snap.addresses
             shown = {node_id: text(a) for node_id, a in address_map.items()}
-        energies = snap.energies.energies
+        energies = snap.energies
         for node_id, cluster in zip(node_ids, snap.clusters.by_node()):
             timeline.append(
                 (

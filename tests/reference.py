@@ -75,7 +75,7 @@ def ref_expac_cluster(nodes, tx_range):
     return ClusterSet(tuple(clusters), len(nodes))
 
 
-def ref_rotate_heads(clusters, snapshot, threshold, comparator=COMPARATOR_BELOW):
+def ref_rotate_heads(clusters, energies, threshold, comparator=COMPARATOR_BELOW, at_tick=0):
     if not clusters.clusters:
         raise InputError("cluster set is empty")
     if comparator not in COMPARATORS:
@@ -84,9 +84,9 @@ def ref_rotate_heads(clusters, snapshot, threshold, comparator=COMPARATOR_BELOW)
     for cluster in clusters.clusters:
         readings = []
         for m in cluster.members:
-            if m not in snapshot.energies:
+            if m not in energies:
                 raise ConsistencyError(f"no energy reading for node {m}")
-            readings.append((snapshot.energies[m], m))
+            readings.append((energies[m], m))
         # The highest reading; among equal readings the lowest id. NaN and
         # -inf can never be the head.
         candidates = [(e, m) for e, m in readings if e > -math.inf]
@@ -102,7 +102,7 @@ def ref_rotate_heads(clusters, snapshot, threshold, comparator=COMPARATOR_BELOW)
         rebuilt.append(Cluster(cluster.cluster_id, head, cluster.members, exempt))
     rebuilt = ClusterSet(tuple(rebuilt), clusters.node_universe)
     changes = [
-        HeadChange(old.cluster_id, old.head, new.head, snapshot.at_tick)
+        HeadChange(old.cluster_id, old.head, new.head, at_tick)
         for old, new in zip(clusters.clusters, rebuilt.clusters)
         if old.head != new.head
     ]

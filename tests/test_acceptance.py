@@ -26,7 +26,7 @@ from clusterbench import (
     validate_clusters,
 )
 from clusterbench import cli
-from clusterbench.head_election import EnergySnapshot, HeadChange
+from clusterbench.head_election import HeadChange
 from clusterbench.sim import ReclusterEvent
 from clusterbench.validation import Compactness
 from strategies import random_partition
@@ -187,7 +187,7 @@ def test_c5_head_invariant_and_crossover():
         for comparator in ("below", "at_or_above"):
             cfg = ScenarioConfig(seed=seed, comparator=comparator)
             for snap in run_simulation(cfg):
-                energies = snap.energies.energies
+                energies = snap.energies
                 for cluster in snap.clusters.clusters:
                     head_e = energies[cluster.head]
                     for m in cluster.members:
@@ -278,7 +278,7 @@ def test_c9_large_population_pipeline_time():
     cfg = ScenarioConfig(node_count=300)
     nodes = generate_scenario(cfg)
     positions = {n.node_id: n.pos for n in nodes}
-    energies = EnergySnapshot(0, {n.node_id: n.energy for n in nodes})
+    energies = {n.node_id: n.energy for n in nodes}
     start = time.perf_counter()
     clusters = expac_cluster(nodes, cfg.tx_range)
     clusters = psopac_rebuild(clusters, energies, cfg.energy_threshold, cfg.comparator)
@@ -294,7 +294,7 @@ def test_c10_ten_thousand_node_pipeline_time():
     cfg = ScenarioConfig(node_count=10_000, area=(2000.0, 2000.0))
     nodes = generate_scenario(cfg)
     positions = {n.node_id: n.pos for n in nodes}
-    energies = EnergySnapshot(0, {n.node_id: n.energy for n in nodes})
+    energies = {n.node_id: n.energy for n in nodes}
     start = time.perf_counter()
     clusters = expac_cluster(nodes, cfg.tx_range)
     clusters = psopac_rebuild(clusters, energies, cfg.energy_threshold, cfg.comparator)

@@ -7,7 +7,6 @@ from clusterbench import (
     ClusterSet,
     ConfigError,
     ConsistencyError,
-    EnergySnapshot,
     InputError,
     psopac_rebuild,
     rotate_heads,
@@ -20,7 +19,7 @@ from strategies import partitions_with_energies
 def one_cluster(energies, head=None):
     members = tuple(sorted(energies))
     cs = ClusterSet((Cluster(0, head if head is not None else members[0], members),), len(members))
-    return cs, EnergySnapshot(0, dict(energies))
+    return cs, dict(energies)
 
 
 def test_max_energy_argmax():
@@ -37,14 +36,14 @@ def test_max_energy_tie_takes_lower_id():
 def test_max_energy_missing_reading():
     cs = ClusterSet((Cluster(0, 0, (0, 1)),), 2)
     with pytest.raises(ConsistencyError):
-        psopac_rebuild(cs, EnergySnapshot(0, {0: 5.0}), 500.0)
+        psopac_rebuild(cs, {0: 5.0}, 500.0)
 
 
 @pytest.mark.parametrize("reading", [float("nan"), float("-inf")])
 def test_rotate_rejects_cluster_without_reading_above_minus_inf(reading):
     # NaN and -inf never beat the running maximum, so no member can be head.
     cs = ClusterSet((Cluster(0, 0, (0,)), Cluster(1, 1, (1, 2))), 3)
-    snap = EnergySnapshot(0, {0: 5.0, 1: reading, 2: reading})
+    snap = {0: 5.0, 1: reading, 2: reading}
     with pytest.raises(InputError, match=r"^cluster 1: no energy reading is above -inf"):
         rotate_heads(cs, snap, threshold=500.0)
 
@@ -81,7 +80,7 @@ def test_rebuild_singleton_without_membership_test():
 
 def test_rebuild_rejects_empty_and_bad_comparator():
     with pytest.raises(InputError):
-        psopac_rebuild(ClusterSet((), 0), EnergySnapshot(0, {}), 500.0)
+        psopac_rebuild(ClusterSet((), 0), {}, 500.0)
     cs, snap = one_cluster({0: 1.0})
     with pytest.raises(ConfigError):
         psopac_rebuild(cs, snap, 500.0, comparator="between")
@@ -91,8 +90,7 @@ def test_rebuild_rejects_empty_and_bad_comparator():
 @given(data=partitions_with_energies())
 def test_rebuild_preserves_partition_and_head_invariant(data):
     clusters, _positions, energies = data
-    snap = EnergySnapshot(0, energies)
-    out = psopac_rebuild(clusters, snap, threshold=400.0)
+    out = psopac_rebuild(clusters, energies, threshold=400.0)
     assert out.node_universe == clusters.node_universe
     for before, after in zip(clusters.clusters, out.clusters):
         assert after.cluster_id == before.cluster_id
@@ -109,12 +107,8 @@ def test_rebuild_preserves_partition_and_head_invariant(data):
 def test_scaling_energies_keeps_heads(data, k):
     clusters, _positions, energies = data
     threshold = 400.0
-    base = psopac_rebuild(clusters, EnergySnapshot(0, energies), threshold)
-    scaled = psopac_rebuild(
-        clusters,
-        EnergySnapshot(0, {n: e * k for n, e in energies.items()}),
-        threshold * k,
-    )
+    base = psopac_rebuild(clusters, energies, threshold)
+    scaled = psopac_rebuild(clusters, {n: e * k for n, e in energies.items()}, threshold * k)
     assert [c.head for c in base.clusters] == [c.head for c in scaled.clusters]
 
 
@@ -122,12 +116,12 @@ def test_rotate_reports_changes_and_is_idempotent():
     cs, snap = one_cluster({0: 100.0, 1: 90.0})
     rotated, changes = rotate_heads(cs, snap, threshold=1000.0)
     assert changes == []  # argmax unchanged
-    drained = EnergySnapshot(1, {0: 40.0, 1: 80.0})
-    rotated, changes = rotate_heads(rotated, drained, threshold=1000.0)
+    drained = {0: 40.0, 1: 80.0}
+    rotated, changes = rotate_heads(rotated, drained, threshold=1000.0, at_tick=1)
     assert len(changes) == 1
     change = changes[0]
     assert (change.cluster_id, change.old_head, change.new_head, change.at_tick) == (0, 0, 1, 1)
-    again, changes = rotate_heads(rotated, drained, threshold=1000.0)
+    again, changes = rotate_heads(rotated, drained, threshold=1000.0, at_tick=1)
     assert changes == []
     assert again == rotated
 
@@ -137,8 +131,8 @@ def test_rotate_new_head_loses_exempt_flag():
     cs, snap = one_cluster({0: 700.0, 1: 600.0})
     built = psopac_rebuild(cs, snap, threshold=500.0)
     assert built.clusters[0].threshold_exempt == frozenset({1})
-    drained = EnergySnapshot(3, {0: 550.0, 1: 590.0})
-    rotated, changes = rotate_heads(built, drained, threshold=500.0)
+    drained = {0: 550.0, 1: 590.0}
+    rotated, changes = rotate_heads(built, drained, threshold=500.0, at_tick=3)
     assert changes[0].new_head == 1
     assert rotated.clusters[0].head == 1
     assert rotated.clusters[0].threshold_exempt == frozenset({0})
@@ -157,15 +151,14 @@ def test_rotate_matches_reference(data, threshold, comparator, draw):
     # heads and exempt sets of a first election, so some clusters come out
     # unchanged after the energies move.
     clusters, _positions, energies = data
-    elected, _ = ref_rotate_heads(clusters, EnergySnapshot(0, energies), threshold, comparator)
+    elected, _ = ref_rotate_heads(clusters, energies, threshold, comparator)
     moved = {
         n: float(draw.draw(st.integers(0, 8))) if draw.draw(st.booleans()) else e
         for n, e in energies.items()
     }
-    snap = EnergySnapshot(1, moved)
     for start in (clusters, elected):
-        rotated, changes = rotate_heads(start, snap, threshold, comparator)
-        assert (rotated, changes) == ref_rotate_heads(start, snap, threshold, comparator)
+        rotated, changes = rotate_heads(start, moved, threshold, comparator, 1)
+        assert (rotated, changes) == ref_rotate_heads(start, moved, threshold, comparator, 1)
         for old, new in zip(start.clusters, rotated.clusters):
             unchanged = (new.head, new.threshold_exempt) == (old.head, old.threshold_exempt)
             assert (new is old) == unchanged

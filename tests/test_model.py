@@ -1,5 +1,5 @@
 import json
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings
@@ -97,31 +97,38 @@ def test_generated_nodes_respect_bounds(seed, n):
     ],
 )
 def test_config_rejects_bad_field(field, value):
-    cfg = ScenarioConfig(**{field: value})
     with pytest.raises(ConfigError) as err:
-        cfg.validate()
+        ScenarioConfig(**{field: value})
     assert field in str(err.value)
 
 
 def test_config_rejects_tick_count_overflow():
     # each field is finite, but execution_time / tick overflows to inf
-    cfg = ScenarioConfig(execution_time=1e308, tick=1e-300)
     with pytest.raises(ConfigError) as err:
-        cfg.validate()
+        ScenarioConfig(execution_time=1e308, tick=1e-300)
     assert "execution_time / tick" in str(err.value)
 
 
 def test_config_limits_tick_count():
-    assert ScenarioConfig(execution_time=float(MAX_TICKS)).validate()
+    # The bound applies to the tick count, which floors a fractional horizon
+    # and absorbs float noise: these runs would have exactly MAX_TICKS ticks.
+    for execution_time in (float(MAX_TICKS), MAX_TICKS + 0.5, MAX_TICKS + 1e-7):
+        assert ScenarioConfig(execution_time=execution_time).steps == MAX_TICKS
     for execution_time in (MAX_TICKS + 1.0, 1e300):
         with pytest.raises(ConfigError) as err:
-            ScenarioConfig(execution_time=execution_time).validate()
+            ScenarioConfig(execution_time=execution_time)
         assert "execution_time / tick" in str(err.value)
+
+
+def test_config_is_checked_by_replace():
+    with pytest.raises(ConfigError) as err:
+        replace(ScenarioConfig(), tick=0)
+    assert "tick" in str(err.value)
 
 
 def test_config_limits_node_count():
     # validates only: a run at the limit would place a million nodes
-    assert ScenarioConfig(node_count=MAX_NODES).validate()
+    assert ScenarioConfig(node_count=MAX_NODES)
     with pytest.raises(ConfigError) as err:
         config_from_dict({"node_count": MAX_NODES + 1})
     assert f"1..{MAX_NODES}" in str(err.value)

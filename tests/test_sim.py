@@ -3,7 +3,6 @@ import pytest
 from clusterbench import (
     Cluster,
     ClusterSet,
-    EnergySnapshot,
     HeadChange,
     InputError,
     Node,
@@ -36,18 +35,16 @@ def recluster_events(snapshots):
 def test_drain_rates_and_clamp():
     clusters = ClusterSet((Cluster(0, 0, (0, 1)),), 2)
     cfg = ScenarioConfig(node_count=2)
-    out = drain(EnergySnapshot(4, {0: 500.0, 1: 5.0}), clusters, cfg)
-    assert out.at_tick == 5
-    assert out.energies == {0: 450.0, 1: 0.0}
+    out = drain({0: 500.0, 1: 5.0}, clusters, cfg)
+    assert out == {0: 450.0, 1: 0.0}
 
 
 def test_drain_zero_rates_identity():
     clusters = ClusterSet((Cluster(0, 0, (0, 1)),), 2)
     cfg = ScenarioConfig(node_count=2, drain_member=0.0, drain_head=0.0)
-    before = EnergySnapshot(0, {0: 42.0, 1: 7.0})
+    before = {0: 42.0, 1: 7.0}
     out = drain(before, clusters, cfg)
-    assert out.energies == before.energies
-    assert out.at_tick == 1
+    assert out == before
 
 
 # --- timeline shape ---------------------------------------------------------
@@ -85,8 +82,8 @@ def test_energies_never_increase_and_membership_total():
     for seed in (0, 1, 2):
         snaps = run_simulation(ScenarioConfig(seed=seed))
         for earlier, later in zip(snaps, snaps[1:]):
-            for node_id, energy in later.energies.energies.items():
-                assert energy <= earlier.energies.energies[node_id]
+            for node_id, energy in later.energies.items():
+                assert energy <= earlier.energies[node_id]
         for snap in snaps:
             members = [m for c in snap.clusters.clusters for m in c.members]
             assert sorted(members) == list(range(25))
@@ -110,7 +107,7 @@ def test_head_crossover_at_computed_tick():
     assert (first.cluster_id, first.old_head, first.new_head, first.at_tick) == (0, 0, 1, 3)
     assert all(c.at_tick >= 3 for c in changes)
     # energies at the crossover: 500-150 vs 410-30
-    assert snaps[3].energies.energies == {0: 350.0, 1: 380.0}
+    assert snaps[3].energies == {0: 350.0, 1: 380.0}
     assert snaps[3].clusters.clusters[0].head == 1
 
 
