@@ -59,6 +59,8 @@ from .tables import (
 from .validation import dunn_index, validate_clusters
 
 SEED_ENV_VAR = "CLUSTERBENCH_SEED"
+#: Most seeds ``sweep`` runs per population.
+MAX_SWEEP_SEEDS = 10_000
 
 
 def resolve_config(args: argparse.Namespace) -> ScenarioConfig:
@@ -183,8 +185,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ConfigError(f"--sizes must be comma-separated integers, got {args.sizes!r}") from None
     if not sizes or any(not 1 <= n <= MAX_NODES for n in sizes):
         raise ConfigError(f"--sizes must name populations in 1..{MAX_NODES}, got {args.sizes!r}")
-    if args.seeds < 1:
-        raise ConfigError(f"--seeds must be >= 1, got {args.seeds}")
+    if not 1 <= args.seeds <= MAX_SWEEP_SEEDS:
+        raise ConfigError(f"--seeds must be in 1..{MAX_SWEEP_SEEDS}, got {args.seeds}")
+    if config.seed + args.seeds > 2**64:  # seeds are below 2^64
+        raise ConfigError(
+            f"--seeds {args.seeds} from seed {config.seed} runs past the largest seed 2^64 - 1"
+        )
 
     results = []
     medians: list[tuple[int, float]] = []
@@ -267,7 +273,12 @@ def build_parser() -> argparse.ArgumentParser:
         "sweep", parents=[common], help="median index across populations and seeds"
     )
     p.add_argument("--sizes", default="25,50,300", help="comma-separated node counts")
-    p.add_argument("--seeds", type=int, default=20, help="seeds per population (default: 20)")
+    p.add_argument(
+        "--seeds",
+        type=int,
+        default=20,
+        help=f"seeds per population, at most {MAX_SWEEP_SEEDS} (default: 20)",
+    )
     p.set_defaults(func=cmd_sweep)
 
     return parser

@@ -15,9 +15,26 @@ side lies in neighbouring cells, by the exact-floor argument in
 ``clustering``; so once the best pair found is shorter than the side, or
 every occupied cell neighbours every other, the best pair is the exact
 minimum. Otherwise the side doubles and the scan repeats. At fixed node
-density one scan suffices and costs O(N). Diameters come from
-``cluster_diameter``, one flat loop over each cluster's member pairs with
-the same inline expression, O(sum of squared cluster sizes).
+density one scan suffices and costs O(N).
+
+``cluster_diameter`` tests only the members that can end the widest pair.
+Under u = x + y and v = x - y the real Manhattan distance is
+max(|du|, |dv|), so the real diameter D* is the larger of the u and v
+spreads. Write M for the largest |coordinate| of the cluster and
+eps = 2**-53. The float distance d of a pair is within a factor
+(1 +- eps)**2 of its real distance D, so the pair with the largest d has
+D >= D*(1 - 4eps), and one axis, u say, has |du| >= D*(1 - 4eps) for it.
+Both its ends then lie within 4eps*D* <= 16eps*M of the two real u
+extremes, since |du| <= D* for every pair. Computed u and v are within
+2eps*M of the real ones, and the float thresholds ``max(us) - delta`` and
+``min(us) + delta`` round by at most eps*(2M + delta)(1 + eps), so
+delta = 2**-48 * M = 32eps*M keeps both ends. Scaling by 2**-48 is exact
+unless the product is subnormal, where adding the smallest subnormal
+2**-1074 makes up for its rounding. When 4M overflows, every member is
+kept. The kept members are tested all pairs with the inline expression, so
+the result is exactly the all-pairs maximum. In practice a few members per
+cluster survive, and a cluster of at most ``_FEW`` members is tested all
+pairs directly.
 """
 
 from __future__ import annotations
@@ -68,9 +85,31 @@ class ValidationReport:
     footnote: str | None = None
 
 
+#: Up to this many members, testing all pairs is cheaper than filtering first.
+_FEW = 10
+
+
 def cluster_diameter(cluster: Cluster, positions: dict[NodeId, Position]) -> float:
-    """Maximum Manhattan distance between two members; 0 for a singleton."""
+    """Maximum Manhattan distance between two members; 0 for a singleton.
+
+    Only members within ``delta`` of an extreme of u = x + y or of
+    v = x - y can end the widest pair (see the module docstring); those are
+    tested all-pairs with the inline expression.
+    """
     points = [(p.x, p.y) for p in map(positions.__getitem__, cluster.members)]
+    if len(points) > _FEW:
+        reach = max(max(abs(x), abs(y)) for x, y in points)
+        if math.isfinite(4 * reach):
+            delta = reach * 2.0**-48 + 2.0**-1074
+            us = [x + y for x, y in points]
+            vs = [x - y for x, y in points]
+            u_lo, u_hi = min(us) + delta, max(us) - delta
+            v_lo, v_hi = min(vs) + delta, max(vs) - delta
+            points = [
+                p
+                for p, u, v in zip(points, us, vs)
+                if u <= u_lo or u >= u_hi or v <= v_lo or v >= v_hi
+            ]
     widest = 0.0
     for i, (ax, ay) in enumerate(points):
         for bx, by in points[i + 1 :]:
@@ -87,7 +126,8 @@ def _min_cross_distance(clusters: tuple[Cluster, ...], positions: dict[NodeId, P
     ys = [p.y for p, _ in members]
     span = max(max(xs) - min(xs), max(ys) - min(ys))
     # A zero side means every member sits at the origin: any side then works.
-    side = cell_side((p for p, _ in members), span / math.sqrt(len(members))) or 1.0
+    reach = max(max(map(abs, xs)), max(map(abs, ys)))
+    side = cell_side(reach, span / math.sqrt(len(members))) or 1.0
     while True:
         cells: dict[Cell, list[tuple[float, float, int]]] = {}
         for p, label in members:

@@ -25,13 +25,14 @@ from clusterbench import (
     UndefinedIndexError,
     manhattan_distance,
 )
-from clusterbench.clustering import CandidateCluster, _check_nodes
+from clusterbench.clustering import _check_nodes
 from clusterbench.errors import ConfigError, ConsistencyError, InputError
 from clusterbench.head_election import HeadChange
 from clusterbench.model import COMPARATOR_BELOW, COMPARATORS
 
 
 def ref_pac_candidates(nodes, tx_range):
+    """``(temp_head, covered)`` per node, as ``CandidateCluster`` reports them."""
     _check_nodes(nodes)
     by_id = {n.node_id: n for n in nodes}
     order = sorted(by_id)
@@ -43,12 +44,12 @@ def ref_pac_candidates(nodes, tx_range):
             for other in order
             if other != head and manhattan_distance(hp, by_id[other].pos) < tx_range
         ]
-        out.append(CandidateCluster(head, (head, *in_range)))
+        out.append((head, (head, *in_range)))
     return out
 
 
 def ref_expac_cluster(nodes, tx_range):
-    remaining = {c.temp_head: set(c.covered) for c in ref_pac_candidates(nodes, tx_range)}
+    remaining = {head: set(covered) for head, covered in ref_pac_candidates(nodes, tx_range)}
     clusters = []
     clustered = set()
     while remaining:

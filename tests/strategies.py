@@ -2,9 +2,10 @@
 
 Positions live on integer grids and energies are integers so that exact
 (==) assertions about translation/scale invariance are legitimate — every
-intermediate value stays exactly representable. The cell-edge and dense
-scenes are the exception: they feed the comparisons against the brute-force
-references in ``reference.py``, which must hold for any float input.
+intermediate value stays exactly representable. The cell-edge, dense and
+far scenes are the exception: they feed the comparisons against the
+brute-force references in ``reference.py``, which must hold for any float
+input.
 """
 
 from __future__ import annotations
@@ -146,6 +147,65 @@ def dense_scene(seed: int, duplicate_share: float = 0.0, clump_share: float = 0.
         else:
             positions.append(Position(rnd.uniform(0.0, side), rnd.uniform(0.0, side)))
     return dict(enumerate(positions))
+
+
+#: Ranges that are odd multiples of 0.125 m or 0.25 m, a few float spacings
+#: (0.125 m at 1e15 m) to many. The rounding margin of
+#: ``clustering.pac_candidates`` there is about 0.9 m, so with the smaller
+#: ranges its "surely in" windows are empty and every window is tested.
+FAR_RANGES = (0.375, 0.75, 1.25, 20.25)
+
+
+def random_far_scene(rnd: random.Random, min_nodes=2, max_nodes=60):
+    """A range plus positions for nodes 0..n-1 on the 0.125 m float grid
+    about 1e15 m from the origin, in a square a few ranges wide; some nodes
+    repeat an earlier position.
+
+    Every distance is then a multiple of 0.125 m, so many pairs sit exactly
+    at the range or one grid step either side, while x + y or x - y lies
+    near 2e15 m, where it rounds to a 0.25 m grid."""
+    tx_range = rnd.choice(FAR_RANGES)
+    x0 = rnd.choice((1e15, -1e15))
+    y0 = rnd.choice((1e15, -1e15))
+    steps = int(tx_range * rnd.choice((0.5, 2.0, 4.0)) / 0.125)
+    positions: list[Position] = []
+    for _ in range(rnd.randint(min_nodes, max_nodes)):
+        if positions and rnd.random() < 0.1:
+            positions.append(rnd.choice(positions))
+        else:
+            positions.append(
+                Position(x0 + 0.125 * rnd.randint(0, steps), y0 + 0.125 * rnd.randint(0, steps))
+            )
+    return tx_range, dict(enumerate(positions))
+
+
+@st.composite
+def far_scenes(draw, min_nodes=2, max_nodes=60):
+    """``random_far_scene`` driven by a drawn seed."""
+    rnd = random.Random(draw(st.integers(0, 2**32 - 1)))
+    return random_far_scene(rnd, min_nodes, max_nodes)
+
+
+def random_ulp_cluster(rnd: random.Random):
+    """Positions 0..n-1 for one cluster of at least 11 members: two far
+    ends, copies of them moved a few ulps on each axis, and points between.
+
+    Rounding then often makes the float-widest pair one whose ends are not
+    the computed extremes of x + y or x - y."""
+    scale = 10.0 ** rnd.randint(-3, 6)
+    ends = [(rnd.uniform(-scale, scale), rnd.uniform(-scale, scale)) for _ in range(2)]
+    points = list(ends)
+    for _ in range(rnd.randint(3, 6)):
+        x, y = rnd.choice(ends)
+        for _ in range(rnd.randint(1, 6)):
+            x = math.nextafter(x, rnd.choice((math.inf, -math.inf)))
+            y = math.nextafter(y, rnd.choice((math.inf, -math.inf)))
+        points.append((x, y))
+    (ax, ay), (bx, by) = ends
+    while len(points) < 11:
+        t = rnd.random()
+        points.append((ax + t * (bx - ax), ay + t * (by - ay)))
+    return {i: Position(x, y) for i, (x, y) in enumerate(points)}
 
 
 def random_labels(rnd: random.Random, node_count: int, max_clusters: int) -> ClusterSet:

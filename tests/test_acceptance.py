@@ -308,3 +308,24 @@ def test_c10_ten_thousand_node_pipeline_time():
         ok,
         f"{elapsed * 1000:.0f} ms",
     )
+
+
+def test_c11_ten_thousand_nodes_at_fixed_area_pipeline_time():
+    # 10 000 nodes in the default 100 x 100 m: about 3.5 million in-range pairs.
+    cfg = ScenarioConfig(node_count=10_000)
+    nodes = generate_scenario(cfg)
+    positions = {n.node_id: n.pos for n in nodes}
+    energies = {n.node_id: n.energy for n in nodes}
+    start = time.perf_counter()
+    clusters = expac_cluster(nodes, cfg.tx_range)
+    clusters = psopac_rebuild(clusters, energies, cfg.energy_threshold, cfg.comparator)
+    addresses, _trace = assign_addresses(clusters)
+    report = validate_clusters(clusters, positions, cfg.dunn_recluster_threshold)
+    elapsed = time.perf_counter() - start
+    ok = elapsed < 2.0 and len(addresses) == 10_000 and report is not None
+    _report(
+        11,
+        "10 000-node cluster+elect+address+validate in 100 x 100 m under 2 s",
+        ok,
+        f"{elapsed * 1000:.0f} ms",
+    )

@@ -18,7 +18,7 @@ from clusterbench import (
 )
 from clusterbench.clustering import cell_of
 from reference import ref_expac_cluster, ref_pac_candidates
-from strategies import dense_scene, edge_scenes
+from strategies import dense_scene, edge_scenes, far_scenes
 
 
 def make_nodes(points, energy=100.0):
@@ -229,12 +229,16 @@ def _scene_nodes(positions):
     return [Node(i, p, 1.0) for i, p in positions.items()]
 
 
+def _heads_and_covered(nodes, tx_range):
+    return [(c.temp_head, c.covered) for c in pac_candidates(nodes, tx_range)]
+
+
 @settings(max_examples=500, deadline=None)
 @given(scene=edge_scenes())
 def test_candidates_match_reference_at_cell_edges(scene):
     tx_range, positions = scene
     nodes = _scene_nodes(positions)
-    assert pac_candidates(nodes, tx_range) == ref_pac_candidates(nodes, tx_range)
+    assert _heads_and_covered(nodes, tx_range) == ref_pac_candidates(nodes, tx_range)
 
 
 @settings(max_examples=500, deadline=None)
@@ -262,7 +266,7 @@ def test_candidates_match_reference_on_dense_cells(seed, duplicate_share, clump_
     cells = Counter(cell_of(p, 20.0) for p in positions.values())
     assert max(cells.values()) >= 30  # the self-cell and neighbour loops run long
     nodes = _scene_nodes(positions)
-    assert pac_candidates(nodes, 20.0) == ref_pac_candidates(nodes, 20.0)
+    assert _heads_and_covered(nodes, 20.0) == ref_pac_candidates(nodes, 20.0)
     assert expac_cluster(nodes, 20.0) == ref_expac_cluster(nodes, 20.0)
 
 
@@ -272,8 +276,33 @@ def test_candidates_far_from_origin_match_reference():
         nodes = _scene_nodes(
             {i: Position(x0 + i * tx_range, -x0 + (i % 3) * tx_range) for i in range(12)}
         )
-        assert pac_candidates(nodes, tx_range) == ref_pac_candidates(nodes, tx_range)
+        assert _heads_and_covered(nodes, tx_range) == ref_pac_candidates(nodes, tx_range)
         assert expac_cluster(nodes, tx_range) == ref_expac_cluster(nodes, tx_range)
+
+
+@settings(max_examples=300, deadline=None)
+@given(scene=far_scenes())
+def test_candidates_match_reference_far_from_origin(scene):
+    # The rounding margin exceeds the float spacing, so the exactly tested
+    # band is wide, and for the smallest ranges the surely windows are empty.
+    tx_range, positions = scene
+    nodes = _scene_nodes(positions)
+    assert _heads_and_covered(nodes, tx_range) == ref_pac_candidates(nodes, tx_range)
+    assert expac_cluster(nodes, tx_range) == ref_expac_cluster(nodes, tx_range)
+
+
+@pytest.mark.parametrize("tx_range", [1.25, 20.25])
+def test_dense_cells_far_from_origin_match_reference(tx_range):
+    # dense_scene's 300 nodes, 1e15 m out and shrunk to a few ranges across:
+    # the windows are wide, so the surely masks and the band both run.
+    scale = tx_range / 10.0
+    positions = {
+        i: Position(1e15 + p.x * scale, -1e15 + p.y * scale)
+        for i, p in dense_scene(3, duplicate_share=0.1).items()
+    }
+    nodes = _scene_nodes(positions)
+    assert _heads_and_covered(nodes, tx_range) == ref_pac_candidates(nodes, tx_range)
+    assert expac_cluster(nodes, tx_range) == ref_expac_cluster(nodes, tx_range)
 
 
 def test_candidates_reject_non_finite_position_and_range():

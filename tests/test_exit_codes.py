@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clusterbench import cli
+from clusterbench.cli import MAX_SWEEP_SEEDS
 from clusterbench.model import MAX_NODES, MAX_TICKS
 
 BASE = {"node_count": 12, "execution_time": 2.0}
@@ -142,6 +143,33 @@ def test_extreme_config_value_runs(key, data):
     code, err, wrote = simulate_with(key, value)
     assert code == 0, err
     assert wrote
+
+
+# --- sweep bounds -------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "seed,seeds",
+    [(0, 0), (0, MAX_SWEEP_SEEDS + 1), (2**64 - 2, 3), (2**64 - 1, 2)],
+    ids=["no-seeds", "too-many-seeds", "last-seed-overflows", "max-seed-plus-one"],
+)
+def test_sweep_seed_bounds_exit_2_before_any_clustering(tmp_path, monkeypatch, seed, seeds):
+    calls = []
+    monkeypatch.setattr(cli, "expac_cluster", lambda *args: calls.append(args))
+    out = tmp_path / "out"
+    code, err = run_main(
+        "sweep", "--seed", seed, "--sizes", "5", "--seeds", seeds, "--out", out
+    )
+    assert code == 2, err
+    assert err.startswith("config error: ") and "--seeds" in err
+    assert calls == [] and not out.exists()
+
+
+def test_sweep_runs_up_to_the_largest_seed(tmp_path):
+    code, err = run_main(
+        "sweep", "--seed", 2**64 - 2, "--sizes", "5", "--seeds", 2, "--out", tmp_path / "out"
+    )
+    assert code == 0, err
 
 
 # --- table cells --------------------------------------------------------------

@@ -23,7 +23,16 @@ from clusterbench import (
     validate_clusters,
 )
 from reference import inter_cluster_distance, ref_cluster_diameter, ref_dunn_index
-from strategies import dense_scene, edge_partitions, partitions, random_labels, random_partition
+from strategies import (
+    dense_scene,
+    edge_partitions,
+    edge_scenes,
+    far_scenes,
+    partitions,
+    random_labels,
+    random_partition,
+    random_ulp_cluster,
+)
 
 
 def grid(points):
@@ -73,6 +82,46 @@ def test_cluster_diameter_examples():
 def test_cluster_diameter_matches_reference_at_cell_edges(data):
     clusters, pos = data
     for c in clusters.clusters:
+        assert cluster_diameter(c, pos) == ref_cluster_diameter(c, pos)
+
+
+def _whole_scene(positions):
+    return Cluster(0, 0, tuple(positions))
+
+
+@settings(max_examples=300, deadline=None)
+@given(scene=edge_scenes())
+def test_cluster_diameter_matches_reference_on_whole_edge_scenes(scene):
+    # One cluster of up to 30 members, so the extreme-point filter runs.
+    _tx_range, pos = scene
+    c = _whole_scene(pos)
+    assert cluster_diameter(c, pos) == ref_cluster_diameter(c, pos)
+
+
+@settings(max_examples=300, deadline=None)
+@given(scene=far_scenes())
+def test_cluster_diameter_matches_reference_far_from_origin(scene):
+    _tx_range, pos = scene
+    clusters = random_labels(random.Random(len(pos)), len(pos), 3).clusters
+    for c in (_whole_scene(pos), *clusters):
+        assert cluster_diameter(c, pos) == ref_cluster_diameter(c, pos)
+
+
+@pytest.mark.parametrize(
+    "seed,duplicate_share,clump_share", [(0, 0.0, 0.0), (1, 0.3, 0.0), (2, 0.0, 0.5)]
+)
+def test_cluster_diameter_matches_reference_on_dense_scenes(seed, duplicate_share, clump_share):
+    pos = dense_scene(seed, duplicate_share, clump_share)
+    clusters = random_labels(random.Random(seed), len(pos), 4).clusters
+    for c in (_whole_scene(pos), *clusters):
+        assert cluster_diameter(c, pos) == ref_cluster_diameter(c, pos)
+
+
+def test_cluster_diameter_matches_reference_when_rounding_moves_the_widest_pair():
+    rnd = random.Random(5)
+    for _ in range(3000):
+        pos = random_ulp_cluster(rnd)
+        c = _whole_scene(pos)
         assert cluster_diameter(c, pos) == ref_cluster_diameter(c, pos)
 
 
