@@ -6,15 +6,20 @@ tightest pair of clusters is further apart than the widest cluster is wide.
 
 The minimum inter-cluster distance is the closest pair of members that sit
 in different clusters, found by a grid scan instead of a loop over all
-cluster pairs. Every member goes into a square cell (``clustering.cell_of``)
-and each pair of members in the same or neighbouring cells is tested once
-(``clustering.cell_pairs``), with ``manhattan_distance``'s exact expression
-written inline. The first side is span/sqrt(N), about one
-member per cell. A cross-cluster pair whose float distance is below the
-side lies in neighbouring cells, by the exact-floor argument in
-``clustering``; so once the best pair found is shorter than the side, or
-every occupied cell neighbours every other, the best pair is the exact
-minimum. Otherwise the side doubles and the scan repeats. At fixed node
+cluster pairs. Every member goes into a square cell (``cell_of``) and each
+pair of members in the same or neighbouring cells is tested once
+(``cell_pairs``), with ``manhattan_distance``'s exact expression written
+inline. The first side is span/sqrt(N), about one member per cell.
+
+A member at (x, y) sits in cell ``(int(x // side), int(y // side))``. Float
+``//`` is the exact floor while the quotient stays below 2**50 in magnitude
+(``cell_side`` widens the cells to keep it there). A float distance below
+the side means both real coordinate gaps are below the side: a float sum of
+two non-negative terms is at least each term, and rounding is monotone. So
+a cross-cluster pair whose float distance is below the side lies in the
+same or neighbouring cells; once the best pair found is shorter than the
+side, or every occupied cell neighbours every other, the best pair is the
+exact minimum. Otherwise the side doubles and the scan repeats. At fixed node
 density one scan suffices and costs O(N).
 
 ``cluster_diameter`` tests only the members that can end the widest pair.
@@ -42,14 +47,53 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-
-from .clustering import Cell, cell_of, cell_pairs, cell_side
+from typing import Iterator, TypeVar
 from .errors import (
     DegenerateGeometryError,
     InputError,
     UndefinedIndexError,
 )
 from .model import Cluster, ClusterSet, NodeId, Position
+
+Cell = tuple[int, int]
+T = TypeVar("T")
+
+#: Largest |coordinate / cell side| for which float ``//`` is the exact floor.
+_EXACT_QUOTIENT = 2.0**50
+
+
+def cell_side(reach: float, side: float) -> float:
+    """``side``, widened where needed so that the cell index of every
+    position with no |coordinate| above ``reach`` stays within the exact
+    range of float ``//``."""
+    return max(side, reach / _EXACT_QUOTIENT)
+
+
+def cell_of(pos: Position, side: float) -> Cell:
+    """The grid cell holding ``pos``: the exact floor of each coordinate / side."""
+    try:
+        return int(pos.x // side), int(pos.y // side)
+    except (ValueError, OverflowError):  # int() of a NaN or infinite quotient
+        raise InputError(
+            f"position ({pos.x!r}, {pos.y!r}) has no grid cell of side {side!r}"
+        ) from None
+
+
+def cell_pairs(cells: dict[Cell, list[T]]) -> Iterator[tuple[list[T], list[T]]]:
+    """Every occupied cell once with itself, then once with each occupied cell
+    of its forward half-neighbourhood: the cells to the right (lower, level
+    and upper) and the one above.
+
+    Taking each item of a self pair against the items after it, and each item
+    of a cross pair against every item of the other cell, visits every
+    unordered pair of items in the same or in neighbouring cells exactly once.
+    """
+    for (cx, cy), here in cells.items():
+        yield here, here
+        for key in ((cx + 1, cy - 1), (cx + 1, cy), (cx + 1, cy + 1), (cx, cy + 1)):
+            there = cells.get(key)
+            if there is not None:
+                yield here, there
 
 
 class Compactness(str, Enum):

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from collections import Counter
 
 import pytest
@@ -16,7 +17,7 @@ from clusterbench import (
     manhattan_distance,
     pac_candidates,
 )
-from clusterbench.clustering import cell_of
+from clusterbench.validation import cell_of
 from reference import ref_expac_cluster, ref_pac_candidates
 from strategies import dense_scene, edge_scenes, far_scenes
 
@@ -264,7 +265,8 @@ def test_expac_matches_reference_on_generated_scenarios():
 def test_candidates_match_reference_on_dense_cells(seed, duplicate_share, clump_share):
     positions = dense_scene(seed, duplicate_share, clump_share)
     cells = Counter(cell_of(p, 20.0) for p in positions.values())
-    assert max(cells.values()) >= 30  # the self-cell and neighbour loops run long
+    # 30 nodes share a 20 m square, so some u- and v-windows hold dozens of nodes
+    assert max(cells.values()) >= 30
     nodes = _scene_nodes(positions)
     assert _heads_and_covered(nodes, 20.0) == ref_pac_candidates(nodes, 20.0)
     assert expac_cluster(nodes, 20.0) == ref_expac_cluster(nodes, 20.0)
@@ -303,6 +305,25 @@ def test_dense_cells_far_from_origin_match_reference(tx_range):
     nodes = _scene_nodes(positions)
     assert _heads_and_covered(nodes, tx_range) == ref_pac_candidates(nodes, tx_range)
     assert expac_cluster(nodes, tx_range) == ref_expac_cluster(nodes, tx_range)
+
+
+#: Coordinates whose sums and differences overflow, and the origin.
+_HUGE = (sys.float_info.max, -sys.float_info.max, 1e308, -1e308, 5e307, 0.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    points=st.lists(
+        st.tuples(st.sampled_from(_HUGE), st.sampled_from(_HUGE)), min_size=1, max_size=12
+    )
+)
+def test_candidates_match_reference_when_the_margin_overflows(points):
+    # 4(M + r) overflows, so the rounding margin is infinite: u, v and the
+    # window bounds may be infinite or NaN, and every node is tested.
+    nodes = make_nodes(points)
+    for tx_range in (1e-10, 1.0, 1e307, 1e308, sys.float_info.max):
+        assert _heads_and_covered(nodes, tx_range) == ref_pac_candidates(nodes, tx_range)
+        assert expac_cluster(nodes, tx_range) == ref_expac_cluster(nodes, tx_range)
 
 
 def test_candidates_reject_non_finite_position_and_range():
