@@ -20,9 +20,18 @@ COMPARATOR_BELOW = "below"
 COMPARATOR_AT_OR_ABOVE = "at_or_above"
 COMPARATORS = (COMPARATOR_BELOW, COMPARATOR_AT_OR_ABOVE)
 
-#: The most ticks a run may have after tick 0. A run keeps every tick in
-#: memory: at the limit, the default 25 nodes give 2.5 million timeline rows.
+#: The most ticks a run may have after tick 0. A run keeps every tick's
+#: snapshot in memory, though not its timeline rows, which are rendered as
+#: they are written: at the limit, the default 25 nodes make 2.5 million
+#: node-ticks.
 MAX_TICKS = 100_000
+
+#: The most node-ticks a simulation may have: nodes × ticks, tick 0 included.
+#: Every snapshot is kept until the run is written, about 140 B a node-tick,
+#: so the bound caps them near 700 MB. It is 50 times the 500-node, 201-tick
+#: benchmark run and admits 25 nodes at MAX_TICKS; without it, MAX_NODES at
+#: MAX_TICKS would be 10**11 node-ticks.
+MAX_NODE_TICKS = 5_000_000
 
 #: The most nodes a scenario may have: 100 times the largest population the
 #: benchmarks run (10 000). Placement builds every node up front, so without

@@ -18,9 +18,10 @@ from ipaddress import IPv6Address
 
 from .addressing import DEFAULT_PREFIX, Message, assign_addresses
 from .clustering import expac_cluster
-from .errors import ClusterBenchError, UndefinedIndexError
+from .errors import ClusterBenchError, ConfigError, UndefinedIndexError
 from .head_election import HeadChange, psopac_rebuild, rotate_heads
 from .model import (
+    MAX_NODE_TICKS,
     ClusterSet,
     EnergyLevel,
     Node,
@@ -88,8 +89,16 @@ def run_simulation(
 
     ``nodes`` overrides the seeded placement for hand-built topologies; ids
     must still be the dense range 0..N-1. Any domain error is re-raised with
-    the failing tick prefixed to its message.
+    the failing tick prefixed to its message. A run of more than
+    ``MAX_NODE_TICKS`` node-ticks is a ``ConfigError``, raised before the run.
     """
+    node_count = config.node_count if nodes is None else len(nodes)
+    if node_count * (config.steps + 1) > MAX_NODE_TICKS:
+        raise ConfigError(
+            f"node_count * (steps + 1) must be at most {MAX_NODE_TICKS} node-ticks, got "
+            f"{node_count} nodes * {config.steps + 1} ticks; lower node_count or "
+            f"execution_time / tick"
+        )
     if nodes is None:
         nodes = generate_scenario(config)
 

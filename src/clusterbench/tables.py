@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -76,9 +77,13 @@ def _json_cell(value):
 # One row object of ``json.dump(rows, fh, indent=2)``, minus its braces: the
 # C encoder runs only without ``indent``, so the indent goes in the separator.
 _json_row = json.JSONEncoder(separators=(",\n    ", ": ")).encode
+# Between two row objects: the first one's closing brace and the comma.
+_JSON_ROW_SEP = "\n  },\n"
 
 
-def write_table(path: str | Path, columns: list[str], rows: list[tuple], fmt: str = "csv") -> None:
+def write_table(
+    path: str | Path, columns: list[str], rows: list[tuple] | TimelineRows, fmt: str = "csv"
+) -> None:
     """Write rows (tuples in column order) as CSV or JSON with a trailing newline.
 
     Output is byte-deterministic: fixed column order and LF line endings. CSV
@@ -86,6 +91,8 @@ def write_table(path: str | Path, columns: list[str], rows: list[tuple], fmt: st
     type, since ``True == 1``) become ``true``/``false``; str enums render
     as their values. JSON is the layout of ``json.dump(indent=2)``, written
     one row at a time, with infinite floats as the strings ``inf``/``-inf``.
+    A ``TimelineRows`` renders its own records in these layouts and is
+    written one tick's chunk at a time.
     """
     if fmt not in FORMATS:
         raise InputError(f"format must be one of {FORMATS}, got {fmt!r}")
@@ -93,16 +100,27 @@ def write_table(path: str | Path, columns: list[str], rows: list[tuple], fmt: st
         if fmt == "csv":
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(columns)
-            writer.writerows(
-                [("true" if v else "false") if type(v) is bool else v for v in row] for row in rows
-            )
+            if isinstance(rows, TimelineRows):
+                fh.writelines(rows.chunks(fmt))
+            else:
+                writer.writerows(
+                    [("true" if v else "false") if type(v) is bool else v for v in row]
+                    for row in rows
+                )
         elif not rows:
             fh.write("[]\n")
+        elif isinstance(rows, TimelineRows):
+            sep = "[\n"
+            for chunk in rows.chunks(fmt):
+                fh.write(sep)
+                fh.write(chunk)
+                sep = _JSON_ROW_SEP
+            fh.write("\n  }\n]\n")
         else:
             sep = "[\n"
             for row in rows:
                 fh.write(sep + "  {\n    " + _json_row(dict(zip(columns, map(_json_cell, row))))[1:-1])
-                sep = "\n  },\n"
+                sep = _JSON_ROW_SEP
             fh.write("\n  }\n]\n")
 
 
@@ -173,10 +191,103 @@ def event_row(event) -> tuple:
     return (event.at_tick, "address", None, None, None, None, None, None, *sizes)
 
 
-def simulation_tables(snapshots: list[SimSnapshot]) -> dict[str, tuple[list[str], list[tuple]]]:
-    """The simulate command's tables, by file stem: (columns, rows). Each
-    distinct address is rendered as text once, however many cells show it."""
-    timeline, events, validation, messages = [], [], [], []
+def _csv_text(value) -> str:
+    """One CSV cell as ``write_table`` renders it, quoting included."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(
+        [("true" if value else "false") if type(value) is bool else value]
+    )
+    return buf.getvalue()[:-1]
+
+
+def _json_text(value) -> str:
+    """One JSON cell as ``write_table`` renders it."""
+    return _json_row(_json_cell(value))
+
+
+# Per format: the renderer of any one cell, then the text of a timeline
+# record in four pieces and the text between records. The pieces are the tick
+# cell; the node_id, cluster_id, is_head and exempt cells (ids are ints and
+# flags are passed as "true"/"false", so none needs quoting or escaping) up
+# to the energy's value; and the address cell, passed rendered. A JSON record
+# is one object of write_table's layout, whose closing brace belongs to the
+# separator.
+_TIMELINE_FORMATS = {
+    "csv": (_csv_text, "{},", "{},{},{},{},", ",{}\n", ""),
+    "json": (
+        _json_text,
+        '  {{\n    "tick": {},\n    ',
+        '"node_id": {},\n    "cluster_id": {},\n    "is_head": {},\n    "exempt": {},\n'
+        '    "energy": ',
+        ',\n    "address": {}',
+        _JSON_ROW_SEP,
+    ),
+}
+_FLAG_TEXT = ("false", "true")
+
+
+class TimelineRows:
+    """The simulate timeline, rendered tick by tick as ``write_table`` writes it.
+
+    ``len`` is its record count, ticks × nodes. It holds the snapshots and
+    no records: ``chunks(fmt)`` yields each tick's records as one text. A
+    node's node_id, cluster_id, is_head and exempt text is rendered again
+    only when its ``Cluster`` object changes (clusters are frozen, and one
+    whose head and exempt set did not change is carried over as the same
+    object), its address text once per address map; per record only the
+    tick's shared prefix and the energy are new text.
+    """
+
+    def __init__(self, snapshots: list[SimSnapshot]) -> None:
+        self.snapshots = snapshots
+
+    def __len__(self) -> int:
+        return len(self.snapshots) * self.snapshots[0].clusters.node_universe
+
+    def chunks(self, fmt: str) -> Iterator[str]:
+        cell, tick_text, node_text, address_text, record_sep = _TIMELINE_FORMATS[fmt]
+        node_ids = range(self.snapshots[0].clusters.node_universe)
+        shown = [None] * len(node_ids)  # the Cluster each node's text was rendered from
+        nodes = [None] * len(node_ids)
+        address_map = None
+        for snap in self.snapshots:
+            if snap.addresses is not address_map:
+                address_map = snap.addresses
+                addresses = [address_text.format(cell(str(address_map[i]))) for i in node_ids]
+            for cluster in snap.clusters.clusters:
+                # After each tick every node shows the cluster that held it.
+                # A cluster's members are fixed, so one that held its first
+                # member at the previous tick held, and shows, them all.
+                if shown[cluster.members[0]] is cluster:
+                    continue
+                cluster_id, head, exempt = cluster.cluster_id, cluster.head, cluster.threshold_exempt
+                for node_id in cluster.members:
+                    shown[node_id] = cluster
+                    nodes[node_id] = node_text.format(
+                        node_id, cluster_id, _FLAG_TEXT[node_id == head], _FLAG_TEXT[node_id in exempt]
+                    )
+            energies = list(map(snap.energies.__getitem__, node_ids))
+            # A float renders as its repr, except that JSON writes inf as a
+            # string (energies are >= 0, so inf is the one non-finite value);
+            # a library-built node may also hold an int or a bool.
+            if set(map(type, energies)) == {float} and (fmt == "csv" or math.inf not in energies):
+                energies = map(float.__repr__, energies)
+            else:
+                energies = map(cell, energies)
+            prefix = tick_text.format(snap.at_tick)
+            yield record_sep.join(
+                [f"{prefix}{n}{e}{a}" for n, e, a in zip(nodes, energies, addresses)]
+            )
+
+
+def simulation_tables(
+    snapshots: list[SimSnapshot],
+) -> dict[str, tuple[list[str], list[tuple] | TimelineRows]]:
+    """The simulate command's tables, by file stem: (columns, rows). The
+    timeline's rows are a ``TimelineRows``, rendered as they are written;
+    every other table's are tuples, and each distinct address in them is
+    rendered as text once."""
+    events, validation, messages = [], [], []
     texts = {}  # each distinct address as text, by its value
 
     def text(address):
@@ -185,26 +296,7 @@ def simulation_tables(snapshots: list[SimSnapshot]) -> dict[str, tuple[list[str]
             texts[key] = str(address)
         return texts[key]
 
-    address_map = shown = None  # the address map last rendered, and its texts
-    # Every row shares these ids: enumerate would make a new int per row above 256.
-    node_ids = list(range(snapshots[0].clusters.node_universe))
     for snap in snapshots:
-        if snap.addresses is not address_map:
-            address_map = snap.addresses
-            shown = {node_id: text(a) for node_id, a in address_map.items()}
-        energies = snap.energies
-        for node_id, cluster in zip(node_ids, snap.clusters.by_node()):
-            timeline.append(
-                (
-                    snap.at_tick,
-                    node_id,
-                    cluster.cluster_id,
-                    node_id == cluster.head,
-                    node_id in cluster.threshold_exempt,
-                    energies[node_id],
-                    shown[node_id],
-                )
-            )
         for event in snap.events:
             events.append(event_row(event))
             if isinstance(event, AddressEvent):
@@ -217,11 +309,11 @@ def simulation_tables(snapshots: list[SimSnapshot]) -> dict[str, tuple[list[str]
             validation.append(report_row(snap.at_tick, snap.report))
     final = snapshots[-1]
     addresses = [
-        (node_id, cluster.cluster_id, shown[node_id])
-        for node_id, cluster in zip(node_ids, final.clusters.by_node())
+        (node_id, cluster.cluster_id, text(final.addresses[node_id]))
+        for node_id, cluster in enumerate(final.clusters.by_node())
     ]
     return {
-        "timeline": (TIMELINE_COLUMNS, timeline),
+        "timeline": (TIMELINE_COLUMNS, TimelineRows(snapshots)),
         "events": (EVENTS_COLUMNS, events),
         "validation": (VALIDATION_COLUMNS, validation),
         "addresses": (ADDRESSES_COLUMNS, addresses),

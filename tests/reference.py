@@ -9,7 +9,8 @@ The library's kernels must return exactly what these return.
 cluster and then diffing the heads; its argmax and its membership test are
 written out here and share no code with the library. ``ref_csv_cell`` and
 ``ref_json_cell`` are the per-cell renderings that ``write_table`` must
-reproduce.
+reproduce, and ``ref_timeline_rows`` is the simulate timeline as plain
+tuples, each cell looked up afresh from the snapshots.
 """
 
 from __future__ import annotations
@@ -126,6 +127,30 @@ def ref_json_cell(value):
     if isinstance(value, Enum):
         return value.value
     return value
+
+
+TIMELINE_COLUMNS = ["tick", "node_id", "cluster_id", "is_head", "exempt", "energy", "address"]
+
+
+def ref_timeline_rows(snapshots):
+    """One tuple per tick and node, ticks in order and nodes by ascending id;
+    each node's cluster is found by scanning the partition."""
+    rows = []
+    for snap in snapshots:
+        for node_id in range(snap.clusters.node_universe):
+            (cluster,) = [c for c in snap.clusters.clusters if node_id in c.members]
+            rows.append(
+                (
+                    snap.at_tick,
+                    node_id,
+                    cluster.cluster_id,
+                    node_id == cluster.head,
+                    node_id in cluster.threshold_exempt,
+                    snap.energies[node_id],
+                    str(snap.addresses[node_id]),
+                )
+            )
+    return rows
 
 
 def inter_cluster_distance(a, b, positions):

@@ -5,6 +5,7 @@ import math
 import pytest
 
 from clusterbench import cli, config_from_dict, run_simulation
+from clusterbench.tables import write_table
 
 
 def run(*argv):
@@ -401,6 +402,32 @@ def test_simulate_csv_matches_json(tmp_path):
     for table in ("timeline", "events", "validation", "addresses", "messages"):
         csv_path, json_path = tmp_path / "csv" / f"{table}.csv", tmp_path / "json" / f"{table}.json"
         assert_csv_matches_json(csv_path, json_path)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_simulate_counts_one_row_per_record(tmp_path, monkeypatch, fmt):
+    # perfbench's tables.rows_written adds up len(rows) over the write_table
+    # calls, so every table's len must be the number of records in its file.
+    written = []
+
+    def counting_write_table(path, columns, rows, fmt="csv"):
+        write_table(path, columns, rows, fmt)
+        written.append((path, len(rows)))
+
+    monkeypatch.setattr(cli, "write_table", counting_write_table)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**RECLUSTERING, "execution_time": 2.0}))
+    assert run("simulate", "--config", str(cfg), "--out", str(tmp_path), "--format", fmt) == 0
+    assert sorted(p.stem for p, _ in written) == [
+        "addresses", "events", "messages", "timeline", "validation"
+    ]
+    for path, count in written:
+        if fmt == "csv":
+            with open(path, newline="") as fh:
+                records = list(csv.reader(fh))[1:]
+        else:
+            records = json.loads(path.read_text())
+        assert count == len(records) > 0, path.name
 
 
 # Each event type's kind and the columns it fills; every other cell is empty.

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from clusterbench import cli
 from clusterbench.cli import MAX_SWEEP_SEEDS
-from clusterbench.model import MAX_NODES, MAX_TICKS
+from clusterbench.model import MAX_NODE_TICKS, MAX_NODES, MAX_TICKS
 
 BASE = {"node_count": 12, "execution_time": 2.0}
 FLOAT_MAX = 1.7976931348623157e308
@@ -143,6 +143,22 @@ def test_extreme_config_value_runs(key, data):
     code, err, wrote = simulate_with(key, value)
     assert code == 0, err
     assert wrote
+
+
+# A simulation of more node-ticks than MAX_NODE_TICKS is refused before the
+# run. Near MAX_TICKS that takes only 50 to 100 nodes, cheap to place.
+@settings(max_examples=10, deadline=None)
+@given(steps=st.integers(MAX_TICKS // 2, MAX_TICKS), extra=st.integers(1, 50))
+def test_run_size_above_limit_exits_2_before_any_output(steps, extra):
+    node_count = MAX_NODE_TICKS // (steps + 1) + extra
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "cfg.json"
+        cfg.write_text(json.dumps({"node_count": node_count, "execution_time": float(steps)}))
+        out = Path(tmp) / "out"
+        code, err = run_main("simulate", "--config", cfg, "--out", out)
+        assert code == 2, err
+        assert err.startswith("config error: ") and "node-ticks" in err
+        assert not out.exists()
 
 
 # --- sweep bounds -------------------------------------------------------------

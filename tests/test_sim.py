@@ -3,6 +3,7 @@ import pytest
 from clusterbench import (
     Cluster,
     ClusterSet,
+    ConfigError,
     HeadChange,
     InputError,
     Node,
@@ -13,6 +14,7 @@ from clusterbench import (
     run_simulation,
 )
 from clusterbench import sim, validation
+from clusterbench.model import MAX_NODE_TICKS
 from clusterbench.sim import AddressEvent
 from reference import ref_dunn_index, ref_expac_cluster, ref_rotate_heads
 
@@ -161,6 +163,26 @@ def test_errors_carry_tick_number():
     with pytest.raises(InputError) as err:
         run_simulation(ScenarioConfig(node_count=2), nodes=bad)
     assert str(err.value).startswith("tick 0:")
+
+
+def test_run_size_bound_admits_exactly_max_node_ticks(monkeypatch):
+    # 100 000 nodes over 50 ticks are MAX_NODE_TICKS: the run starts, which
+    # the stubbed placement shows; one node more is refused before placement.
+    # Hand-built nodes are counted in place of the config's node_count.
+    class Placed(Exception):
+        pass
+
+    def placement(config):
+        raise Placed
+
+    monkeypatch.setattr(sim, "generate_scenario", placement)
+    assert 100_000 * 50 == MAX_NODE_TICKS
+    with pytest.raises(Placed):
+        run_simulation(ScenarioConfig(node_count=100_000, execution_time=49.0))
+    with pytest.raises(ConfigError, match="node-ticks"):
+        run_simulation(ScenarioConfig(node_count=100_001, execution_time=49.0))
+    nodes = line_nodes([0, 1], [500.0, 500.0])
+    assert len(run_simulation(ScenarioConfig(node_count=100_001, execution_time=49.0), nodes)) == 50
 
 
 def test_simulation_is_deterministic():

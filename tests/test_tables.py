@@ -4,6 +4,7 @@ import io
 import json
 import math
 import pkgutil
+import tracemalloc
 from enum import Enum
 from ipaddress import IPv6Address
 
@@ -43,7 +44,7 @@ from clusterbench.tables import (
     write_manifest,
     write_table,
 )
-from reference import ref_csv_cell, ref_json_cell
+from reference import TIMELINE_COLUMNS, ref_csv_cell, ref_json_cell, ref_timeline_rows
 
 
 def sample_nodes():
@@ -89,6 +90,7 @@ def reclustering_run():
 
 def test_every_row_has_one_cell_per_column():
     # JSON zips cells with columns, so a short row would lose cells silently.
+    # The timeline renders its own records (see the reference tests below).
     nodes, snapshots = reclustering_run()
     clusters = snapshots[0].clusters
     tables = [
@@ -97,7 +99,8 @@ def test_every_row_has_one_cell_per_column():
         (VALIDATION_COLUMNS, [report_row(0, snapshots[0].report)]),
     ]
     tables += [(ENERGY_DAT_COLUMNS, rows) for _, rows in energy_dat_rows(clusters, nodes)]
-    tables += simulation_tables(snapshots).values()
+    tables += [t for stem, t in simulation_tables(snapshots).items() if stem != "timeline"]
+    assert len(tables) == 3 + len(clusters.clusters) + 4
     for columns, rows in tables:
         assert rows
         for row in rows:
@@ -105,25 +108,17 @@ def test_every_row_has_one_cell_per_column():
 
 
 def test_each_address_is_rendered_once():
-    # Every address cell is text, and equal addresses share one string: the
-    # timeline's, the addresses table's and the re-clusters' Assign payloads.
+    # Every address cell of the tuple tables is text, and equal addresses
+    # share one string: the addresses table's and the re-clusters' Assign
+    # payloads.
     _, snapshots = reclustering_run()
     assert sum(isinstance(e, ReclusterEvent) for s in snapshots for e in s.events) > 1
     tables = simulation_tables(snapshots)
     texts = {row[2]: row[2] for row in tables["addresses"][1]}
     assert len(texts) == 200 and all(type(t) is str for t in texts)
-    cells = [row[6] for row in tables["timeline"][1]]
-    cells += [row[5] for row in tables["messages"][1] if row[4] is MessageKind.ASSIGN]
+    cells = [row[5] for row in tables["messages"][1] if row[4] is MessageKind.ASSIGN]
+    assert len(cells) > 200
     assert all(cell is texts[cell] for cell in cells)
-
-
-def test_timeline_rows_share_node_ids():
-    # The rows live until the run is written, so a new int per row for each
-    # id above 256 would cost 28 bytes a row; all ticks share one per node.
-    snapshots = run_simulation(config_from_dict({"node_count": 300, "execution_time": 3.0}))
-    rows = simulation_tables(snapshots)["timeline"][1]
-    assert [row[1] for row in rows] == list(range(300)) * len(snapshots)
-    assert len({id(row[1]) for row in rows}) == 300
 
 
 ENUM_MEMBERS = [*MessageKind, *Compactness, *Classification]
@@ -174,6 +169,96 @@ def test_json_matches_reference_rendering(scratch, table):
     write_table(path, columns, rows, "json")
     payload = [dict(zip(columns, map(ref_json_cell, row))) for row in rows]
     assert path.read_text(encoding="utf-8") == json.dumps(payload, indent=2) + "\n"
+
+
+# Energies a library-built node may hold: any float >= 0 including inf, and
+# ints (a bool is one), which the timeline renders the way write_table does.
+NODE_ENERGIES = st.one_of(
+    st.floats(0.0, 1000.0),
+    st.sampled_from([math.inf, -0.0, 5e-324, 1e22, 0, 700, True]),
+)
+
+
+@st.composite
+def simulations(draw):
+    """A run of up to 10 hand-built nodes on distinct points of a 5 m grid,
+    over up to 4 ticks: heads change as energies drain, members above or
+    below the threshold are exempt, and a high Dunn threshold re-clusters."""
+    n = draw(st.integers(1, 10))
+    points = draw(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), min_size=n,
+                           max_size=n, unique=True))
+    energies = draw(st.lists(NODE_ENERGIES, min_size=n, max_size=n))
+    nodes = [
+        Node(i, Position(5.0 * x, 5.0 * y), e) for i, ((x, y), e) in enumerate(zip(points, energies))
+    ]
+    config = config_from_dict(
+        {
+            "node_count": n,
+            "tx_range": draw(st.sampled_from([6.0, 11.0, 16.0])),
+            "energy_threshold": draw(st.floats(0.0, 1000.0)),
+            "execution_time": float(draw(st.integers(0, 4))),
+            "drain_member": draw(st.sampled_from([0.0, 10.0, 300.0])),
+            "drain_head": 300.0,
+            "dunn_recluster_threshold": draw(st.sampled_from([0.0, 0.5, 100.0])),
+            "validation_interval": draw(st.integers(1, 2)),
+            "comparator": draw(st.sampled_from(["below", "at_or_above"])),
+        }
+    )
+    return run_simulation(config, nodes)
+
+
+@settings(max_examples=150, deadline=None)
+@given(snapshots=simulations())
+def test_timeline_matches_reference_rendering(scratch, snapshots):
+    expected_rows = ref_timeline_rows(snapshots)
+    columns, rows = simulation_tables(snapshots)["timeline"]
+    assert columns == TIMELINE_COLUMNS
+    assert len(rows) == len(expected_rows)
+
+    write_table(scratch / "timeline.csv", columns, rows, "csv")
+    expected = io.StringIO()
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(TIMELINE_COLUMNS)
+    for row in expected_rows:
+        writer.writerow([ref_csv_cell(v) for v in row])
+    assert (scratch / "timeline.csv").read_bytes() == expected.getvalue().encode("utf-8")
+
+    write_table(scratch / "timeline.json", columns, rows, "json")
+    payload = [dict(zip(TIMELINE_COLUMNS, map(ref_json_cell, row))) for row in expected_rows]
+    assert (scratch / "timeline.json").read_text(encoding="utf-8") == (
+        json.dumps(payload, indent=2) + "\n"
+    )
+
+
+def test_timeline_is_written_without_a_row_list(tmp_path):
+    # perfbench's sim_steady run: 500 nodes at 25 nodes/ha over 201 ticks,
+    # 100 500 timeline records. Held as row tuples until written, they took
+    # about 12 MB; rendered tick by tick, the timeline's table and its write
+    # need under a tenth of that at any moment, in either format. The other
+    # tables are freed before the write, so they do not count.
+    side = 100.0 * math.sqrt(500 / 25)
+    config = config_from_dict(
+        {
+            "node_count": 500,
+            "area": [side, side],
+            "execution_time": 200.0,
+            "drain_member": 2.0,
+            "drain_head": 10.0,
+            "validation_interval": 1000,
+        }
+    )
+    snapshots = run_simulation(config)
+    for fmt in ("csv", "json"):
+        tracemalloc.start()
+        try:
+            columns, rows = simulation_tables(snapshots)["timeline"]
+            tracemalloc.reset_peak()
+            write_table(tmp_path / f"timeline.{fmt}", columns, rows, fmt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(rows) == 100_500
+        assert peak < 1.2e6, (fmt, peak)
 
 
 def test_every_enum_is_a_str_enum():
