@@ -7,7 +7,7 @@ that rotates heads as energy drains and re-clusters when separation
 degrades.
 """
 
-from .addressing import DEFAULT_PREFIX, Message, MessageKind, assign_addresses
+from .addressing import DEFAULT_PREFIX, Handshake, Message, MessageKind, assign_addresses
 from .clustering import (
     CandidateCluster,
     expac_cluster,
@@ -61,6 +61,7 @@ __all__ = [
     "ConsistencyError",
     "DEFAULT_PREFIX",
     "DegenerateGeometryError",
+    "Handshake",
     "HeadChange",
     "InputError",
     "InvariantViolation",

@@ -11,6 +11,9 @@ whole run.
 
 from __future__ import annotations
 
+import operator
+from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 from ipaddress import AddressValueError, IPv6Address, IPv6Network
@@ -86,33 +89,80 @@ def node_address(prefix48: int, cluster_id: int, node_id: NodeId) -> IPv6Address
     return IPv6Address((prefix48 << 80) | (cluster_id << 64) | iid)
 
 
+class Handshake(Sequence[Message]):
+    """The Hello/Reply/Assign trace of one ``assign_addresses`` call.
+
+    It holds the 48-bit prefix value and one block per served cluster (one
+    with a member besides its head): ``(first seq, cluster id, head, non-head
+    members)``, clusters by id and members ascending. Its messages are built
+    as they are read. ``len`` is 3 × the non-heads; indexing, slicing and
+    iteration give ``Message`` objects, and it equals any list or tuple of
+    the same messages.
+    """
+
+    def __init__(
+        self, prefix48: int, blocks: tuple[tuple[int, int, NodeId, tuple[NodeId, ...]], ...]
+    ) -> None:
+        self.prefix48 = prefix48
+        self.blocks = blocks
+
+    def __len__(self) -> int:
+        if not self.blocks:
+            return 0
+        first, _, _, members = self.blocks[-1]
+        return first + 3 * len(members)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        seq = operator.index(index)
+        if seq < 0:
+            seq += len(self)
+        if not 0 <= seq < len(self):
+            raise IndexError("handshake index out of range")
+        first, cluster_id, head, members = self.blocks[
+            bisect_right(self.blocks, seq, key=operator.itemgetter(0)) - 1
+        ]
+        step, kind = divmod(seq - first, 3)
+        member = members[step]
+        if kind == 0:
+            return Message(seq, head, member, MessageKind.HELLO)
+        if kind == 1:
+            return Message(seq, member, head, MessageKind.REPLY)
+        address = node_address(self.prefix48, cluster_id, member)
+        return Message(seq, head, member, MessageKind.ASSIGN, address)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (Handshake, list, tuple)):
+            return NotImplemented
+        return list(self) == list(other)
+
+    def __repr__(self) -> str:
+        return f"Handshake(prefix48={self.prefix48:#x}, blocks={self.blocks!r})"
+
+
 def assign_addresses(
     clusters: ClusterSet, prefix: str | int = DEFAULT_PREFIX
-) -> tuple[dict[NodeId, IPv6Address], list[Message]]:
+) -> tuple[dict[NodeId, IPv6Address], Handshake]:
     """Run the assignment handshake over every cluster.
 
-    Returns the address map and the full message trace. Clusters are served
-    in cluster-id order; within each, the head self-assigns silently, then
-    each member in ascending id order costs three messages (Hello, Reply,
-    Assign).
+    Returns the address map and the message trace. Clusters are served in
+    cluster-id order; within each, the head self-assigns silently, then each
+    member in ascending id order costs three messages (Hello, Reply, Assign).
+    Every address is built here, so a ``CapacityError`` is raised by this
+    call; the trace's messages are built only when read.
     """
     prefix48 = parse_prefix(prefix)
     addresses: dict[NodeId, IPv6Address] = {}
-    messages: list[Message] = []
+    blocks = []
     seq = 0
     for cluster in sorted(clusters.clusters, key=lambda c: c.cluster_id):
-        head_addr = node_address(prefix48, cluster.cluster_id, cluster.head)
-        addresses[cluster.head] = head_addr
-        for member in cluster.members:
-            if member == cluster.head:
-                continue
-            addr = node_address(prefix48, cluster.cluster_id, member)
-            messages.append(Message(seq, cluster.head, member, MessageKind.HELLO))
-            seq += 1
-            messages.append(Message(seq, member, cluster.head, MessageKind.REPLY))
-            seq += 1
-            messages.append(Message(seq, cluster.head, member, MessageKind.ASSIGN, addr))
-            seq += 1
-            addresses[member] = addr
-    return addresses, messages
-
+        cluster_id, head = cluster.cluster_id, cluster.head
+        addresses[head] = node_address(prefix48, cluster_id, head)
+        others = tuple(m for m in cluster.members if m != head)
+        for member in others:
+            addresses[member] = node_address(prefix48, cluster_id, member)
+        if others:
+            blocks.append((seq, cluster_id, head, others))
+            seq += 3 * len(others)
+    return addresses, Handshake(prefix48, tuple(blocks))

@@ -161,7 +161,10 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     config = resolve_config(args)
-    nodes, config, input_hash = _load_nodes(args, config)
+    nodes, input_hash = None, None
+    if args.nodes:
+        nodes, config, input_hash = _load_nodes(args, config)
+    # A generated population is placed by run_simulation, after it checks the run's size.
     snapshots = run_simulation(config, nodes, prefix=args.prefix)
     out = _out_dir(args)
     fmt = args.format

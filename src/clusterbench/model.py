@@ -58,6 +58,10 @@ class Node:
     def __post_init__(self) -> None:
         if self.node_id < 0:
             raise InvariantViolation(f"node id must be non-negative, got {self.node_id}")
+        if isinstance(self.energy, bool):  # True >= 0, but it is no reading
+            raise InvariantViolation(
+                f"node {self.node_id}: energy must be a number, got {self.energy!r}"
+            )
         if not self.energy >= 0:  # NaN fails this too
             raise InvariantViolation(
                 f"node {self.node_id}: energy must be >= 0, got {self.energy}"

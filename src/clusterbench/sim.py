@@ -7,8 +7,9 @@ energies, reports the validation on schedule, and — when the report
 recommends it — re-clusters and re-addresses. Positions are static and
 energies only ever decrease. The partition depends on positions alone, so a
 re-cluster reproduces the tick-0 partition, index and addresses; only the
-Hello/Reply/Assign trace, which follows the current heads, is rebuilt.
-Tick 0 never re-clusters.
+Hello/Reply/Assign trace, which follows the current heads, is rebuilt, as a
+``Handshake`` whose messages are built only when read. Tick 0 never
+re-clusters.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from ipaddress import IPv6Address
 
-from .addressing import DEFAULT_PREFIX, Message, assign_addresses
+from .addressing import DEFAULT_PREFIX, Handshake, assign_addresses
 from .clustering import expac_cluster
 from .errors import ClusterBenchError, ConfigError, UndefinedIndexError
 from .head_election import HeadChange, psopac_rebuild, rotate_heads
@@ -42,9 +43,13 @@ class ReclusterEvent:
 
 @dataclass(frozen=True)
 class AddressEvent:
+    """One run of the addressing handshake at ``at_tick``: the run's address
+    map and the ``Handshake`` trace, whose messages are built only when
+    read."""
+
     at_tick: int
     assigned: dict[NodeId, IPv6Address]
-    messages: tuple[Message, ...]
+    messages: Handshake
 
 
 Event = HeadChange | ReclusterEvent | AddressEvent
@@ -116,7 +121,7 @@ def run_simulation(
             # A single-cluster partition has no defined index; the run
             # carries on without a report rather than dying mid-simulation.
             report = None
-        events: list[Event] = [AddressEvent(0, addresses, tuple(messages))]
+        events: list[Event] = [AddressEvent(0, addresses, messages)]
         snapshots = [SimSnapshot(0, clusters, energies, report, tuple(events), addresses)]
     except ClusterBenchError as err:
         raise type(err)(f"tick 0: {err}") from err
@@ -139,7 +144,7 @@ def run_simulation(
             if scheduled is not None and scheduled.recommend_recluster:
                 _, messages = assign_addresses(clusters, prefix)
                 events.append(ReclusterEvent(t, scheduled.dunn_index, count, count))
-                events.append(AddressEvent(t, addresses, tuple(messages)))
+                events.append(AddressEvent(t, addresses, messages))
             snapshots.append(
                 SimSnapshot(t, clusters, energies, scheduled, tuple(events), addresses)
             )

@@ -16,9 +16,11 @@ import os
 import time
 from collections.abc import Iterable, Iterator
 from datetime import datetime, timezone
+from ipaddress import IPv6Address
 from pathlib import Path
 
 from . import __version__
+from .addressing import MessageKind, node_address
 from .errors import ClusterBenchError, ConfigError, InputError, InvariantViolation
 from .head_election import HeadChange
 from .model import (
@@ -82,7 +84,10 @@ _JSON_ROW_SEP = "\n  },\n"
 
 
 def write_table(
-    path: str | Path, columns: list[str], rows: list[tuple] | TimelineRows, fmt: str = "csv"
+    path: str | Path,
+    columns: list[str],
+    rows: list[tuple] | TimelineRows | MessageRows,
+    fmt: str = "csv",
 ) -> None:
     """Write rows (tuples in column order) as CSV or JSON with a trailing newline.
 
@@ -91,17 +96,19 @@ def write_table(
     type, since ``True == 1``) become ``true``/``false``; str enums render
     as their values. JSON is the layout of ``json.dump(indent=2)``, written
     one row at a time, with infinite floats as the strings ``inf``/``-inf``.
-    A ``TimelineRows`` renders its own records in these layouts and is
-    written one tick's chunk at a time.
+    A rows object with ``chunks(fmt)``, such as a ``TimelineRows`` or a
+    ``MessageRows``, renders its own records in these layouts and is written
+    one chunk at a time.
     """
     if fmt not in FORMATS:
         raise InputError(f"format must be one of {FORMATS}, got {fmt!r}")
+    chunks = rows.chunks(fmt) if hasattr(rows, "chunks") else None
     with open(path, "w", encoding="utf-8", newline="") as fh:
         if fmt == "csv":
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(columns)
-            if isinstance(rows, TimelineRows):
-                fh.writelines(rows.chunks(fmt))
+            if chunks is not None:
+                fh.writelines(chunks)
             else:
                 writer.writerows(
                     [("true" if v else "false") if type(v) is bool else v for v in row]
@@ -109,17 +116,16 @@ def write_table(
                 )
         elif not rows:
             fh.write("[]\n")
-        elif isinstance(rows, TimelineRows):
+        else:
+            if chunks is None:
+                chunks = (
+                    "  {\n    " + _json_row(dict(zip(columns, map(_json_cell, row))))[1:-1]
+                    for row in rows
+                )
             sep = "[\n"
-            for chunk in rows.chunks(fmt):
+            for chunk in chunks:
                 fh.write(sep)
                 fh.write(chunk)
-                sep = _JSON_ROW_SEP
-            fh.write("\n  }\n]\n")
-        else:
-            sep = "[\n"
-            for row in rows:
-                fh.write(sep + "  {\n    " + _json_row(dict(zip(columns, map(_json_cell, row))))[1:-1])
                 sep = _JSON_ROW_SEP
             fh.write("\n  }\n]\n")
 
@@ -205,6 +211,15 @@ def _json_text(value) -> str:
     return _json_row(_json_cell(value))
 
 
+class AddressTexts(dict):
+    """Each address's text, by address, made the first time it is asked for
+    (``str`` of an ``IPv6Address`` costs about 10 µs)."""
+
+    def __missing__(self, address: IPv6Address) -> str:
+        text = self[address] = str(address)
+        return text
+
+
 # Per format: the renderer of any one cell, then the text of a timeline
 # record in four pieces and the text between records. The pieces are the tick
 # cell; the node_id, cluster_id, is_head and exempt cells (ids are ints and
@@ -235,11 +250,13 @@ class TimelineRows:
     only when its ``Cluster`` object changes (clusters are frozen, and one
     whose head and exempt set did not change is carried over as the same
     object), its address text once per address map; per record only the
-    tick's shared prefix and the energy are new text.
+    tick's shared prefix and the energy are new text. ``texts`` gives each
+    address's text.
     """
 
-    def __init__(self, snapshots: list[SimSnapshot]) -> None:
+    def __init__(self, snapshots: list[SimSnapshot], texts: AddressTexts) -> None:
         self.snapshots = snapshots
+        self.texts = texts
 
     def __len__(self) -> int:
         return len(self.snapshots) * self.snapshots[0].clusters.node_universe
@@ -253,7 +270,9 @@ class TimelineRows:
         for snap in self.snapshots:
             if snap.addresses is not address_map:
                 address_map = snap.addresses
-                addresses = [address_text.format(cell(str(address_map[i]))) for i in node_ids]
+                addresses = [
+                    address_text.format(cell(self.texts[address_map[i]])) for i in node_ids
+                ]
             for cluster in snap.clusters.clusters:
                 # After each tick every node shows the cluster that held it.
                 # A cluster's members are fixed, so one that held its first
@@ -280,44 +299,108 @@ class TimelineRows:
             )
 
 
+# Per format: the renderer of a kind name or address text, the tick cell that
+# starts each record, the rest of a message record (seq, from and to are
+# ints; the kind and payload cells are passed rendered), the empty payload's
+# cell, and the text between records, as in _TIMELINE_FORMATS. No kind name
+# or address text holds a comma, quote or line break, so in CSV each is its
+# own cell; this also spares csv.writer's 128 KiB record buffer per cell.
+_MESSAGE_FORMATS = {
+    "csv": (str, "{},", "{},{},{},{},{}\n", "", ""),
+    "json": (
+        _json_text,
+        '  {{\n    "at_tick": {},\n    ',
+        '"seq": {},\n    "from": {},\n    "to": {},\n    "kind": {},\n    "payload": {}',
+        "null",
+        _JSON_ROW_SEP,
+    ),
+}
+
+
+class MessageRows:
+    """The simulate messages table, rendered event by event as ``write_table``
+    writes it.
+
+    ``len`` is its record count. It holds the address events, whose traces
+    are ``Handshake`` blocks, and no records: ``chunks(fmt)`` yields each
+    event's records as one text. A block's records, all but their tick cell,
+    are rendered once per write for each distinct (prefix, block), and each
+    distinct address's cell once; per event only the tick's shared prefix is
+    new. ``texts`` gives each address's text.
+    """
+
+    def __init__(self, events: list[AddressEvent], texts: AddressTexts) -> None:
+        self.events = events
+        self.texts = texts
+
+    def __len__(self) -> int:
+        return sum(len(event.messages) for event in self.events)
+
+    def chunks(self, fmt: str) -> Iterator[str]:
+        cell, tick_text, record_text, no_payload, record_sep = _MESSAGE_FORMATS[fmt]
+        hello, reply, assign = (cell(kind.value) for kind in MessageKind)
+        payloads = {}  # each distinct address's cell, by (prefix48, cluster id, node id)
+        rendered = {}  # each distinct block's records, by (prefix48, block)
+
+        # A block's records are kept joined by NUL, which no record holds; per
+        # event, each NUL becomes the separator and the tick's prefix.
+        def render(prefix48, block):
+            seq, cluster_id, head, members = block
+            records = []
+            for member in members:
+                key = (prefix48, cluster_id, member)
+                if key not in payloads:
+                    payloads[key] = cell(self.texts[node_address(*key)])
+                records += (
+                    record_text.format(seq, head, member, hello, no_payload),
+                    record_text.format(seq + 1, member, head, reply, no_payload),
+                    record_text.format(seq + 2, head, member, assign, payloads[key]),
+                )
+                seq += 3
+            return "\0".join(records)
+
+        for event in self.events:
+            handshake = event.messages
+            if not handshake.blocks:
+                continue
+            blocks = []
+            for block in handshake.blocks:
+                key = (handshake.prefix48, block)
+                if key not in rendered:
+                    rendered[key] = render(*key)
+                blocks.append(rendered[key])
+            prefix = tick_text.format(event.at_tick)
+            yield prefix + "\0".join(blocks).replace("\0", record_sep + prefix)
+
+
 def simulation_tables(
     snapshots: list[SimSnapshot],
-) -> dict[str, tuple[list[str], list[tuple] | TimelineRows]]:
+) -> dict[str, tuple[list[str], list[tuple] | TimelineRows | MessageRows]]:
     """The simulate command's tables, by file stem: (columns, rows). The
-    timeline's rows are a ``TimelineRows``, rendered as they are written;
-    every other table's are tuples, and each distinct address in them is
-    rendered as text once."""
-    events, validation, messages = [], [], []
-    texts = {}  # each distinct address as text, by its value
-
-    def text(address):
-        key = int(address)
-        if key not in texts:
-            texts[key] = str(address)
-        return texts[key]
-
+    timeline's rows are a ``TimelineRows`` and the messages' a
+    ``MessageRows``, each rendered as it is written; every other table's
+    are tuples. The three tables that hold addresses share their texts, so
+    each distinct address is made text once."""
+    texts = AddressTexts()
+    events, validation, address_events = [], [], []
     for snap in snapshots:
         for event in snap.events:
             events.append(event_row(event))
             if isinstance(event, AddressEvent):
-                for msg in event.messages:
-                    payload = None if msg.payload is None else text(msg.payload)
-                    messages.append(
-                        (event.at_tick, msg.seq, msg.sender, msg.receiver, msg.kind, payload)
-                    )
+                address_events.append(event)
         if snap.report is not None:
             validation.append(report_row(snap.at_tick, snap.report))
     final = snapshots[-1]
     addresses = [
-        (node_id, cluster.cluster_id, text(final.addresses[node_id]))
+        (node_id, cluster.cluster_id, texts[final.addresses[node_id]])
         for node_id, cluster in enumerate(final.clusters.by_node())
     ]
     return {
-        "timeline": (TIMELINE_COLUMNS, TimelineRows(snapshots)),
+        "timeline": (TIMELINE_COLUMNS, TimelineRows(snapshots, texts)),
         "events": (EVENTS_COLUMNS, events),
         "validation": (VALIDATION_COLUMNS, validation),
         "addresses": (ADDRESSES_COLUMNS, addresses),
-        "messages": (MESSAGES_COLUMNS, messages),
+        "messages": (MESSAGES_COLUMNS, MessageRows(address_events, texts)),
     }
 
 

@@ -10,19 +10,26 @@ cluster and then diffing the heads; its argmax and its membership test are
 written out here and share no code with the library. ``ref_csv_cell`` and
 ``ref_json_cell`` are the per-cell renderings that ``write_table`` must
 reproduce, and ``ref_timeline_rows`` is the simulate timeline as plain
-tuples, each cell looked up afresh from the snapshots.
+tuples, each cell looked up afresh from the snapshots. ``ref_handshake`` is
+the addressing trace as a plain list of messages, each address put together
+from its bit fields, and ``ref_message_rows`` the simulate messages table
+as tuples, each event's trace rebuilt by ``ref_handshake``.
 """
 
 from __future__ import annotations
 
 import math
 from enum import Enum
+from ipaddress import IPv6Address
 
 from clusterbench import (
+    AddressEvent,
     Cluster,
     ClusterSet,
     DegenerateGeometryError,
     InvariantViolation,
+    Message,
+    MessageKind,
     UndefinedIndexError,
     manhattan_distance,
 )
@@ -150,6 +157,48 @@ def ref_timeline_rows(snapshots):
                     str(snap.addresses[node_id]),
                 )
             )
+    return rows
+
+
+#: The 48-bit value of the default prefix fd00::/48.
+DEFAULT_PREFIX48 = 0xFD00 << 32
+
+
+def ref_handshake(clusters, prefix48=DEFAULT_PREFIX48):
+    """Every cluster by ascending id, every non-head member by ascending id:
+    Hello, Reply, Assign, numbered from 0 across the whole list."""
+    trace = []
+    for cluster in sorted(clusters.clusters, key=lambda c: c.cluster_id):
+        head = cluster.head
+        for member in sorted(cluster.members):
+            if member == head:
+                continue
+            address = IPv6Address(prefix48 * 2**80 + cluster.cluster_id * 2**64 + member + 1)
+            for sender, receiver, kind, payload in (
+                (head, member, MessageKind.HELLO, None),
+                (member, head, MessageKind.REPLY, None),
+                (head, member, MessageKind.ASSIGN, address),
+            ):
+                trace.append(Message(len(trace), sender, receiver, kind, payload))
+    return trace
+
+
+MESSAGES_COLUMNS = ["at_tick", "seq", "from", "to", "kind", "payload"]
+
+
+def ref_message_rows(snapshots, prefix48=DEFAULT_PREFIX48):
+    """One tuple per message of every address event, ticks in order: the
+    event's trace rebuilt by ``ref_handshake`` from its snapshot's partition.
+    ``prefix48`` is the run's prefix value, or a list of one per snapshot."""
+    if not isinstance(prefix48, list):
+        prefix48 = [prefix48] * len(snapshots)
+    rows = []
+    for snap, prefix in zip(snapshots, prefix48):
+        for event in snap.events:
+            if isinstance(event, AddressEvent):
+                for msg in ref_handshake(snap.clusters, prefix):
+                    payload = None if msg.payload is None else str(msg.payload)
+                    rows.append((event.at_tick, msg.seq, msg.sender, msg.receiver, msg.kind, payload))
     return rows
 
 

@@ -45,6 +45,37 @@ def partitions(draw, min_nodes=2, max_nodes=24, max_clusters=6, grid=60):
 
 
 @st.composite
+def head_rotations(draw, clusters):
+    """The partition with each cluster's head drawn afresh from its members."""
+    return ClusterSet(
+        tuple(
+            Cluster(c.cluster_id, draw(st.sampled_from(c.members)), c.members)
+            for c in clusters.clusters
+        ),
+        clusters.node_universe,
+    )
+
+
+@st.composite
+def member_moves(draw, clusters):
+    """The partition with one non-head member moved to another cluster. The
+    clusters between the two keep their blocks but shift their message seqs."""
+    movable = [(c, m) for c in clusters.clusters for m in c.members if m != c.head]
+    if not movable or len(clusters.clusters) < 2:
+        return clusters
+    source, node = draw(st.sampled_from(movable))
+    target = draw(st.sampled_from([c for c in clusters.clusters if c is not source]))
+    moved = []
+    for c in clusters.clusters:
+        if c is source:
+            c = Cluster(c.cluster_id, c.head, tuple(m for m in c.members if m != node))
+        elif c is target:
+            c = Cluster(c.cluster_id, c.head, c.members + (node,))
+        moved.append(c)
+    return ClusterSet(tuple(moved), clusters.node_universe)
+
+
+@st.composite
 def partitions_with_energies(draw, max_nodes=20, max_energy=1000):
     """A partition plus an integer energy per node (heads not yet elected)."""
     clusters, positions = draw(partitions(max_nodes=max_nodes))

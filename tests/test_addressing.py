@@ -3,6 +3,7 @@ from ipaddress import IPv6Address
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clusterbench import (
     CapacityError,
@@ -13,7 +14,8 @@ from clusterbench import (
     assign_addresses,
 )
 from clusterbench.addressing import node_address, parse_prefix
-from strategies import partitions, random_partition
+from reference import DEFAULT_PREFIX48, ref_handshake
+from strategies import head_rotations, partitions, random_partition
 
 
 def test_layout_example():
@@ -115,3 +117,30 @@ def test_trace_pattern_per_member():
         for member, kinds in per_member.items():
             assert member not in heads
             assert kinds == [MessageKind.HELLO, MessageKind.REPLY, MessageKind.ASSIGN]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    partition=partitions(max_nodes=30),
+    prefix48=st.sampled_from([0, DEFAULT_PREFIX48, 2**48 - 1]),
+    data=st.data(),
+)
+def test_trace_matches_reference(partition, prefix48, data):
+    # The trace builds its messages as they are read: by iteration, by
+    # index from either end and by slice, it is the reference's list.
+    clusters = data.draw(head_rotations(partition[0]))
+    addresses, trace = assign_addresses(clusters, prefix48)
+    expected = ref_handshake(clusters, prefix48)
+    assert len(trace) == len(expected)
+    assert list(trace) == expected
+    assert trace == expected and trace == tuple(expected)
+    assert [trace[i] for i in range(-len(expected), len(expected))] == expected * 2
+    assert trace[1:-1:2] == expected[1:-1:2] and trace[::-1] == expected[::-1]
+    with pytest.raises(IndexError):
+        trace[len(expected)]
+    assert trace != expected + [expected[0] if expected else None]
+    if expected:
+        assert trace != expected[:-1]
+    for msg in expected:
+        if msg.kind is MessageKind.ASSIGN:
+            assert addresses[msg.receiver] == msg.payload

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from clusterbench import cli, config_from_dict, run_simulation
+from clusterbench import Cluster, ClusterSet, cli, config_from_dict, run_simulation, sim
 from clusterbench.tables import write_table
 
 
@@ -284,6 +284,36 @@ def test_validate_undefined_index(tmp_path, capsys):
     assert run("validate", "--clusters", str(path)) == 0
     assert capsys.readouterr().out.strip() == "UNDEFINED_INDEX"
     assert run("validate", "--clusters", str(path), "--strict") == 4
+
+
+@pytest.mark.parametrize("at_tick", [0, 2])
+def test_address_capacity_error_exits_4_with_its_tick(tmp_path, monkeypatch, capsys, at_tick):
+    # A cluster id must fit 16 bits. Reaching 2**16 clusters takes over
+    # 65 536 nodes, so a partition renumbered at one tick stands in for them;
+    # the addresses are built when the handshake runs, never at write time.
+    def renumbered(clusters):
+        last = clusters.clusters[-1]
+        wide = Cluster(2**16, last.head, last.members, last.threshold_exempt)
+        return ClusterSet(clusters.clusters[:-1] + (wide,), clusters.node_universe)
+
+    if at_tick == 0:
+        cluster = sim.expac_cluster
+        monkeypatch.setattr(sim, "expac_cluster", lambda *args: renumbered(cluster(*args)))
+    else:
+        rotate = sim.rotate_heads
+
+        def rotate_heads(*args):
+            clusters, changes = rotate(*args)
+            return (renumbered(clusters) if args[-1] == at_tick else clusters), changes
+
+        monkeypatch.setattr(sim, "rotate_heads", rotate_heads)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"execution_time": 3.0, "dunn_recluster_threshold": 100.0}))
+    out = tmp_path / "out"
+    assert run("simulate", "--config", str(config), "--out", str(out)) == 4
+    err = capsys.readouterr().err
+    assert err.startswith(f"error[CAPACITY]: tick {at_tick}: cluster id 65536 ")
+    assert not out.exists()
 
 
 def test_validate_without_out_writes_nothing(tmp_path, monkeypatch):

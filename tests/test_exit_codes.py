@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clusterbench import cli
+from clusterbench import cli, sim
 from clusterbench.cli import MAX_SWEEP_SEEDS
 from clusterbench.model import MAX_NODE_TICKS, MAX_NODES, MAX_TICKS
 
@@ -159,6 +159,23 @@ def test_run_size_above_limit_exits_2_before_any_output(steps, extra):
         assert code == 2, err
         assert err.startswith("config error: ") and "node-ticks" in err
         assert not out.exists()
+
+
+def test_run_size_is_checked_before_placement(tmp_path, monkeypatch):
+    # 200 000 nodes take about 0.7 s and 87 MB to place; a run over the bound
+    # must exit before placing any of them.
+    def refuse(config):
+        raise AssertionError("placed a population for a run over the bound")
+
+    monkeypatch.setattr(cli, "generate_scenario", refuse)
+    monkeypatch.setattr(sim, "generate_scenario", refuse)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"node_count": 200_000, "execution_time": 30.0}))
+    out = tmp_path / "out"
+    code, err = run_main("simulate", "--config", cfg, "--out", out)
+    assert code == 2, err
+    assert err.startswith("config error: ") and "node-ticks" in err
+    assert not out.exists()
 
 
 # --- sweep bounds -------------------------------------------------------------

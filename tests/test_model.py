@@ -208,6 +208,15 @@ def test_node_rejects_nan_energy():
         Node(0, Position(0.0, 0.0), float("nan"))
 
 
+@pytest.mark.parametrize("energy", [True, False])
+def test_node_rejects_bool_energy(energy):
+    # True >= 0 holds, but a table would then hold "true", which no reader
+    # takes back as an energy. Ints are numbers and stay accepted.
+    with pytest.raises(InvariantViolation, match="energy must be a number"):
+        Node(0, Position(0.0, 0.0), energy)
+    assert Node(0, Position(0.0, 0.0), 1).energy == 1
+
+
 def test_config_dict_has_every_field():
     data = ScenarioConfig().to_dict()
     assert list(data) == [f.name for f in fields(ScenarioConfig)]

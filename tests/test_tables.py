@@ -7,6 +7,7 @@ import pkgutil
 import tracemalloc
 from enum import Enum
 from ipaddress import IPv6Address
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 import clusterbench
 from clusterbench import (
+    AddressEvent,
     Classification,
     Cluster,
     ClusterSet,
@@ -23,6 +25,8 @@ from clusterbench import (
     Node,
     Position,
     ReclusterEvent,
+    SimSnapshot,
+    assign_addresses,
     config_from_dict,
     generate_scenario,
     run_simulation,
@@ -44,7 +48,16 @@ from clusterbench.tables import (
     write_manifest,
     write_table,
 )
-from reference import TIMELINE_COLUMNS, ref_csv_cell, ref_json_cell, ref_timeline_rows
+from reference import (
+    DEFAULT_PREFIX48,
+    MESSAGES_COLUMNS,
+    TIMELINE_COLUMNS,
+    ref_csv_cell,
+    ref_json_cell,
+    ref_message_rows,
+    ref_timeline_rows,
+)
+from strategies import head_rotations, member_moves, partitions
 
 
 def sample_nodes():
@@ -90,7 +103,8 @@ def reclustering_run():
 
 def test_every_row_has_one_cell_per_column():
     # JSON zips cells with columns, so a short row would lose cells silently.
-    # The timeline renders its own records (see the reference tests below).
+    # The timeline and messages render their own records (see the reference
+    # tests below).
     nodes, snapshots = reclustering_run()
     clusters = snapshots[0].clusters
     tables = [
@@ -99,26 +113,31 @@ def test_every_row_has_one_cell_per_column():
         (VALIDATION_COLUMNS, [report_row(0, snapshots[0].report)]),
     ]
     tables += [(ENERGY_DAT_COLUMNS, rows) for _, rows in energy_dat_rows(clusters, nodes)]
-    tables += [t for stem, t in simulation_tables(snapshots).items() if stem != "timeline"]
-    assert len(tables) == 3 + len(clusters.clusters) + 4
+    tables += [
+        t for stem, t in simulation_tables(snapshots).items() if stem not in ("timeline", "messages")
+    ]
+    assert len(tables) == 3 + len(clusters.clusters) + 3
     for columns, rows in tables:
         assert rows
         for row in rows:
             assert isinstance(row, tuple) and len(row) == len(columns), (columns, row)
 
 
-def test_each_address_is_rendered_once():
-    # Every address cell of the tuple tables is text, and equal addresses
-    # share one string: the addresses table's and the re-clusters' Assign
-    # payloads.
+def test_each_address_is_rendered_once(tmp_path, monkeypatch):
+    # Making an address text costs about 10 µs. The addresses table, the
+    # timeline and the re-clusters' Assign payloads share one text for each
+    # address, in either format.
     _, snapshots = reclustering_run()
     assert sum(isinstance(e, ReclusterEvent) for s in snapshots for e in s.events) > 1
-    tables = simulation_tables(snapshots)
-    texts = {row[2]: row[2] for row in tables["addresses"][1]}
-    assert len(texts) == 200 and all(type(t) is str for t in texts)
-    cells = [row[5] for row in tables["messages"][1] if row[4] is MessageKind.ASSIGN]
-    assert len(cells) > 200
-    assert all(cell is texts[cell] for cell in cells)
+    made, text = [], IPv6Address.__str__
+    monkeypatch.setattr(IPv6Address, "__str__", lambda a: made.append(a) or text(a))
+    for fmt in ("csv", "json"):
+        made.clear()
+        for stem, (columns, rows) in simulation_tables(snapshots).items():
+            write_table(tmp_path / f"{stem}.{fmt}", columns, rows, fmt)
+        assert sorted(made) == sorted(snapshots[0].addresses.values())
+    with open(tmp_path / "messages.csv", encoding="utf-8") as fh:
+        assert sum(row["kind"] == "Assign" for row in csv.DictReader(fh)) > 200
 
 
 ENUM_MEMBERS = [*MessageKind, *Compactness, *Classification]
@@ -172,10 +191,10 @@ def test_json_matches_reference_rendering(scratch, table):
 
 
 # Energies a library-built node may hold: any float >= 0 including inf, and
-# ints (a bool is one), which the timeline renders the way write_table does.
+# ints, which the timeline renders the way write_table does.
 NODE_ENERGIES = st.one_of(
     st.floats(0.0, 1000.0),
-    st.sampled_from([math.inf, -0.0, 5e-324, 1e22, 0, 700, True]),
+    st.sampled_from([math.inf, -0.0, 5e-324, 1e22, 0, 700]),
 )
 
 
@@ -207,27 +226,69 @@ def simulations(draw):
     return run_simulation(config, nodes)
 
 
+def assert_written_as(path, columns, rows, expected_rows):
+    """``rows`` written by write_table as CSV and as JSON equal the reference
+    tuples rendered by csv.writer and json.dumps with the reference cells."""
+    assert len(rows) == len(expected_rows)
+
+    write_table(path.with_suffix(".csv"), columns, rows, "csv")
+    expected = io.StringIO()
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(columns)
+    for row in expected_rows:
+        writer.writerow([ref_csv_cell(v) for v in row])
+    assert path.with_suffix(".csv").read_bytes() == expected.getvalue().encode("utf-8")
+
+    write_table(path.with_suffix(".json"), columns, rows, "json")
+    payload = [dict(zip(columns, map(ref_json_cell, row))) for row in expected_rows]
+    assert path.with_suffix(".json").read_text(encoding="utf-8") == (
+        json.dumps(payload, indent=2) + "\n"
+    )
+
+
 @settings(max_examples=150, deadline=None)
 @given(snapshots=simulations())
 def test_timeline_matches_reference_rendering(scratch, snapshots):
-    expected_rows = ref_timeline_rows(snapshots)
     columns, rows = simulation_tables(snapshots)["timeline"]
     assert columns == TIMELINE_COLUMNS
-    assert len(rows) == len(expected_rows)
+    assert_written_as(scratch / "timeline", columns, rows, ref_timeline_rows(snapshots))
 
-    write_table(scratch / "timeline.csv", columns, rows, "csv")
-    expected = io.StringIO()
-    writer = csv.writer(expected, lineterminator="\n")
-    writer.writerow(TIMELINE_COLUMNS)
-    for row in expected_rows:
-        writer.writerow([ref_csv_cell(v) for v in row])
-    assert (scratch / "timeline.csv").read_bytes() == expected.getvalue().encode("utf-8")
 
-    write_table(scratch / "timeline.json", columns, rows, "json")
-    payload = [dict(zip(TIMELINE_COLUMNS, map(ref_json_cell, row))) for row in expected_rows]
-    assert (scratch / "timeline.json").read_text(encoding="utf-8") == (
-        json.dumps(payload, indent=2) + "\n"
-    )
+@settings(max_examples=150, deadline=None)
+@given(snapshots=simulations())
+def test_messages_match_reference_rendering(scratch, snapshots):
+    columns, rows = simulation_tables(snapshots)["messages"]
+    assert columns == MESSAGES_COLUMNS
+    assert_written_as(scratch / "messages", columns, rows, ref_message_rows(snapshots))
+
+
+@settings(max_examples=150, deadline=None)
+@given(partition=partitions(max_nodes=16), data=st.data())
+def test_messages_follow_each_address_event(scratch, partition, data):
+    # Up to five address events over one node set. Between two events each
+    # head may move, a member may move to another cluster (which shifts the
+    # seqs of the clusters in between) and the prefix may change, so a block
+    # rendered for one event is reused only where it is the same block.
+    clusters, _ = partition
+    n = clusters.node_universe
+    gaps = data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=5))
+    snapshots, prefixes = [], []
+    for tick in accumulate(gaps):
+        clusters = data.draw(
+            st.one_of(
+                st.just(clusters),
+                head_rotations(clusters),
+                member_moves(clusters),
+            )
+        )
+        prefix48 = data.draw(st.sampled_from([DEFAULT_PREFIX48, 0, 2**48 - 1]))
+        addresses, trace = assign_addresses(clusters, prefix48)
+        event = AddressEvent(tick, addresses, trace)
+        energies = dict.fromkeys(range(n), 0.0)
+        snapshots.append(SimSnapshot(tick, clusters, energies, None, (event,), addresses))
+        prefixes.append(prefix48)
+    columns, rows = simulation_tables(snapshots)["messages"]
+    assert_written_as(scratch / "events", columns, rows, ref_message_rows(snapshots, prefixes))
 
 
 def test_timeline_is_written_without_a_row_list(tmp_path):
@@ -259,6 +320,35 @@ def test_timeline_is_written_without_a_row_list(tmp_path):
             tracemalloc.stop()
         assert len(rows) == 100_500
         assert peak < 1.2e6, (fmt, peak)
+
+
+def test_messages_are_written_without_a_row_list(tmp_path):
+    # reclustering_run re-addresses at each of its 6 ticks, 339 messages an
+    # event. Held as row tuples until written, they took about 220 KB, some
+    # 26 times one event's CSV text. Rendered event by event, the messages
+    # table and its write take a small multiple of one event's text beyond
+    # what the same write of no rows takes (for CSV, csv.writer's 128 KiB
+    # record buffer): the per-address texts, the blocks rendered so far
+    # (about two events' worth here) and one event's text in flight.
+    _, snapshots = reclustering_run()
+    for fmt in ("csv", "json"):
+        tracemalloc.start()
+        try:
+            write_table(tmp_path / f"empty.{fmt}", MESSAGES_COLUMNS, [], fmt)
+            fixed = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        tracemalloc.start()
+        try:
+            columns, rows = simulation_tables(snapshots)["messages"]
+            tracemalloc.reset_peak()
+            write_table(tmp_path / f"messages.{fmt}", columns, rows, fmt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(rows) == 6 * 339
+        chunk = max(map(len, rows.chunks(fmt)))
+        assert peak - fixed < 16 * chunk, (fmt, peak, fixed, chunk)
 
 
 def test_every_enum_is_a_str_enum():
