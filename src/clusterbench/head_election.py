@@ -42,17 +42,30 @@ def psopac_rebuild(
     return rotate_heads(clusters, energies, threshold, comparator)[0]
 
 
+def cluster_states(clusters: ClusterSet) -> dict[tuple, Cluster]:
+    """A ``rotate_heads`` state mapping that holds the clusters of ``clusters``."""
+    return {(c.cluster_id, c.head, c.members, c.threshold_exempt): c for c in clusters.clusters}
+
+
 def rotate_heads(
     clusters: ClusterSet,
     energies: dict[NodeId, EnergyLevel],
     threshold: EnergyLevel,
     comparator: str = COMPARATOR_BELOW,
     at_tick: int = 0,
+    states: dict[tuple, Cluster] | None = None,
 ) -> tuple[ClusterSet, list[HeadChange]]:
     """Recompute every head and exempt set from current energies, reporting
     the head changes, each stamped ``at_tick``. A cluster whose head and
     exempt set are unchanged is returned as is: it was checked with exactly
-    these members and flags."""
+    these members and flags.
+
+    ``states`` interns cluster states across calls: it maps each state, the
+    tuple of every field a ``Cluster`` holds, to the one checked ``Cluster``
+    that has it (``cluster_states`` seeds one). A re-election that lands on a
+    state in the mapping returns that object; any other state is built,
+    checked and recorded. Without a mapping every changed cluster is built
+    afresh."""
     if not clusters.clusters:
         raise InputError("cluster set is empty")
     if comparator not in COMPARATORS:
@@ -60,6 +73,8 @@ def rotate_heads(
     # "below" keeps the published behaviour: a member passes while its energy
     # is under the threshold. "at_or_above" is the conventional reading.
     below = comparator == COMPARATOR_BELOW
+    if states is None:
+        states = {}  # members are disjoint, so no state recurs within one call
     elected = []
     changes = []
     for cluster in clusters.clusters:
@@ -84,6 +99,10 @@ def rotate_heads(
         if head != cluster.head:
             changes.append(HeadChange(cluster.cluster_id, cluster.head, head, at_tick))
         if head != cluster.head or failed != cluster.threshold_exempt:
-            cluster = Cluster(cluster.cluster_id, head, cluster.members, frozenset(failed))
+            state = (cluster.cluster_id, head, cluster.members, frozenset(failed))
+            try:
+                cluster = states[state]
+            except KeyError:
+                cluster = states[state] = Cluster(*state)
         elected.append(cluster)
     return ClusterSet(tuple(elected), clusters.node_universe), changes

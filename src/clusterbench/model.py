@@ -27,8 +27,10 @@ COMPARATORS = (COMPARATOR_BELOW, COMPARATOR_AT_OR_ABOVE)
 MAX_TICKS = 100_000
 
 #: The most node-ticks a simulation may have: nodes × ticks, tick 0 included.
-#: Every snapshot is kept until the run is written, about 140 B a node-tick,
-#: so the bound caps them near 700 MB. It is 50 times the 500-node, 201-tick
+#: Every snapshot is kept until the run is written, about 80 B a node-tick
+#: (each distinct cluster state is one object per run; tracemalloc holds
+#: 8.0 MB for the 100 500 node-ticks of the 500-node, 201-tick benchmark
+#: run), so the bound caps them near 400 MB. It is 50 times that
 #: benchmark run and admits 25 nodes at MAX_TICKS; without it, MAX_NODES at
 #: MAX_TICKS would be 10**11 node-ticks.
 MAX_NODE_TICKS = 5_000_000

@@ -20,7 +20,7 @@ from ipaddress import IPv6Address
 from .addressing import DEFAULT_PREFIX, Handshake, assign_addresses
 from .clustering import expac_cluster
 from .errors import ClusterBenchError, ConfigError, UndefinedIndexError
-from .head_election import HeadChange, psopac_rebuild, rotate_heads
+from .head_election import HeadChange, cluster_states, psopac_rebuild, rotate_heads
 from .model import (
     MAX_NODE_TICKS,
     ClusterSet,
@@ -60,9 +60,9 @@ class SimSnapshot:
     """State at the end of one tick.
 
     The address map is fixed after tick 0, so every snapshot and address event
-    of a run shares that one dict; treat it as read-only. Likewise a cluster
-    whose head and exempt set did not change is the same object as in the
-    previous snapshot.
+    of a run shares that one dict; treat it as read-only. Likewise each
+    distinct cluster state (id, head, members and exempt set) is one
+    ``Cluster`` object per run, shared by every snapshot that holds it.
     """
 
     at_tick: int
@@ -130,14 +130,16 @@ def run_simulation(
     # membership, so every later partition, Dunn report and address map is
     # the tick-0 one: a re-cluster keeps the cluster count and re-runs only
     # the handshake, whose trace depends on the current heads. rotate_heads
-    # re-elects every cluster but carries over, as the same object, each
-    # cluster whose head and exempt set are unchanged.
+    # re-elects every cluster, but each distinct cluster state is built and
+    # checked once per run: heads cycle among the same few members, so
+    # ``states`` hands back the object of a state seen before.
     count = len(clusters.clusters)
+    states = cluster_states(clusters)
     for t in range(1, config.steps + 1):
         try:
             energies = drain(energies, clusters, config)
             clusters, changes = rotate_heads(
-                clusters, energies, config.energy_threshold, config.comparator, t
+                clusters, energies, config.energy_threshold, config.comparator, t, states
             )
             events = list(changes)
             scheduled = report if t % config.validation_interval == 0 else None

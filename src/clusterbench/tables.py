@@ -220,13 +220,14 @@ class AddressTexts(dict):
         return text
 
 
-# Per format: the renderer of any one cell, then the text of a timeline
-# record in four pieces and the text between records. The pieces are the tick
-# cell; the node_id, cluster_id, is_head and exempt cells (ids are ints and
-# flags are passed as "true"/"false", so none needs quoting or escaping) up
-# to the energy's value; and the address cell, passed rendered. A JSON record
-# is one object of write_table's layout, whose closing brace belongs to the
-# separator.
+# Per format: the renderer of a non-float energy cell, then the text of a
+# timeline record in four pieces and the text between records. The pieces are
+# the tick cell; the node_id, cluster_id, is_head and exempt cells (ids are
+# ints and flags are passed as "true"/"false", so none needs quoting or
+# escaping) up to the energy's value; and the address cell. An address text
+# holds no comma, quote, backslash or line break, so it is its own CSV cell
+# and, between quotes, its own JSON string. A JSON record is one object of
+# write_table's layout, whose closing brace belongs to the separator.
 _TIMELINE_FORMATS = {
     "csv": (_csv_text, "{},", "{},{},{},{},", ",{}\n", ""),
     "json": (
@@ -234,7 +235,7 @@ _TIMELINE_FORMATS = {
         '  {{\n    "tick": {},\n    ',
         '"node_id": {},\n    "cluster_id": {},\n    "is_head": {},\n    "exempt": {},\n'
         '    "energy": ',
-        ',\n    "address": {}',
+        ',\n    "address": "{}"',
         _JSON_ROW_SEP,
     ),
 }
@@ -246,10 +247,11 @@ class TimelineRows:
 
     ``len`` is its record count, ticks × nodes. It holds the snapshots and
     no records: ``chunks(fmt)`` yields each tick's records as one text. A
-    node's node_id, cluster_id, is_head and exempt text is rendered again
-    only when its ``Cluster`` object changes (clusters are frozen, and one
-    whose head and exempt set did not change is carried over as the same
-    object), its address text once per address map; per record only the
+    node's node_id, cluster_id, is_head and exempt text is looked up again
+    only when its ``Cluster`` object changes (clusters are frozen, and each
+    distinct cluster state is one object per run), and rendered once per
+    write for each of the node's (cluster_id, is_head, exempt) variants; its
+    address text is rendered once per address map. Per record only the
     tick's shared prefix and the energy are new text. ``texts`` gives each
     address's text.
     """
@@ -264,15 +266,16 @@ class TimelineRows:
     def chunks(self, fmt: str) -> Iterator[str]:
         cell, tick_text, node_text, address_text, record_sep = _TIMELINE_FORMATS[fmt]
         node_ids = range(self.snapshots[0].clusters.node_universe)
-        shown = [None] * len(node_ids)  # the Cluster each node's text was rendered from
+        shown = [None] * len(node_ids)  # the Cluster each node's text was taken from
         nodes = [None] * len(node_ids)
+        # Each node's texts, by (node_id, cluster_id, is_head, exempt): a node
+        # takes few of them, while its cluster takes many states.
+        variants = {}
         address_map = None
         for snap in self.snapshots:
             if snap.addresses is not address_map:
                 address_map = snap.addresses
-                addresses = [
-                    address_text.format(cell(self.texts[address_map[i]])) for i in node_ids
-                ]
+                addresses = [address_text.format(self.texts[address_map[i]]) for i in node_ids]
             for cluster in snap.clusters.clusters:
                 # After each tick every node shows the cluster that held it.
                 # A cluster's members are fixed, so one that held its first
@@ -282,9 +285,13 @@ class TimelineRows:
                 cluster_id, head, exempt = cluster.cluster_id, cluster.head, cluster.threshold_exempt
                 for node_id in cluster.members:
                     shown[node_id] = cluster
-                    nodes[node_id] = node_text.format(
-                        node_id, cluster_id, _FLAG_TEXT[node_id == head], _FLAG_TEXT[node_id in exempt]
-                    )
+                    variant = (node_id, cluster_id, node_id == head, node_id in exempt)
+                    text = variants.get(variant)
+                    if text is None:
+                        text = variants[variant] = node_text.format(
+                            node_id, cluster_id, _FLAG_TEXT[variant[2]], _FLAG_TEXT[variant[3]]
+                        )
+                    nodes[node_id] = text
             energies = list(map(snap.energies.__getitem__, node_ids))
             # A float renders as its repr, except that JSON writes inf as a
             # string (energies are >= 0, so inf is the one non-finite value);

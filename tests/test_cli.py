@@ -1,4 +1,5 @@
 import csv
+import inspect
 import json
 import math
 
@@ -302,9 +303,10 @@ def test_address_capacity_error_exits_4_with_its_tick(tmp_path, monkeypatch, cap
     else:
         rotate = sim.rotate_heads
 
-        def rotate_heads(*args):
-            clusters, changes = rotate(*args)
-            return (renumbered(clusters) if args[-1] == at_tick else clusters), changes
+        def rotate_heads(*args, **kwargs):
+            clusters, changes = rotate(*args, **kwargs)
+            tick = inspect.signature(rotate).bind(*args, **kwargs).arguments.get("at_tick", 0)
+            return (renumbered(clusters) if tick == at_tick else clusters), changes
 
         monkeypatch.setattr(sim, "rotate_heads", rotate_heads)
     config = tmp_path / "config.json"

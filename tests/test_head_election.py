@@ -11,6 +11,7 @@ from clusterbench import (
     psopac_rebuild,
     rotate_heads,
 )
+from clusterbench.head_election import cluster_states
 from clusterbench.model import COMPARATORS
 from reference import ref_rotate_heads
 from strategies import partitions_with_energies
@@ -162,3 +163,51 @@ def test_rotate_matches_reference(data, threshold, comparator, draw):
         for old, new in zip(start.clusters, rotated.clusters):
             unchanged = (new.head, new.threshold_exempt) == (old.head, old.threshold_exempt)
             assert (new is old) == unchanged
+
+
+def test_shared_states_return_a_state_seen_before_as_its_object():
+    cs, snap = one_cluster({0: 100.0, 1: 90.0})
+    a, _ = rotate_heads(cs, snap, threshold=1000.0)
+    states = cluster_states(a)
+    b, changes = rotate_heads(a, {0: 80.0, 1: 90.0}, 1000.0, at_tick=1, states=states)
+    assert [(c.old_head, c.new_head) for c in changes] == [(0, 1)]
+    back, changes = rotate_heads(b, {0: 70.0, 1: 60.0}, 1000.0, at_tick=2, states=states)
+    assert [(c.old_head, c.new_head) for c in changes] == [(1, 0)]
+    assert back.clusters[0] is a.clusters[0]
+    assert [id(c) for c in states.values()] == [id(a.clusters[0]), id(b.clusters[0])]
+
+
+def test_without_states_a_changed_cluster_is_built_afresh():
+    cs, snap = one_cluster({0: 100.0, 1: 90.0})
+    a, _ = rotate_heads(cs, snap, threshold=1000.0)
+    b, _ = rotate_heads(a, {0: 80.0, 1: 90.0}, 1000.0, at_tick=1)
+    back, _ = rotate_heads(b, {0: 70.0, 1: 60.0}, 1000.0, at_tick=2)
+    assert back.clusters[0] == a.clusters[0]
+    assert back.clusters[0] is not a.clusters[0]
+
+
+@settings(max_examples=150)
+@given(
+    data=partitions_with_energies(max_energy=8),
+    threshold=st.integers(0, 8).map(float),
+    comparator=st.sampled_from(COMPARATORS),
+    ticks=st.lists(st.dictionaries(st.integers(0, 19), st.integers(0, 8)), min_size=1, max_size=6),
+)
+def test_rotate_with_shared_states_matches_reference(data, threshold, comparator, ticks):
+    # Small integer energies moved a few at a time make heads and exempt sets
+    # return to earlier states, which must come back as their first object.
+    clusters, _positions, energies = data
+    current, _ = ref_rotate_heads(clusters, energies, threshold, comparator)
+    states = cluster_states(current)
+    seen = {id(c): c for c in current.clusters}
+    for tick, moves in enumerate(ticks, 1):
+        energies = {n: float(moves.get(n, e)) for n, e in energies.items()}
+        expected = ref_rotate_heads(current, energies, threshold, comparator, tick)
+        current, changes = rotate_heads(current, energies, threshold, comparator, tick, states)
+        assert (current, changes) == expected
+        for cluster in current.clusters:
+            key = (cluster.cluster_id, cluster.head, cluster.members, cluster.threshold_exempt)
+            assert states[key] is cluster
+            seen[id(cluster)] = cluster
+    # One object per distinct state over the whole run.
+    assert len({(c.cluster_id, c.head, c.members, c.threshold_exempt) for c in seen.values()}) == len(seen)

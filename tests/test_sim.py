@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import pytest
 
 from clusterbench import (
@@ -266,3 +269,68 @@ def test_unchanged_clusters_carry_over_between_ticks():
                 continue
             assert new is not old and new == built
     assert all(kinds.values()), kinds
+
+
+def steady_config():
+    # perfbench's sim_steady run: 500 nodes at 25 nodes/ha over 201 ticks,
+    # validated at tick 0 only, with drains slow enough that heads cycle
+    # among the same members (15 467 head changes over 864 cluster states).
+    side = 100.0 * math.sqrt(500 / 25)
+    return ScenarioConfig(
+        node_count=500,
+        area=(side, side),
+        execution_time=200.0,
+        drain_member=2.0,
+        drain_head=10.0,
+        validation_interval=1000,
+    )
+
+
+def test_each_cluster_state_is_built_once_per_run(monkeypatch):
+    built = []
+    post_init = Cluster.__post_init__
+
+    def counted(self):
+        post_init(self)
+        built.append((self.cluster_id, self.head, self.members, self.threshold_exempt))
+
+    monkeypatch.setattr(Cluster, "__post_init__", counted)
+    first_tick = []  # builds made before the first re-election, at tick 0
+    rotate = sim.rotate_heads
+
+    def rotate_heads(*args, **kwargs):
+        if not first_tick:
+            first_tick.append(len(built))
+        return rotate(*args, **kwargs)
+
+    monkeypatch.setattr(sim, "rotate_heads", rotate_heads)
+    snaps = run_simulation(steady_config())
+    seen = set()
+    new_states = []  # after tick 0, each state in the order it first appears
+    for snap in snaps:
+        for c in snap.clusters.clusters:
+            state = (c.cluster_id, c.head, c.members, c.threshold_exempt)
+            if state not in seen:
+                seen.add(state)
+                if snap.at_tick > 0:
+                    new_states.append(state)
+    assert built[first_tick[0]:] == new_states
+    assert len(head_changes(snaps)) > 10 * len(new_states)
+    objects = {id(c): c for snap in snaps for c in snap.clusters.clusters}
+    assert len(objects) == len(seen)
+
+
+def test_run_holds_under_10_mb_on_the_steady_workload():
+    # 100 500 node-ticks. Each tick's snapshot keeps its energies dict and
+    # partition; every cluster state is shared, so the run holds about 8.0 MB,
+    # against 13.1 MB when each head change built a new Cluster. tracemalloc
+    # counts Python's allocations, so the figure does not depend on the host.
+    config = steady_config()
+    tracemalloc.start()
+    try:
+        snaps = run_simulation(config)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(snaps) == 201
+    assert held < 10e6, held
