@@ -36,12 +36,12 @@ from .model import (
 )
 from .sim import run_simulation
 from .tables import (
-    CLUSTERS_COLUMNS,
+    CLUSTERS_TABLE,
     ENERGY_DAT_COLUMNS,
     MEDIAN_DAT_COLUMNS,
-    NODES_COLUMNS,
-    SWEEP_COLUMNS,
-    VALIDATION_COLUMNS,
+    NODES_TABLE,
+    SWEEP_TABLE,
+    VALIDATION_TABLE,
     clusters_rows,
     energy_dat_rows,
     manifest_data,
@@ -106,7 +106,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     nodes = generate_scenario(config)
     out = _out_dir(args)
     table = out / f"nodes.{args.format}"
-    write_table(table, NODES_COLUMNS, nodes_rows(nodes), args.format)
+    write_table(table, NODES_TABLE, nodes_rows(nodes), args.format)
     write_manifest(out / "manifest.json", manifest_data("generate", config, args.format))
     print(f"wrote {len(nodes)} nodes to {table}")
     return 0
@@ -120,7 +120,7 @@ def cmd_cluster(args: argparse.Namespace) -> int:
     clusters = psopac_rebuild(clusters, energies, config.energy_threshold, config.comparator)
     out = _out_dir(args)
     table = out / f"clusters.{args.format}"
-    write_table(table, CLUSTERS_COLUMNS, clusters_rows(clusters, nodes), args.format)
+    write_table(table, CLUSTERS_TABLE, clusters_rows(clusters, nodes), args.format)
     for cluster_id, rows in energy_dat_rows(clusters, nodes):
         write_dat(out / f"cluster_{cluster_id:03d}_energy.dat", ENERGY_DAT_COLUMNS, rows)
 
@@ -152,7 +152,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     if args.out:
         out = _out_dir(args)
         rows = [report_row(0, report)]
-        write_table(out / f"report.{args.format}", VALIDATION_COLUMNS, rows, args.format)
+        write_table(out / f"report.{args.format}", VALIDATION_TABLE, rows, args.format)
         manifest = manifest_data("validate", config, args.format)
         manifest["input_clusters_sha256"] = sha256_file(args.clusters)
         write_manifest(out / "manifest.json", manifest)
@@ -168,8 +168,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     snapshots = run_simulation(config, nodes, prefix=args.prefix)
     out = _out_dir(args)
     fmt = args.format
-    for stem, (columns, rows) in simulation_tables(snapshots).items():
-        write_table(out / f"{stem}.{fmt}", columns, rows, fmt)
+    for stem, (table, rows) in simulation_tables(snapshots).items():
+        write_table(out / f"{stem}.{fmt}", table, rows, fmt)
     manifest = manifest_data("simulate", config, fmt)
     if input_hash:
         manifest["input_nodes_sha256"] = input_hash
@@ -217,7 +217,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             print(f"warning: no defined index for node_count={size}", file=sys.stderr)
 
     out = _out_dir(args)
-    write_table(out / f"sweep.{args.format}", SWEEP_COLUMNS, results, args.format)
+    write_table(out / f"sweep.{args.format}", SWEEP_TABLE, results, args.format)
     write_dat(out / "median_index.dat", MEDIAN_DAT_COLUMNS, medians)
     write_manifest(out / "manifest.json", manifest_data("sweep", config, args.format))
     for size, median in medians:

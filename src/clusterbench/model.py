@@ -266,7 +266,10 @@ def read_config_file(path: str) -> dict:
             data = json.load(fh)
     except OSError as err:
         raise ConfigError(f"cannot read config {path}: {err}") from err
-    except json.JSONDecodeError as err:
+    except (ValueError, RecursionError) as err:
+        # ValueError covers malformed JSON, bytes that are not UTF-8 and an
+        # integer over int's 4 300-digit text limit; RecursionError, nesting
+        # deeper than the interpreter's stack.
         raise ConfigError(f"config {path} is not valid JSON: {err}") from err
     if not isinstance(data, dict):
         raise ConfigError(f"config {path} must hold a JSON object")

@@ -2,20 +2,24 @@
 
 Every output file's columns, rows and cells are decided here: the CSV/JSON
 tables, the ``.dat`` plot files and the run manifest, plus the readers that
-load node and cluster tables back.
+load node and cluster tables back. Each CSV/JSON table is declared once, as
+a ``Table`` of column names and cell ``Kind``s, and every byte of its records
+comes from the ``Layout`` derived from that declaration.
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
-import io
 import json
 import math
 import os
 import time
 from collections.abc import Iterable, Iterator
+from dataclasses import astuple, dataclass
 from datetime import datetime, timezone
+from enum import Enum
+from functools import partial
 from ipaddress import IPv6Address
 from pathlib import Path
 
@@ -34,100 +38,170 @@ from .model import (
     ScenarioConfig,
 )
 from .sim import AddressEvent, ReclusterEvent, SimSnapshot
-from .validation import ValidationReport
+from .validation import STRICT_PCT_FOOTNOTE, Classification, Compactness, ValidationReport
 
-NODES_COLUMNS = ["node_id", "x", "y", "energy"]
-CLUSTERS_COLUMNS = ["cluster_id", "node_id", "is_head", "energy", "x", "y", "exempt"]
-TIMELINE_COLUMNS = ["tick", "node_id", "cluster_id", "is_head", "exempt", "energy", "address"]
-EVENTS_COLUMNS = [
-    "at_tick",
-    "kind",
-    "cluster_id",
-    "old_head",
-    "new_head",
-    "trigger_index",
-    "old_cluster_count",
-    "new_cluster_count",
-    "assigned",
-    "messages",
-]
-VALIDATION_COLUMNS = [
-    "at_tick",
-    "dunn_index",
-    "separation_pct",
-    "overlap_pct",
-    "compactness",
-    "classification",
-    "recommend_recluster",
-    "footnote",
-]
-ADDRESSES_COLUMNS = ["node_id", "cluster_id", "address"]
-MESSAGES_COLUMNS = ["at_tick", "seq", "from", "to", "kind", "payload"]
-SWEEP_COLUMNS = ["node_count", "seed", "dunn_index"]
+
+@dataclass(frozen=True)
+class Kind:
+    """What one column's cells hold: ``base`` is "int"; "number", a float or
+    an int from a library-built node; "flag", a bool; "address", an address
+    text; or "text", one of ``vocabulary``. ``optional`` cells may be None."""
+
+    base: str
+    optional: bool = False
+    vocabulary: tuple = ()
+
+
+INT, NUMBER, FLAG, ADDRESS = Kind("int"), Kind("number"), Kind("flag"), Kind("address")
+OPTIONAL_INT, OPTIONAL_NUMBER = Kind("int", optional=True), Kind("number", optional=True)
+FORMATS = ("csv", "json")
+#: Records a chunk of a tuple table: a chunk's text stays small beside the rows.
+CHUNK_ROWS = 128
+
+
+def _csv_quoted(text: str) -> str:
+    """A text as one CSV cell: quoted, quotes doubled, if it could split the cell."""
+    return '"' + text.replace('"', '""') + '"' if any(c in text for c in ',"\r\n') else text
+
+
+def _translation(kind: Kind, fmt: str) -> tuple[dict | None, bool, str]:
+    """How a format writes a kind's cells: a map from each value that needs
+    one to its text (None if none does), whether every cell must be a key of
+    it, and the format of every other value. ``format`` writes an int or a
+    float as its repr, as csv.writer and the JSON encoder do, but a bool as
+    ``True`` and a str enum as its qualified name, so flags and texts always
+    take their map; and since True == 1, only flag columns have bool keys.
+    An address text holds no comma, quote, backslash or line break."""
+    json_fmt = fmt == "json"
+    if kind.base == "flag":
+        cells = {False: "false", True: "true"}
+    elif kind.base == "text":
+        texts = [t.value if isinstance(t, Enum) else t for t in kind.vocabulary]
+        cells = {t: json.dumps(t) if json_fmt else _csv_quoted(t) for t in texts}
+    elif kind.base == "number" and json_fmt:  # the encoder would write Infinity
+        cells = {math.inf: '"inf"', -math.inf: '"-inf"'}
+    else:
+        cells = {}
+    if kind.optional:
+        cells[None] = "null" if json_fmt else ""
+    cell_format = '"{}"' if json_fmt and kind.base == "address" else "{}"
+    return cells or None, kind.base in ("flag", "text"), cell_format
+
+
+class Layout:
+    """What a write of one table in one format needs, derived from the
+    table's declaration. A file is ``head``, the records joined by ``sep``
+    and ``tail``, or ``empty`` if it has no record. A record is
+    ``before[0]``, cell 0, ``before[1]``, cell 1 and so on, then ``end``; in
+    JSON, one object of ``json.dump(indent=2)``'s layout. ``before`` and
+    ``end`` are ``str.format`` texts, with each brace doubled."""
+
+    def __init__(self, table: Table, fmt: str) -> None:
+        if fmt == "csv":
+            self.before = ["", *[","] * (len(table.columns) - 1)]
+            self.end, self.sep, self.tail = "\n", "", ""
+            self.head = self.empty = ",".join(table.columns) + "\n"
+        else:
+            keys = [json.dumps(name) + ": " for name in table.columns]
+            self.before = ["  {{\n    " + keys[0], *(",\n    " + key for key in keys[1:])]
+            self.end, self.sep, self.tail = "\n  }}", ",\n", "\n]\n"
+            self.head, self.empty = "[\n", "[]\n"
+        self.maps, self.strict, self.formats = zip(*(_translation(k, fmt) for k in table.kinds))
+        # A column without a map puts its format in the tuple template; one
+        # with a map goes through it, in C unless its misses need a format.
+        self.template = self.slots(0, len(self.before), values=True)
+        self.steps = [
+            None if cells is None
+            else partial(map, cells.__getitem__) if strict
+            else partial(map, partial(self.cell, i)) if form != "{}"
+            else lambda column, get=cells.get: map(get, column, column)
+            for i, (cells, strict, form) in enumerate(zip(self.maps, self.strict, self.formats))
+        ]
+
+    def cell(self, i: int, value) -> str:
+        """The text of ``value`` in column ``i`` (a KeyError outside a vocabulary)."""
+        cells = self.maps[i]
+        if cells is not None and (self.strict[i] or value in cells):
+            return cells[value]
+        return self.formats[i].format(value)
+
+    def slots(self, start: int, stop: int, values: bool = False) -> str:
+        """The format of columns start..stop-1, each slot after the text
+        before it, and the record end if ``stop`` is past the last column.
+        Slots take cell texts, or with ``values`` map-less columns' values."""
+        text = "".join(
+            self.before[i] + (self.formats[i] if values and self.maps[i] is None else "{}")
+            for i in range(start, stop)
+        )
+        return text + (self.end if stop == len(self.before) else "")
+
+    def records(self, rows: list[tuple]) -> Iterator[str]:
+        """Tuples in column order as records, ``CHUNK_ROWS`` a chunk: a
+        chunk's columns go through their steps and, together, the template."""
+        for start in range(0, len(rows), CHUNK_ROWS):
+            columns = list(zip(*rows[start : start + CHUNK_ROWS], strict=True))
+            if len(columns) != len(self.steps):
+                raise ValueError(f"rows of {len(columns)} cells for {len(self.steps)} columns")
+            cells = [c if step is None else step(c) for step, c in zip(self.steps, columns)]
+            yield self.sep.join(map(self.template.format, *cells))
+
+
+class Table:
+    """A CSV/JSON table: column names in order, each cell's ``Kind``, a ``Layout`` per format."""
+
+    def __init__(self, kinds: dict[str, Kind]) -> None:
+        self.columns, self.kinds = list(kinds), list(kinds.values())
+        self.layouts = {fmt: Layout(self, fmt) for fmt in FORMATS}
+
+
+NODES_TABLE = Table({"node_id": INT, "x": NUMBER, "y": NUMBER, "energy": NUMBER})
+CLUSTERS_TABLE = Table({
+    "cluster_id": INT, "node_id": INT, "is_head": FLAG, "energy": NUMBER, "x": NUMBER,
+    "y": NUMBER, "exempt": FLAG,
+})
+# TimelineRows and MessageRows render their records by column position.
+TIMELINE_TABLE = Table({
+    "tick": INT, "node_id": INT, "cluster_id": INT, "is_head": FLAG, "exempt": FLAG,
+    "energy": NUMBER, "address": ADDRESS,
+})
+EVENTS_TABLE = Table({
+    "at_tick": INT, "kind": Kind("text", vocabulary=("head_change", "recluster", "address")),
+    "cluster_id": OPTIONAL_INT, "old_head": OPTIONAL_INT, "new_head": OPTIONAL_INT,
+    "trigger_index": OPTIONAL_NUMBER, "old_cluster_count": OPTIONAL_INT,
+    "new_cluster_count": OPTIONAL_INT, "assigned": OPTIONAL_INT, "messages": OPTIONAL_INT,
+})
+VALIDATION_TABLE = Table({
+    "at_tick": INT, "dunn_index": NUMBER, "separation_pct": INT, "overlap_pct": INT,
+    "compactness": Kind("text", vocabulary=tuple(Compactness)),
+    "classification": Kind("text", vocabulary=tuple(Classification)), "recommend_recluster": FLAG,
+    "footnote": Kind("text", optional=True, vocabulary=(STRICT_PCT_FOOTNOTE,)),
+})
+ADDRESSES_TABLE = Table({"node_id": INT, "cluster_id": INT, "address": ADDRESS})
+MESSAGES_TABLE = Table({
+    "at_tick": INT, "seq": INT, "from": INT, "to": INT,
+    "kind": Kind("text", vocabulary=tuple(MessageKind)), "payload": Kind("address", optional=True),
+})
+SWEEP_TABLE = Table({"node_count": INT, "seed": INT, "dunn_index": OPTIONAL_NUMBER})
 ENERGY_DAT_COLUMNS = ["node_id", "energy", "is_head"]
 MEDIAN_DAT_COLUMNS = ["node_count", "median_dunn_index"]
 
-FORMATS = ("csv", "json")
 
-
-def _json_cell(value):
-    if isinstance(value, float) and not math.isfinite(value):
-        return "inf" if value > 0 else "-inf"
-    return value
-
-
-# One row object of ``json.dump(rows, fh, indent=2)``, minus its braces: the
-# C encoder runs only without ``indent``, so the indent goes in the separator.
-_json_row = json.JSONEncoder(separators=(",\n    ", ": ")).encode
-# Between two row objects: the first one's closing brace and the comma.
-_JSON_ROW_SEP = "\n  },\n"
-
-
-def write_table(
-    path: str | Path,
-    columns: list[str],
-    rows: list[tuple] | TimelineRows | MessageRows,
-    fmt: str = "csv",
-) -> None:
-    """Write rows (tuples in column order) as CSV or JSON with a trailing newline.
-
-    Output is byte-deterministic: fixed column order and LF line endings. CSV
-    cells go to ``csv.writer`` as they are, except that booleans (picked by
-    type, since ``True == 1``) become ``true``/``false``; str enums render
-    as their values. JSON is the layout of ``json.dump(indent=2)``, written
-    one row at a time, with infinite floats as the strings ``inf``/``-inf``.
-    A rows object with ``chunks(fmt)``, such as a ``TimelineRows`` or a
-    ``MessageRows``, renders its own records in these layouts and is written
-    one chunk at a time.
-    """
+def write_table(path: str | Path, table: Table, rows, fmt: str = "csv") -> None:
+    """Write a table's records as CSV or JSON, one chunk at a time, with LF
+    line endings. ``rows`` is a list of tuples in column order, or an object
+    whose ``chunks(fmt)`` renders its own records in the table's layout,
+    such as a ``TimelineRows``; either way ``len(rows)`` is the record count."""
     if fmt not in FORMATS:
         raise InputError(f"format must be one of {FORMATS}, got {fmt!r}")
-    chunks = rows.chunks(fmt) if hasattr(rows, "chunks") else None
+    layout = table.layouts[fmt]
+    chunks = rows.chunks(fmt) if hasattr(rows, "chunks") else layout.records(rows)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        if fmt == "csv":
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(columns)
-            if chunks is not None:
-                fh.writelines(chunks)
-            else:
-                writer.writerows(
-                    [("true" if v else "false") if type(v) is bool else v for v in row]
-                    for row in rows
-                )
-        elif not rows:
-            fh.write("[]\n")
-        else:
-            if chunks is None:
-                chunks = (
-                    "  {\n    " + _json_row(dict(zip(columns, map(_json_cell, row))))[1:-1]
-                    for row in rows
-                )
-            sep = "[\n"
-            for chunk in chunks:
-                fh.write(sep)
-                fh.write(chunk)
-                sep = _JSON_ROW_SEP
-            fh.write("\n  }\n]\n")
+        written = False
+        for chunk in chunks:
+            fh.write(layout.sep if written else layout.head)
+            fh.write(chunk)
+            written = True
+        fh.write(layout.tail if written else layout.empty)
 
 
 def write_dat(path: str | Path, columns: list[str], rows: Iterable[tuple]) -> None:
@@ -145,22 +219,11 @@ def nodes_rows(nodes: list[Node]) -> list[tuple]:
 
 def clusters_rows(clusters: ClusterSet, nodes: list[Node]) -> list[tuple]:
     by_id = {n.node_id: n for n in nodes}
-    rows = []
-    for cluster in sorted(clusters.clusters, key=lambda c: c.cluster_id):
-        for member in cluster.members:
-            node = by_id[member]
-            rows.append(
-                (
-                    cluster.cluster_id,
-                    member,
-                    member == cluster.head,
-                    node.energy,
-                    node.pos.x,
-                    node.pos.y,
-                    member in cluster.threshold_exempt,
-                )
-            )
-    return rows
+    return [
+        (c.cluster_id, m, m == c.head, node.energy, node.pos.x, node.pos.y, m in c.threshold_exempt)
+        for c in sorted(clusters.clusters, key=lambda c: c.cluster_id)
+        for m, node in zip(c.members, map(by_id.__getitem__, c.members))
+    ]
 
 
 def energy_dat_rows(clusters: ClusterSet, nodes: list[Node]) -> Iterator[tuple[int, list[tuple]]]:
@@ -171,17 +234,9 @@ def energy_dat_rows(clusters: ClusterSet, nodes: list[Node]) -> Iterator[tuple[i
 
 
 def report_row(at_tick: int, report: ValidationReport) -> tuple:
-    """One validation-report row."""
-    return (
-        at_tick,
-        report.dunn_index,
-        report.separation_pct,
-        report.overlap_pct,
-        report.compactness,
-        report.classification,
-        report.recommend_recluster,
-        report.footnote,
-    )
+    """One validation-report row: the tick, then the report's fields, which
+    VALIDATION_TABLE declares in their order."""
+    return (at_tick, *astuple(report))
 
 
 def event_row(event) -> tuple:
@@ -197,20 +252,6 @@ def event_row(event) -> tuple:
     return (event.at_tick, "address", None, None, None, None, None, None, *sizes)
 
 
-def _csv_text(value) -> str:
-    """One CSV cell as ``write_table`` renders it, quoting included."""
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow(
-        [("true" if value else "false") if type(value) is bool else value]
-    )
-    return buf.getvalue()[:-1]
-
-
-def _json_text(value) -> str:
-    """One JSON cell as ``write_table`` renders it."""
-    return _json_row(_json_cell(value))
-
-
 class AddressTexts(dict):
     """Each address's text, by address, made the first time it is asked for
     (``str`` of an ``IPv6Address`` costs about 10 µs)."""
@@ -220,51 +261,31 @@ class AddressTexts(dict):
         return text
 
 
-# Per format: the renderer of a non-float energy cell, then the text of a
-# timeline record in four pieces and the text between records. The pieces are
-# the tick cell; the node_id, cluster_id, is_head and exempt cells (ids are
-# ints and flags are passed as "true"/"false", so none needs quoting or
-# escaping) up to the energy's value; and the address cell. An address text
-# holds no comma, quote, backslash or line break, so it is its own CSV cell
-# and, between quotes, its own JSON string. A JSON record is one object of
-# write_table's layout, whose closing brace belongs to the separator.
-_TIMELINE_FORMATS = {
-    "csv": (_csv_text, "{},", "{},{},{},{},", ",{}\n", ""),
-    "json": (
-        _json_text,
-        '  {{\n    "tick": {},\n    ',
-        '"node_id": {},\n    "cluster_id": {},\n    "is_head": {},\n    "exempt": {},\n'
-        '    "energy": ',
-        ',\n    "address": "{}"',
-        _JSON_ROW_SEP,
-    ),
-}
-_FLAG_TEXT = ("false", "true")
-
-
+@dataclass
 class TimelineRows:
-    """The simulate timeline, rendered tick by tick as ``write_table`` writes it.
+    """The simulate timeline, rendered tick by tick as ``write_table`` writes
+    it: ``len`` is its record count, ticks × nodes, and ``chunks(fmt)``
+    yields each tick's records as one text. A node's node_id, cluster_id,
+    is_head and exempt text is looked up again only when its ``Cluster``
+    object changes (each distinct cluster state is one frozen object per
+    run), and rendered once per write for each of the node's variants; its
+    address text once per address map, from ``texts``. Per record only the
+    tick's shared prefix and the energy are new text."""
 
-    ``len`` is its record count, ticks × nodes. It holds the snapshots and
-    no records: ``chunks(fmt)`` yields each tick's records as one text. A
-    node's node_id, cluster_id, is_head and exempt text is looked up again
-    only when its ``Cluster`` object changes (clusters are frozen, and each
-    distinct cluster state is one object per run), and rendered once per
-    write for each of the node's (cluster_id, is_head, exempt) variants; its
-    address text is rendered once per address map. Per record only the
-    tick's shared prefix and the energy are new text. ``texts`` gives each
-    address's text.
-    """
-
-    def __init__(self, snapshots: list[SimSnapshot], texts: AddressTexts) -> None:
-        self.snapshots = snapshots
-        self.texts = texts
+    snapshots: list[SimSnapshot]
+    texts: AddressTexts
 
     def __len__(self) -> int:
         return len(self.snapshots) * self.snapshots[0].clusters.node_universe
 
     def chunks(self, fmt: str) -> Iterator[str]:
-        cell, tick_text, node_text, address_text, record_sep = _TIMELINE_FORMATS[fmt]
+        layout = TIMELINE_TABLE.layouts[fmt]
+        # A record in four pieces: the tick; the node_id, cluster_id, is_head
+        # and exempt cells up to the energy's value; the energy; the address.
+        tick_text, address_text = layout.slots(0, 1), layout.slots(6, 7)
+        node_text = layout.slots(1, 5) + layout.before[5]
+        flag, energy_cell, address_cell = (partial(layout.cell, i) for i in (3, 5, 6))
+        special_energies = layout.maps[5]
         node_ids = range(self.snapshots[0].clusters.node_universe)
         shown = [None] * len(node_ids)  # the Cluster each node's text was taken from
         nodes = [None] * len(node_ids)
@@ -275,7 +296,9 @@ class TimelineRows:
         for snap in self.snapshots:
             if snap.addresses is not address_map:
                 address_map = snap.addresses
-                addresses = [address_text.format(self.texts[address_map[i]]) for i in node_ids]
+                addresses = [
+                    address_text.format(address_cell(self.texts[address_map[i]])) for i in node_ids
+                ]
             for cluster in snap.clusters.clusters:
                 # After each tick every node shows the cluster that held it.
                 # A cluster's members are fixed, so one that held its first
@@ -289,63 +312,45 @@ class TimelineRows:
                     text = variants.get(variant)
                     if text is None:
                         text = variants[variant] = node_text.format(
-                            node_id, cluster_id, _FLAG_TEXT[variant[2]], _FLAG_TEXT[variant[3]]
+                            node_id, cluster_id, flag(variant[2]), flag(variant[3])
                         )
                     nodes[node_id] = text
             energies = list(map(snap.energies.__getitem__, node_ids))
-            # A float renders as its repr, except that JSON writes inf as a
-            # string (energies are >= 0, so inf is the one non-finite value);
-            # a library-built node may also hold an int or a bool.
-            if set(map(type, energies)) == {float} and (fmt == "csv" or math.inf not in energies):
+            # A float that needs no map renders as its repr; a library-built
+            # node may also hold an int.
+            if set(map(type, energies)) == {float} and (
+                special_energies is None or special_energies.keys().isdisjoint(energies)
+            ):
                 energies = map(float.__repr__, energies)
             else:
-                energies = map(cell, energies)
+                energies = map(energy_cell, energies)
             prefix = tick_text.format(snap.at_tick)
-            yield record_sep.join(
+            yield layout.sep.join(
                 [f"{prefix}{n}{e}{a}" for n, e, a in zip(nodes, energies, addresses)]
             )
 
 
-# Per format: the renderer of a kind name or address text, the tick cell that
-# starts each record, the rest of a message record (seq, from and to are
-# ints; the kind and payload cells are passed rendered), the empty payload's
-# cell, and the text between records, as in _TIMELINE_FORMATS. No kind name
-# or address text holds a comma, quote or line break, so in CSV each is its
-# own cell; this also spares csv.writer's 128 KiB record buffer per cell.
-_MESSAGE_FORMATS = {
-    "csv": (str, "{},", "{},{},{},{},{}\n", "", ""),
-    "json": (
-        _json_text,
-        '  {{\n    "at_tick": {},\n    ',
-        '"seq": {},\n    "from": {},\n    "to": {},\n    "kind": {},\n    "payload": {}',
-        "null",
-        _JSON_ROW_SEP,
-    ),
-}
-
-
+@dataclass
 class MessageRows:
-    """The simulate messages table, rendered event by event as ``write_table``
-    writes it.
+    """The simulate messages table, rendered event by event as
+    ``write_table`` writes it: ``len`` is its record count, and
+    ``chunks(fmt)`` yields each address event's records as one text. A
+    ``Handshake`` block's records, all but their tick cell, are rendered
+    once per write for each distinct (prefix, block), and each distinct
+    address's cell once, from ``texts``; per event only the tick's shared
+    prefix is new."""
 
-    ``len`` is its record count. It holds the address events, whose traces
-    are ``Handshake`` blocks, and no records: ``chunks(fmt)`` yields each
-    event's records as one text. A block's records, all but their tick cell,
-    are rendered once per write for each distinct (prefix, block), and each
-    distinct address's cell once; per event only the tick's shared prefix is
-    new. ``texts`` gives each address's text.
-    """
-
-    def __init__(self, events: list[AddressEvent], texts: AddressTexts) -> None:
-        self.events = events
-        self.texts = texts
+    events: list[AddressEvent]
+    texts: AddressTexts
 
     def __len__(self) -> int:
         return sum(len(event.messages) for event in self.events)
 
     def chunks(self, fmt: str) -> Iterator[str]:
-        cell, tick_text, record_text, no_payload, record_sep = _MESSAGE_FORMATS[fmt]
-        hello, reply, assign = (cell(kind.value) for kind in MessageKind)
+        layout = MESSAGES_TABLE.layouts[fmt]
+        tick_text, record_text = layout.slots(0, 1), layout.slots(1, 6)
+        hello, reply, assign = (layout.cell(4, kind) for kind in MessageKind)
+        no_payload = layout.cell(5, None)
         payloads = {}  # each distinct address's cell, by (prefix48, cluster id, node id)
         rendered = {}  # each distinct block's records, by (prefix48, block)
 
@@ -357,7 +362,7 @@ class MessageRows:
             for member in members:
                 key = (prefix48, cluster_id, member)
                 if key not in payloads:
-                    payloads[key] = cell(self.texts[node_address(*key)])
+                    payloads[key] = layout.cell(5, self.texts[node_address(*key)])
                 records += (
                     record_text.format(seq, head, member, hello, no_payload),
                     record_text.format(seq + 1, member, head, reply, no_payload),
@@ -377,17 +382,14 @@ class MessageRows:
                     rendered[key] = render(*key)
                 blocks.append(rendered[key])
             prefix = tick_text.format(event.at_tick)
-            yield prefix + "\0".join(blocks).replace("\0", record_sep + prefix)
+            yield prefix + "\0".join(blocks).replace("\0", layout.sep + prefix)
 
 
-def simulation_tables(
-    snapshots: list[SimSnapshot],
-) -> dict[str, tuple[list[str], list[tuple] | TimelineRows | MessageRows]]:
-    """The simulate command's tables, by file stem: (columns, rows). The
+def simulation_tables(snapshots: list[SimSnapshot]) -> dict[str, tuple[Table, object]]:
+    """The simulate command's tables, by file stem: (table, rows). The
     timeline's rows are a ``TimelineRows`` and the messages' a
-    ``MessageRows``, each rendered as it is written; every other table's
-    are tuples. The three tables that hold addresses share their texts, so
-    each distinct address is made text once."""
+    ``MessageRows``; every other table's are tuples. The three tables that
+    hold addresses share their texts, so each address is made text once."""
     texts = AddressTexts()
     events, validation, address_events = [], [], []
     for snap in snapshots:
@@ -403,21 +405,19 @@ def simulation_tables(
         for node_id, cluster in enumerate(final.clusters.by_node())
     ]
     return {
-        "timeline": (TIMELINE_COLUMNS, TimelineRows(snapshots, texts)),
-        "events": (EVENTS_COLUMNS, events),
-        "validation": (VALIDATION_COLUMNS, validation),
-        "addresses": (ADDRESSES_COLUMNS, addresses),
-        "messages": (MESSAGES_COLUMNS, MessageRows(address_events, texts)),
+        "timeline": (TIMELINE_TABLE, TimelineRows(snapshots, texts)),
+        "events": (EVENTS_TABLE, events),
+        "validation": (VALIDATION_TABLE, validation),
+        "addresses": (ADDRESSES_TABLE, addresses),
+        "messages": (MESSAGES_TABLE, MessageRows(address_events, texts)),
     }
 
 
 def _parse_bool(text: str, where: str) -> bool:
     low = text.strip().lower()
-    if low in ("true", "1"):
-        return True
-    if low in ("false", "0", ""):
-        return False
-    raise InputError(f"{where}: expected true/false, got {text!r}")
+    if low not in ("true", "1", "false", "0", ""):
+        raise InputError(f"{where}: expected true/false, got {text!r}")
+    return low in ("true", "1")
 
 
 def _finite(row: dict, column: str) -> float:
@@ -427,37 +427,40 @@ def _finite(row: dict, column: str) -> float:
     return value
 
 
-def _read_csv(path: str | Path, required: list[str]) -> list[dict]:
+def _read_csv(path: str | Path, required: list[str], what: str) -> list[dict]:
+    """A CSV table's rows of ``what``, as dicts by column name; blank lines are skipped."""
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.DictReader(fh)
-            header = reader.fieldnames or []
+            reader = csv.reader(fh)
+            header = next(reader, [])
             missing = [col for col in required if col not in header]
             if missing:
                 raise InputError(f"{path}: missing columns: {', '.join(missing)}")
-            return list(reader)
-    except OSError as err:
+            rows = []
+            for cells in filter(None, reader):
+                if len(cells) != len(header):
+                    width = f"expected {len(header)} cells, got {len(cells)}"
+                    raise InputError(f"{path} row {len(rows) + 1}: {width}")
+                rows.append(dict(zip(header, cells)))
+    # csv.Error: a cell over the csv module's field limit.
+    except (OSError, csv.Error, UnicodeDecodeError) as err:
         raise InputError(f"cannot read {path}: {err}") from err
+    if not rows:
+        raise InputError(f"{path}: no {what} rows")
+    return rows
 
 
 def read_nodes_csv(path: str | Path) -> list[Node]:
     """Load a node table (node_id, x, y, energy)."""
-    rows = _read_csv(path, NODES_COLUMNS)
-    if not rows:
-        raise InputError(f"{path}: no node rows")
+    rows = _read_csv(path, NODES_TABLE.columns, "node")
     nodes = []
     for i, row in enumerate(rows):
-        where = f"{path} row {i + 1}"
         try:
-            nodes.append(
-                Node(
-                    int(row["node_id"]),
-                    Position(_finite(row, "x"), _finite(row, "y")),
-                    _finite(row, "energy"),
-                )
-            )
-        except (TypeError, ValueError, InvariantViolation) as err:
-            raise InputError(f"{where}: {err}") from err
+            node_id = int(row["node_id"])
+            pos = Position(_finite(row, "x"), _finite(row, "y"))
+            nodes.append(Node(node_id, pos, _finite(row, "energy")))
+        except (ValueError, InvariantViolation) as err:
+            raise InputError(f"{path} row {i + 1}: {err}") from err
     ids = sorted(n.node_id for n in nodes)
     if ids != list(range(len(nodes))):
         raise InputError(f"{path}: node ids must be the dense range 0..N-1")
@@ -465,15 +468,11 @@ def read_nodes_csv(path: str | Path) -> list[Node]:
 
 
 def read_clusters_csv(path: str | Path) -> tuple[ClusterSet, dict[NodeId, Position]]:
-    """Load a cluster table back into a partition plus positions.
-
-    Requires the positional columns (x, y) so the partition can be
-    re-validated; the exempt column is optional and defaults to false. The
-    energy column is required and checked, but not returned.
-    """
-    rows = _read_csv(path, ["cluster_id", "node_id", "is_head", "energy", "x", "y"])
-    if not rows:
-        raise InputError(f"{path}: no cluster rows")
+    """Load a cluster table back into a partition plus positions. Requires
+    the positional columns (x, y) so the partition can be re-validated; the
+    exempt column is optional and defaults to false. The energy column is
+    required and checked, but not returned."""
+    rows = _read_csv(path, ["cluster_id", "node_id", "is_head", "energy", "x", "y"], "cluster")
     grouped: dict[int, dict] = {}
     positions: dict[NodeId, Position] = {}
     for i, row in enumerate(rows):
@@ -486,8 +485,8 @@ def read_clusters_csv(path: str | Path) -> tuple[ClusterSet, dict[NodeId, Positi
             if energy < 0:
                 raise ValueError(f"energy must be >= 0, got {row['energy']!r}")
             pos = Position(_finite(row, "x"), _finite(row, "y"))
-            exempt = _parse_bool(row.get("exempt") or "", where)
-        except (TypeError, ValueError) as err:
+            exempt = _parse_bool(row.get("exempt", ""), where)
+        except ValueError as err:
             raise InputError(f"{where}: {err}") from err
         group = grouped.setdefault(cid, {"members": [], "heads": [], "exempt": set()})
         group["members"].append(nid)

@@ -436,23 +436,21 @@ def test_simulate_csv_matches_json(tmp_path):
         assert_csv_matches_json(csv_path, json_path)
 
 
-@pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_simulate_counts_one_row_per_record(tmp_path, monkeypatch, fmt):
-    # perfbench's tables.rows_written adds up len(rows) over the write_table
-    # calls, so every table's len must be the number of records in its file.
+def counted_writes(monkeypatch):
+    """The (path, len(rows)) of every write_table call the CLI makes."""
     written = []
 
-    def counting_write_table(path, columns, rows, fmt="csv"):
-        write_table(path, columns, rows, fmt)
+    def counting_write_table(path, table, rows, fmt="csv"):
+        write_table(path, table, rows, fmt)
         written.append((path, len(rows)))
 
     monkeypatch.setattr(cli, "write_table", counting_write_table)
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({**RECLUSTERING, "execution_time": 2.0}))
-    assert run("simulate", "--config", str(cfg), "--out", str(tmp_path), "--format", fmt) == 0
-    assert sorted(p.stem for p, _ in written) == [
-        "addresses", "events", "messages", "timeline", "validation"
-    ]
+    return written
+
+
+def assert_one_row_per_record(written, fmt):
+    # perfbench's tables.rows_written adds up len(rows) over the write_table
+    # calls, so every table's len must be the number of records in its file.
     for path, count in written:
         if fmt == "csv":
             with open(path, newline="") as fh:
@@ -460,6 +458,37 @@ def test_simulate_counts_one_row_per_record(tmp_path, monkeypatch, fmt):
         else:
             records = json.loads(path.read_text())
         assert count == len(records) > 0, path.name
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_simulate_counts_one_row_per_record(tmp_path, monkeypatch, fmt):
+    written = counted_writes(monkeypatch)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**RECLUSTERING, "execution_time": 2.0}))
+    assert run("simulate", "--config", str(cfg), "--out", str(tmp_path), "--format", fmt) == 0
+    assert sorted(p.stem for p, _ in written) == [
+        "addresses", "events", "messages", "timeline", "validation"
+    ]
+    assert_one_row_per_record(written, fmt)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize(
+    "command,args,stem",
+    [
+        ("generate", ["--seed", "3"], "nodes"),
+        ("cluster", ["--seed", "3"], "clusters"),
+        ("validate", ["--clusters", "{clusters}"], "report"),
+        ("sweep", ["--sizes", "1,25", "--seeds", "2"], "sweep"),
+    ],
+)
+def test_each_command_counts_one_row_per_record(tmp_path, monkeypatch, fmt, command, args, stem):
+    assert run("cluster", "--seed", "3", "--out", str(tmp_path / "in")) == 0
+    args = [a.format(clusters=tmp_path / "in" / "clusters.csv") for a in args]
+    written = counted_writes(monkeypatch)
+    assert run(command, *args, "--out", str(tmp_path / "out"), "--format", fmt) == 0
+    assert [p.name for p, _ in written] == [f"{stem}.{fmt}"]
+    assert_one_row_per_record(written, fmt)
 
 
 # Each event type's kind and the columns it fills; every other cell is empty.

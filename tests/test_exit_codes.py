@@ -289,3 +289,60 @@ def test_bad_cluster_cell_exits_3(column, row, data):
     code, err = run_on_table("validate", "--clusters", table)
     assert code == 3, err
     assert err.startswith("input error: ")
+
+
+# --- unreadable files ---------------------------------------------------------
+
+# Each table holds a cell over the csv module's 131 072-character field limit,
+# a byte that is not UTF-8, a short row or a long row.
+UNREADABLE = {
+    "huge-cell": ("0,0,0,{}\n".format("5" * 131_073).encode(), "field larger than field limit"),
+    "not-utf8": (b"0,0,0,5\xff\n", "can't decode byte 0xff"),
+    "short-row": (b"0,0\n", "row 1: expected {} cells, got 2"),
+    "long-row": (b"0,0,0,5,0,0,0,9\n", "row 1: expected {} cells, got 8"),
+}
+NODE_HEADER = ",".join(NODE_COLUMNS).encode() + b"\n"
+CLUSTER_HEADER = ",".join(CLUSTER_COLUMNS).encode() + b"\n"
+
+
+def run_on_bytes(command, flag, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "table.csv"
+        path.write_bytes(data)
+        out = Path(tmp) / "out"
+        code, err = run_main(command, flag, path, "--out", out)
+        return code, err, out.exists()
+
+
+@pytest.mark.parametrize("command", ["cluster", "simulate"])
+@pytest.mark.parametrize("case", sorted(UNREADABLE))
+def test_unreadable_node_table_exits_3(command, case):
+    body, message = UNREADABLE[case]
+    code, err, wrote = run_on_bytes(command, "--nodes", NODE_HEADER + body)
+    assert code == 3, err
+    assert err.startswith("input error: ") and message.format(len(NODE_COLUMNS)) in err
+    assert "Traceback" not in err and not wrote
+
+
+@pytest.mark.parametrize("case", sorted(UNREADABLE))
+def test_unreadable_cluster_table_exits_3(case):
+    body, message = UNREADABLE[case]
+    code, err, wrote = run_on_bytes("validate", "--clusters", CLUSTER_HEADER + body)
+    assert code == 3, err
+    assert err.startswith("input error: ") and message.format(len(CLUSTER_COLUMNS)) in err
+    assert "Traceback" not in err and not wrote
+
+
+@pytest.mark.parametrize(
+    "data",
+    [b'{"seed": "\xff"}', b"[" * 100_000, b'{"seed": ' + b"7" * 5_000 + b"}"],
+    ids=["not-utf8", "nested-100000-deep", "int-of-5000-digits"],
+)
+def test_unreadable_config_exits_2(tmp_path, data):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(data)
+    out = tmp_path / "out"
+    code, err = run_main("generate", "--config", cfg, "--out", out)
+    assert code == 2, err
+    assert err.startswith("config error: ") and "is not valid JSON" in err
+    assert "Traceback" not in err and not out.exists()

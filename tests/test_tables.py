@@ -31,11 +31,17 @@ from clusterbench import (
     generate_scenario,
     run_simulation,
 )
+from clusterbench import tables
 from clusterbench.tables import (
-    CLUSTERS_COLUMNS,
+    CLUSTERS_TABLE,
     ENERGY_DAT_COLUMNS,
-    NODES_COLUMNS,
-    VALIDATION_COLUMNS,
+    EVENTS_TABLE,
+    INT,
+    NODES_TABLE,
+    SWEEP_TABLE,
+    VALIDATION_TABLE,
+    Kind,
+    Table,
     clusters_rows,
     energy_dat_rows,
     manifest_timestamp,
@@ -48,6 +54,7 @@ from clusterbench.tables import (
     write_manifest,
     write_table,
 )
+from clusterbench.validation import STRICT_PCT_FOOTNOTE
 from reference import (
     DEFAULT_PREFIX48,
     MESSAGES_COLUMNS,
@@ -77,7 +84,7 @@ def sample_clusters():
 def test_nodes_roundtrip(tmp_path):
     path = tmp_path / "nodes.csv"
     nodes = sample_nodes()
-    write_table(path, NODES_COLUMNS, nodes_rows(nodes), "csv")
+    write_table(path, NODES_TABLE, nodes_rows(nodes), "csv")
     assert read_nodes_csv(path) == nodes
 
 
@@ -85,7 +92,7 @@ def test_clusters_roundtrip(tmp_path):
     path = tmp_path / "clusters.csv"
     clusters = sample_clusters()
     nodes = sample_nodes()
-    write_table(path, CLUSTERS_COLUMNS, clusters_rows(clusters, nodes), "csv")
+    write_table(path, CLUSTERS_TABLE, clusters_rows(clusters, nodes), "csv")
     got, positions = read_clusters_csv(path)
     assert got == clusters
     assert positions == {n.node_id: n.pos for n in nodes}
@@ -102,22 +109,23 @@ def reclustering_run():
 
 
 def test_every_row_has_one_cell_per_column():
-    # JSON zips cells with columns, so a short row would lose cells silently.
     # The timeline and messages render their own records (see the reference
     # tests below).
     nodes, snapshots = reclustering_run()
     clusters = snapshots[0].clusters
-    tables = [
-        (NODES_COLUMNS, nodes_rows(nodes)),
-        (CLUSTERS_COLUMNS, clusters_rows(clusters, nodes)),
-        (VALIDATION_COLUMNS, [report_row(0, snapshots[0].report)]),
+    rows_by_columns = [
+        (NODES_TABLE.columns, nodes_rows(nodes)),
+        (CLUSTERS_TABLE.columns, clusters_rows(clusters, nodes)),
+        (VALIDATION_TABLE.columns, [report_row(0, snapshots[0].report)]),
     ]
-    tables += [(ENERGY_DAT_COLUMNS, rows) for _, rows in energy_dat_rows(clusters, nodes)]
-    tables += [
-        t for stem, t in simulation_tables(snapshots).items() if stem not in ("timeline", "messages")
+    rows_by_columns += [(ENERGY_DAT_COLUMNS, rows) for _, rows in energy_dat_rows(clusters, nodes)]
+    rows_by_columns += [
+        (table.columns, rows)
+        for stem, (table, rows) in simulation_tables(snapshots).items()
+        if stem not in ("timeline", "messages")
     ]
-    assert len(tables) == 3 + len(clusters.clusters) + 3
-    for columns, rows in tables:
+    assert len(rows_by_columns) == 3 + len(clusters.clusters) + 3
+    for columns, rows in rows_by_columns:
         assert rows
         for row in rows:
             assert isinstance(row, tuple) and len(row) == len(columns), (columns, row)
@@ -133,32 +141,60 @@ def test_each_address_is_rendered_once(tmp_path, monkeypatch):
     monkeypatch.setattr(IPv6Address, "__str__", lambda a: made.append(a) or text(a))
     for fmt in ("csv", "json"):
         made.clear()
-        for stem, (columns, rows) in simulation_tables(snapshots).items():
-            write_table(tmp_path / f"{stem}.{fmt}", columns, rows, fmt)
+        for stem, (table, rows) in simulation_tables(snapshots).items():
+            write_table(tmp_path / f"{stem}.{fmt}", table, rows, fmt)
         assert sorted(made) == sorted(snapshots[0].addresses.values())
     with open(tmp_path / "messages.csv", encoding="utf-8") as fh:
         assert sum(row["kind"] == "Assign" for row in csv.DictReader(fh)) > 200
 
 
-ENUM_MEMBERS = [*MessageKind, *Compactness, *Classification]
-TABLE_CELLS = st.one_of(
-    st.booleans(),
-    st.none(),
-    st.integers(),
-    st.sampled_from([0, 1, -1]),
-    st.floats(),
-    st.sampled_from([math.inf, -math.inf, -0.0, 5e-324, 1e-7, 1e22, 1.7976931348623157e308]),
-    st.text(st.characters(blacklist_categories=("Cs",))),
-    st.sampled_from(["a,b", 'say "hi"', "two\nlines", "cr\r", " ", ""]),
-    st.sampled_from(ENUM_MEMBERS),
-)
+# Every table the package declares, by name.
+DECLARED = {name: t for name, t in vars(tables).items() if isinstance(t, Table)}
+EDGE_FLOATS = [math.inf, -math.inf, -0.0, 5e-324, 1e-7, 1e22, 1.7976931348623157e308]
+# Each cell kind's domain: a number is a float, or an int from a
+# library-built node; a text is one of its column's vocabulary.
+KIND_CELLS = {
+    "int": st.integers(-(2**200), 2**200) | st.sampled_from([0, 1, -1]),
+    "number": st.floats(allow_nan=False) | st.sampled_from(EDGE_FLOATS)
+    | st.integers(-(2**70), 2**70),
+    "flag": st.booleans(),
+    "address": st.integers(0, 2**128 - 1).map(lambda i: str(IPv6Address(i))),
+}
 
 
-@st.composite
-def tables(draw, cells):
-    columns = draw(st.lists(st.text(min_size=1, max_size=8), min_size=1, max_size=6, unique=True))
-    row = st.tuples(*[cells] * len(columns))
-    return columns, draw(st.lists(row, max_size=5))
+def kind_cells(kind):
+    cells = st.sampled_from(kind.vocabulary) if kind.base == "text" else KIND_CELLS[kind.base]
+    return cells | st.none() if kind.optional else cells
+
+
+def declared_rows(table):
+    """Up to 5 rows from the table's cell kinds, some repeated past a
+    write chunk."""
+    rows = st.lists(st.tuples(*map(kind_cells, table.kinds)), max_size=5)
+    repeats = st.sampled_from([1, 1, 1, tables.CHUNK_ROWS + 1, 3 * tables.CHUNK_ROWS])
+    return st.tuples(rows, repeats).map(lambda r: r[0] * r[1])
+
+
+def reference_csv(columns, rows):
+    expected = io.StringIO()
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(columns)
+    for row in rows:
+        writer.writerow([ref_csv_cell(v) for v in row])
+    return expected.getvalue()
+
+
+def reference_json(columns, rows):
+    payload = [dict(zip(columns, map(ref_json_cell, row))) for row in rows]
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def assert_same_text(got, expected, name):
+    # Names the first differing line: a diff of two whole files is slow to make.
+    if got != expected:
+        pairs = zip(got.splitlines(), expected.splitlines())
+        first = next(((i, g, e) for i, (g, e) in enumerate(pairs) if g != e), "(lengths differ)")
+        pytest.fail(f"{name}: line, got, expected: {first}")
 
 
 @pytest.fixture(scope="module")
@@ -166,28 +202,34 @@ def scratch(tmp_path_factory):
     return tmp_path_factory.mktemp("tables")
 
 
-@settings(max_examples=200, deadline=None)
-@given(table=tables(st.one_of(TABLE_CELLS, st.integers(0, 2**128 - 1).map(IPv6Address))))
-def test_csv_matches_reference_rendering(scratch, table):
-    columns, rows = table
-    path = scratch / "t.csv"
-    write_table(path, columns, rows, "csv")
-    expected = io.StringIO()
-    writer = csv.writer(expected, lineterminator="\n")
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow([ref_csv_cell(v) for v in row])
-    assert path.read_bytes() == expected.getvalue().encode("utf-8")
+def test_every_table_is_drawn():
+    assert set(DECLARED) == {
+        "NODES_TABLE", "CLUSTERS_TABLE", "TIMELINE_TABLE", "EVENTS_TABLE", "VALIDATION_TABLE",
+        "ADDRESSES_TABLE", "MESSAGES_TABLE", "SWEEP_TABLE",
+    }
 
 
-@settings(max_examples=200, deadline=None)
-@given(table=tables(TABLE_CELLS))
-def test_json_matches_reference_rendering(scratch, table):
-    columns, rows = table
-    path = scratch / "t.json"
-    write_table(path, columns, rows, "json")
-    payload = [dict(zip(columns, map(ref_json_cell, row))) for row in rows]
-    assert path.read_text(encoding="utf-8") == json.dumps(payload, indent=2) + "\n"
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_csv_matches_reference_rendering(scratch, data):
+    # Every declared table, rows drawn from its columns' kinds.
+    for name, table in DECLARED.items():
+        rows = data.draw(declared_rows(table), label=name)
+        path = scratch / f"{name}.csv"
+        write_table(path, table, rows, "csv")
+        got = path.read_bytes().decode("utf-8")
+        assert_same_text(got, reference_csv(table.columns, rows), name)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_json_matches_reference_rendering(scratch, data):
+    for name, table in DECLARED.items():
+        rows = data.draw(declared_rows(table), label=name)
+        path = scratch / f"{name}.json"
+        write_table(path, table, rows, "json")
+        got = path.read_bytes().decode("utf-8")
+        assert_same_text(got, reference_json(table.columns, rows), name)
 
 
 # Energies a library-built node may hold: any float >= 0 including inf, and
@@ -226,40 +268,30 @@ def simulations(draw):
     return run_simulation(config, nodes)
 
 
-def assert_written_as(path, columns, rows, expected_rows):
+def assert_written_as(path, table, rows, expected_rows):
     """``rows`` written by write_table as CSV and as JSON equal the reference
     tuples rendered by csv.writer and json.dumps with the reference cells."""
     assert len(rows) == len(expected_rows)
-
-    write_table(path.with_suffix(".csv"), columns, rows, "csv")
-    expected = io.StringIO()
-    writer = csv.writer(expected, lineterminator="\n")
-    writer.writerow(columns)
-    for row in expected_rows:
-        writer.writerow([ref_csv_cell(v) for v in row])
-    assert path.with_suffix(".csv").read_bytes() == expected.getvalue().encode("utf-8")
-
-    write_table(path.with_suffix(".json"), columns, rows, "json")
-    payload = [dict(zip(columns, map(ref_json_cell, row))) for row in expected_rows]
-    assert path.with_suffix(".json").read_text(encoding="utf-8") == (
-        json.dumps(payload, indent=2) + "\n"
-    )
+    for fmt, reference in (("csv", reference_csv), ("json", reference_json)):
+        write_table(path.with_suffix(f".{fmt}"), table, rows, fmt)
+        got = path.with_suffix(f".{fmt}").read_bytes().decode("utf-8")
+        assert_same_text(got, reference(table.columns, expected_rows), fmt)
 
 
 @settings(max_examples=150, deadline=None)
 @given(snapshots=simulations())
 def test_timeline_matches_reference_rendering(scratch, snapshots):
-    columns, rows = simulation_tables(snapshots)["timeline"]
-    assert columns == TIMELINE_COLUMNS
-    assert_written_as(scratch / "timeline", columns, rows, ref_timeline_rows(snapshots))
+    table, rows = simulation_tables(snapshots)["timeline"]
+    assert table.columns == TIMELINE_COLUMNS
+    assert_written_as(scratch / "timeline", table, rows, ref_timeline_rows(snapshots))
 
 
 @settings(max_examples=150, deadline=None)
 @given(snapshots=simulations())
 def test_messages_match_reference_rendering(scratch, snapshots):
-    columns, rows = simulation_tables(snapshots)["messages"]
-    assert columns == MESSAGES_COLUMNS
-    assert_written_as(scratch / "messages", columns, rows, ref_message_rows(snapshots))
+    table, rows = simulation_tables(snapshots)["messages"]
+    assert table.columns == MESSAGES_COLUMNS
+    assert_written_as(scratch / "messages", table, rows, ref_message_rows(snapshots))
 
 
 @settings(max_examples=150, deadline=None)
@@ -287,8 +319,8 @@ def test_messages_follow_each_address_event(scratch, partition, data):
         energies = dict.fromkeys(range(n), 0.0)
         snapshots.append(SimSnapshot(tick, clusters, energies, None, (event,), addresses))
         prefixes.append(prefix48)
-    columns, rows = simulation_tables(snapshots)["messages"]
-    assert_written_as(scratch / "events", columns, rows, ref_message_rows(snapshots, prefixes))
+    table, rows = simulation_tables(snapshots)["messages"]
+    assert_written_as(scratch / "events", table, rows, ref_message_rows(snapshots, prefixes))
 
 
 def test_timeline_is_written_without_a_row_list(tmp_path):
@@ -312,9 +344,9 @@ def test_timeline_is_written_without_a_row_list(tmp_path):
     for fmt in ("csv", "json"):
         tracemalloc.start()
         try:
-            columns, rows = simulation_tables(snapshots)["timeline"]
+            table, rows = simulation_tables(snapshots)["timeline"]
             tracemalloc.reset_peak()
-            write_table(tmp_path / f"timeline.{fmt}", columns, rows, fmt)
+            write_table(tmp_path / f"timeline.{fmt}", table, rows, fmt)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -327,22 +359,22 @@ def test_messages_are_written_without_a_row_list(tmp_path):
     # event. Held as row tuples until written, they took about 220 KB, some
     # 26 times one event's CSV text. Rendered event by event, the messages
     # table and its write take a small multiple of one event's text beyond
-    # what the same write of no rows takes (for CSV, csv.writer's 128 KiB
-    # record buffer): the per-address texts, the blocks rendered so far
-    # (about two events' worth here) and one event's text in flight.
+    # what the same write of no rows takes: the per-address texts, the
+    # blocks rendered so far (about two events' worth here) and one event's
+    # text in flight.
     _, snapshots = reclustering_run()
     for fmt in ("csv", "json"):
         tracemalloc.start()
         try:
-            write_table(tmp_path / f"empty.{fmt}", MESSAGES_COLUMNS, [], fmt)
+            write_table(tmp_path / f"empty.{fmt}", tables.MESSAGES_TABLE, [], fmt)
             fixed = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         tracemalloc.start()
         try:
-            columns, rows = simulation_tables(snapshots)["messages"]
+            table, rows = simulation_tables(snapshots)["messages"]
             tracemalloc.reset_peak()
-            write_table(tmp_path / f"messages.{fmt}", columns, rows, fmt)
+            write_table(tmp_path / f"messages.{fmt}", table, rows, fmt)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -351,9 +383,9 @@ def test_messages_are_written_without_a_row_list(tmp_path):
         assert peak - fixed < 16 * chunk, (fmt, peak, fixed, chunk)
 
 
-def test_every_enum_is_a_str_enum():
-    # write_table hands enum cells to csv.writer and to the JSON encoder as they
-    # are; both render a str subclass as its text, which is the enum's value.
+def test_every_enum_member_is_in_its_column_vocabulary():
+    # A text cell is written by its column's vocabulary map, so each enum
+    # the package defines must be some column's vocabulary, every member.
     enums = set()
     for info in pkgutil.iter_modules(clusterbench.__path__):
         if info.name != "__main__":  # importing it runs the CLI
@@ -365,30 +397,58 @@ def test_every_enum_is_a_str_enum():
                 and obj.__module__ == module.__name__
             )
     assert {MessageKind, Compactness, Classification} <= enums
-    assert all(issubclass(e, str) for e in enums)
+    kinds = [kind for table in DECLARED.values() for kind in table.kinds]
+    vocabularies = [set(kind.vocabulary) for kind in kinds if kind.vocabulary]
+    for enum in enums:
+        assert [v for v in vocabularies if v & set(enum)] == [set(enum)], enum
 
 
 def test_csv_cells_are_stable(tmp_path):
     path = tmp_path / "t.csv"
-    write_table(
-        path,
-        ["a", "b", "c", "d"],
-        [(True, None, math.inf, 0.1)],
-        "csv",
+    write_table(path, SWEEP_TABLE, [(25, 0, None), (50, 1, math.inf), (300, 2, 0.1)], "csv")
+    assert path.read_text() == "node_count,seed,dunn_index\n25,0,\n50,1,inf\n300,2,0.1\n"
+    row = (3, 0.01, 1, 99, Compactness.VERY_LOW, Classification.COMPACT_LESS_SEPARATED, True,
+           STRICT_PCT_FOOTNOTE)
+    write_table(path, VALIDATION_TABLE, [row], "csv")
+    assert path.read_text().splitlines()[1] == (
+        f"3,0.01,1,99,VeryLow,CompactLessSeparated,true,{STRICT_PCT_FOOTNOTE}"
     )
-    assert path.read_text() == "a,b,c,d\ntrue,,inf,0.1\n"
+    # A vocabulary text that would split its cell is quoted as csv.writer quotes it.
+    texts = ("a,b", 'say "hi"', "two\nlines", " ", "plain")
+    table = Table({"n": INT, "text": Kind("text", vocabulary=texts)})
+    write_table(path, table, [(i, t) for i, t in enumerate(texts)], "csv")
+    assert path.read_bytes().decode("utf-8") == reference_csv(table.columns, enumerate(texts))
 
 
 def test_json_table(tmp_path):
     path = tmp_path / "t.json"
-    write_table(path, ["a", "b"], [(1, math.inf)], "json")
+    write_table(path, SWEEP_TABLE, [(1, 2, math.inf), (3, 4, None)], "json")
     data = json.loads(path.read_text())
-    assert data == [{"a": 1, "b": "inf"}]
+    assert data == [
+        {"node_count": 1, "seed": 2, "dunn_index": "inf"},
+        {"node_count": 3, "seed": 4, "dunn_index": None},
+    ]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_text_outside_its_vocabulary_is_refused(tmp_path, fmt):
+    # Written as it is, an unknown kind would go out unquoted.
+    for kind in ("split", 'say "hi"', MessageKind.HELLO):
+        row = (0, kind, 1, 2, 3, None, None, None, None, None)
+        with pytest.raises(KeyError):
+            write_table(tmp_path / f"events.{fmt}", EVENTS_TABLE, [row], fmt)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("rows", [[(1, 2)], [(1, 2, 3, 4)], [(1, 2, 3), (1, 2)]])
+def test_a_row_of_the_wrong_width_is_refused(tmp_path, fmt, rows):
+    with pytest.raises(ValueError):
+        write_table(tmp_path / f"sweep.{fmt}", SWEEP_TABLE, rows, fmt)
 
 
 def test_write_table_rejects_unknown_format(tmp_path):
     with pytest.raises(InputError):
-        write_table(tmp_path / "t.xml", ["a"], [], "xml")
+        write_table(tmp_path / "t.xml", SWEEP_TABLE, [], "xml")
 
 
 def test_read_nodes_requires_columns(tmp_path):
