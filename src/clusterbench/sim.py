@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from ipaddress import IPv6Address
 
-from .addressing import DEFAULT_PREFIX, Handshake, assign_addresses
+from .addressing import DEFAULT_PREFIX, Handshake, assign_addresses, parse_prefix
 from .clustering import expac_cluster
 from .errors import ClusterBenchError, ConfigError, UndefinedIndexError
 from .head_election import HeadChange, cluster_states, psopac_rebuild, rotate_heads
@@ -95,7 +95,8 @@ def run_simulation(
     ``nodes`` overrides the seeded placement for hand-built topologies; ids
     must still be the dense range 0..N-1. Any domain error is re-raised with
     the failing tick prefixed to its message. A run of more than
-    ``MAX_NODE_TICKS`` node-ticks is a ``ConfigError``, raised before the run.
+    ``MAX_NODE_TICKS`` node-ticks is a ``ConfigError``, and a bad ``prefix``
+    an ``InputError``, both raised before the run.
     """
     node_count = config.node_count if nodes is None else len(nodes)
     if node_count * (config.steps + 1) > MAX_NODE_TICKS:
@@ -104,6 +105,7 @@ def run_simulation(
             f"{node_count} nodes * {config.steps + 1} ticks; lower node_count or "
             f"execution_time / tick"
         )
+    prefix48 = parse_prefix(prefix)
     if nodes is None:
         nodes = generate_scenario(config)
 
@@ -113,7 +115,7 @@ def run_simulation(
         clusters = psopac_rebuild(
             clusters, energies, config.energy_threshold, config.comparator
         )
-        addresses, messages = assign_addresses(clusters, prefix)
+        addresses, messages = assign_addresses(clusters, prefix48)
         positions = {n.node_id: n.pos for n in nodes}
         try:
             report = validate_clusters(clusters, positions, config.dunn_recluster_threshold)
@@ -144,7 +146,7 @@ def run_simulation(
             events = list(changes)
             scheduled = report if t % config.validation_interval == 0 else None
             if scheduled is not None and scheduled.recommend_recluster:
-                _, messages = assign_addresses(clusters, prefix)
+                _, messages = assign_addresses(clusters, prefix48)
                 events.append(ReclusterEvent(t, scheduled.dunn_index, count, count))
                 events.append(AddressEvent(t, addresses, messages))
             snapshots.append(

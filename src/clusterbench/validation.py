@@ -4,96 +4,68 @@ index = (minimum pairwise inter-cluster distance) / (maximum cluster
 diameter), both under the Manhattan metric. Higher is better: above 1.0 the
 tightest pair of clusters is further apart than the widest cluster is wide.
 
-The minimum inter-cluster distance is the closest pair of members that sit
-in different clusters, found by a grid scan instead of a loop over all
-cluster pairs. Every member goes into a square cell (``cell_of``) and each
-pair of members in the same or neighbouring cells is tested once
-(``cell_pairs``), with ``manhattan_distance``'s exact expression written
-inline. The first side is span/sqrt(N), about one member per cell.
+Both searches work in a rotated frame, where the real Manhattan distance D
+of two members is the larger of their gaps along the two axes. Write M for
+the largest |coordinate| of the members searched, eps = 2**-53 and
+q = 2**-1074, the smallest subnormal. Each float subtraction or addition
+is within a factor 1 +- eps of its real result, so the float distance d of
+a pair is within a factor (1 +- eps)**2 of D. Both share the rounding margin
+``_margin(M)``: delta = 2**-48 * M + 4q, which is at least 31eps*M + 3.4q
+after rounding, or inf when 4M overflows.
 
-A member at (x, y) sits in cell ``(int(x // side), int(y // side))``. Float
-``//`` is the exact floor while the quotient stays below 2**50 in magnitude
-(``cell_side`` widens the cells to keep it there). A float distance below
-the side means both real coordinate gaps are below the side: a float sum of
-two non-negative terms is at least each term, and rounding is monotone. So
-a cross-cluster pair whose float distance is below the side lies in the
-same or neighbouring cells; once the best pair found is shorter than the
-side, or every occupied cell neighbours every other, the best pair is the
-exact minimum. Otherwise the side doubles and the scan repeats. At fixed node
-density one scan suffices and costs O(N).
+``_min_cross_distance`` finds the closest pair of members in different
+clusters by a plane sweep in u = x/2 + y/2, v = x/2 - y/2, where
+D = 2 max(|dU|, |dV|) for the real gaps dU and dV; halving first keeps u and
+v finite. Members are taken in u order. The active list holds, sorted by v,
+the members behind the current one b that lie within w = best/2 + delta of
+it in u, where best is the shortest cross-cluster distance so far. Those
+within w of b in v are tested with ``manhattan_distance``'s expression
+written inline; then b joins the list. While best is inf, so is w, and
+every member behind b is tested. Otherwise let a come before b in u order
+with d < best when b is reached; best <= 4M, the largest float distance.
+Then D <= d(1 + 3eps), so |dU|, |dV| <= best/2 + 6eps*M. Halving rounds by
+at most q/2 and only in the subnormal range, so each computed u or v is
+within q + eps(M + q) of the real one, and the gaps of the computed
+coordinates are at most best/2 + 8eps*M + 2q(1 + eps). The computed w is at
+least (best/2 - q/2 + delta)(1 - eps) >= best/2 + 28eps*M + 2.8q, which is
+more. So a's u is at least u_b - w, and a's v lies in [v_b - w, v_b + w].
+The thresholds are floats rounded from those real bounds, and rounding is
+monotone, so a is not dropped and lies in the window: the pair is tested. A
+member dropped earlier was dropped against a u no larger than u_b and a
+best no smaller, so the same holds. Every pair left untested has d >= best,
+and the result is exactly the all-pairs minimum. When 4M overflows, delta
+and w are inf, nothing is dropped and every pair is tested. The sweep
+costs O(N log N) plus one step per pair in a window, which before the first
+cross-cluster pair holds every member behind, and O(N**2) list moves at
+worst, when many members share one u.
 
 ``cluster_diameter`` tests only the members that can end the widest pair.
-Under u = x + y and v = x - y the real Manhattan distance is
-max(|du|, |dv|), so the real diameter D* is the larger of the u and v
-spreads. Write M for the largest |coordinate| of the cluster and
-eps = 2**-53. The float distance d of a pair is within a factor
+Under u = x + y and v = x - y the real diameter D* is the larger of the u
+and v spreads. The float distance d of a pair is within a factor
 (1 +- eps)**2 of its real distance D, so the pair with the largest d has
 D >= D*(1 - 4eps), and one axis, u say, has |du| >= D*(1 - 4eps) for it.
 Both its ends then lie within 4eps*D* <= 16eps*M of the two real u
 extremes, since |du| <= D* for every pair. Computed u and v are within
 2eps*M of the real ones, and the float thresholds ``max(us) - delta`` and
 ``min(us) + delta`` round by at most eps*(2M + delta)(1 + eps), so
-delta = 2**-48 * M = 32eps*M keeps both ends. Scaling by 2**-48 is exact
-unless the product is subnormal, where adding the smallest subnormal
-2**-1074 makes up for its rounding. When 4M overflows, every member is
-kept. The kept members are tested all pairs with the inline expression, so
-the result is exactly the all-pairs maximum. In practice a few members per
-cluster survive, and a cluster of at most ``_FEW`` members is tested all
-pairs directly.
+delta >= 31eps*M keeps both ends. When 4M overflows, every member is kept. The kept members
+are tested all pairs with the inline expression, so the result is exactly
+the all-pairs maximum. In practice a few members per cluster survive, and a
+cluster of at most ``_FEW`` members is tested all pairs directly.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, TypeVar
 from .errors import (
     DegenerateGeometryError,
     InputError,
     UndefinedIndexError,
 )
 from .model import Cluster, ClusterSet, NodeId, Position
-
-Cell = tuple[int, int]
-T = TypeVar("T")
-
-#: Largest |coordinate / cell side| for which float ``//`` is the exact floor.
-_EXACT_QUOTIENT = 2.0**50
-
-
-def cell_side(reach: float, side: float) -> float:
-    """``side``, widened where needed so that the cell index of every
-    position with no |coordinate| above ``reach`` stays within the exact
-    range of float ``//``."""
-    return max(side, reach / _EXACT_QUOTIENT)
-
-
-def cell_of(pos: Position, side: float) -> Cell:
-    """The grid cell holding ``pos``: the exact floor of each coordinate / side."""
-    try:
-        return int(pos.x // side), int(pos.y // side)
-    except (ValueError, OverflowError):  # int() of a NaN or infinite quotient
-        raise InputError(
-            f"position ({pos.x!r}, {pos.y!r}) has no grid cell of side {side!r}"
-        ) from None
-
-
-def cell_pairs(cells: dict[Cell, list[T]]) -> Iterator[tuple[list[T], list[T]]]:
-    """Every occupied cell once with itself, then once with each occupied cell
-    of its forward half-neighbourhood: the cells to the right (lower, level
-    and upper) and the one above.
-
-    Taking each item of a self pair against the items after it, and each item
-    of a cross pair against every item of the other cell, visits every
-    unordered pair of items in the same or in neighbouring cells exactly once.
-    """
-    for (cx, cy), here in cells.items():
-        yield here, here
-        for key in ((cx + 1, cy - 1), (cx + 1, cy), (cx + 1, cy + 1), (cx, cy + 1)):
-            there = cells.get(key)
-            if there is not None:
-                yield here, there
 
 
 class Compactness(str, Enum):
@@ -133,6 +105,13 @@ class ValidationReport:
 _FEW = 10
 
 
+def _margin(reach: float) -> float:
+    """The rounding margin of both searches over members with no |coordinate|
+    above ``reach``; inf when ``4 * reach`` overflows (see the module
+    docstring)."""
+    return reach * 2.0**-48 + 2.0**-1072 if math.isfinite(4 * reach) else math.inf
+
+
 def cluster_diameter(cluster: Cluster, positions: dict[NodeId, Position]) -> float:
     """Maximum Manhattan distance between two members; 0 for a singleton.
 
@@ -142,9 +121,8 @@ def cluster_diameter(cluster: Cluster, positions: dict[NodeId, Position]) -> flo
     """
     points = [(p.x, p.y) for p in map(positions.__getitem__, cluster.members)]
     if len(points) > _FEW:
-        reach = max(max(abs(x), abs(y)) for x, y in points)
-        if math.isfinite(4 * reach):
-            delta = reach * 2.0**-48 + 2.0**-1074
+        delta = _margin(max(max(abs(x), abs(y)) for x, y in points))
+        if delta < math.inf:
             us = [x + y for x, y in points]
             vs = [x - y for x, y in points]
             u_lo, u_hi = min(us) + delta, max(us) - delta
@@ -164,31 +142,39 @@ def cluster_diameter(cluster: Cluster, positions: dict[NodeId, Position]) -> flo
 
 
 def _min_cross_distance(clusters: tuple[Cluster, ...], positions: dict[NodeId, Position]) -> float:
-    """Smallest Manhattan distance between two members of different clusters."""
-    members = [(positions[m], label) for label, c in enumerate(clusters) for m in c.members]
-    xs = [p.x for p, _ in members]
-    ys = [p.y for p, _ in members]
-    span = max(max(xs) - min(xs), max(ys) - min(ys))
-    # A zero side means every member sits at the origin: any side then works.
-    reach = max(max(map(abs, xs)), max(map(abs, ys)))
-    side = cell_side(reach, span / math.sqrt(len(members))) or 1.0
-    while True:
-        cells: dict[Cell, list[tuple[float, float, int]]] = {}
-        for p, label in members:
-            cells.setdefault(cell_of(p, side), []).append((p.x, p.y, label))
-        best = math.inf
-        for here, there in cell_pairs(cells):
-            for i, (ax, ay, a) in enumerate(here):
-                for bx, by, b in here[i + 1 :] if there is here else there:
-                    if a != b:
-                        d = abs(ax - bx) + abs(ay - by)
-                        if d < best:
-                            best = d
-        kxs = [cx for cx, _ in cells]
-        kys = [cy for _, cy in cells]
-        if best < side or (max(kxs) - min(kxs) <= 1 and max(kys) - min(kys) <= 1):
-            return best
-        side *= 2
+    """Smallest Manhattan distance between two members of different clusters.
+
+    A plane sweep in the order of u = x/2 + y/2 whose active list, sorted by
+    v = x/2 - y/2, holds the members within best/2 + delta behind in u; only
+    those within the same bound in v are tested (see the module docstring).
+    """
+    points = [
+        (p.x, p.y, label)
+        for label, c in enumerate(clusters)
+        for p in map(positions.__getitem__, c.members)
+    ]
+    for x, y, _ in points:
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise InputError(f"position ({x!r}, {y!r}) is not finite")
+    delta = _margin(max(max(abs(x), abs(y)) for x, y, _ in points))
+    members = sorted((x * 0.5 + y * 0.5, x * 0.5 - y * 0.5, x, y, a) for x, y, a in points)
+    active: list[tuple[float, float, float, int]] = []
+    best = math.inf
+    left = 0
+    for u, v, ax, ay, a in members:
+        w = best * 0.5 + delta
+        while members[left][0] < u - w:
+            del active[bisect_left(active, members[left][1:])]
+            left += 1
+        lo = bisect_left(active, (v - w,))
+        hi = bisect_right(active, (v + w, math.inf))
+        for _, bx, by, b in active[lo:hi]:
+            if a != b:
+                d = abs(ax - bx) + abs(ay - by)
+                if d < best:
+                    best = d
+        insort(active, (v, ax, ay, a))
+    return best
 
 
 def dunn_index(clusters: ClusterSet, positions: dict[NodeId, Position]) -> float:
@@ -199,8 +185,8 @@ def dunn_index(clusters: ClusterSet, positions: dict[NodeId, Position]) -> float
     clusters touch (distance 0 too). When both distances overflow to +inf
     the index is inf / inf, and that is an ``InputError``. The minimum
     inter-cluster distance is the closest pair of members in different
-    clusters, found by a grid scan that is near-linear at fixed node
-    density; diameters are per cluster.
+    clusters, found by a plane sweep in the rotated frame that is
+    near-linear at fixed node density; diameters are per cluster.
     """
     cs = clusters.clusters
     if len(cs) < 2:

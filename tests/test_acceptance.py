@@ -12,6 +12,8 @@ import time
 import pytest
 
 from clusterbench import (
+    Cluster,
+    ClusterSet,
     MessageKind,
     Node,
     Position,
@@ -328,4 +330,46 @@ def test_c11_ten_thousand_nodes_at_fixed_area_pipeline_time():
         "10 000-node cluster+elect+address+validate in 100 x 100 m under 2 s",
         ok,
         f"{elapsed * 1000:.0f} ms",
+    )
+
+
+def _two_clusters(first, second, node_count):
+    return ClusterSet(
+        (Cluster(0, first[0], tuple(first)), Cluster(1, second[0], tuple(second))), node_count
+    )
+
+
+def test_c12_closest_cross_cluster_pair_worst_cases_time():
+    # Two 30 x 50 lattices at 1 m, 150 m apart on the diagonal: until the
+    # sweep reaches the second it has no cross-cluster pair, so its window
+    # holds every member behind it. The closest pair, (29, 49)-(150, 150), is
+    # 222 m apart, and each lattice is 29 + 49 = 78 m wide.
+    far = {}
+    for k in range(1500):
+        i, j = divmod(k, 50)
+        far[k] = Position(float(i), float(j))
+        far[1500 + k] = Position(150.0 + i, 150.0 + j)
+    far_clusters = _two_clusters(range(1500), range(1500, 3000), 3000)
+    # 3 000 nodes on the line x + y = 3000, labels alternating: every member
+    # has the same u, so nothing leaves the active list. Neighbours are 2 m
+    # apart, and each cluster spans (0, 3000)-(2998, 2), 5996 m.
+    line = {i: Position(float(i), 3000.0 - i) for i in range(3000)}
+    line_clusters = _two_clusters(range(0, 3000, 2), range(1, 3000, 2), 3000)
+    ok = True
+    details = []
+    for clusters, positions, expected in (
+        (far_clusters, far, 222 / 78),
+        (line_clusters, line, 2 / 5996),
+    ):
+        start = time.perf_counter()
+        report = validate_clusters(clusters, positions)
+        elapsed = time.perf_counter() - start
+        ok = ok and elapsed < 1.0 and report.dunn_index == expected
+        details.append(f"{elapsed * 1000:.0f} ms")
+    _report(
+        12,
+        "3 000-node validate, two far clusters and one line of alternating labels, "
+        "under 1 s each",
+        ok,
+        ", ".join(details),
     )

@@ -17,7 +17,6 @@ from clusterbench import (
     manhattan_distance,
     pac_candidates,
 )
-from clusterbench.validation import cell_of
 from reference import ref_expac_cluster, ref_pac_candidates
 from strategies import dense_scene, edge_scenes, far_scenes
 
@@ -264,7 +263,7 @@ def test_expac_matches_reference_on_generated_scenarios():
 )
 def test_candidates_match_reference_on_dense_cells(seed, duplicate_share, clump_share):
     positions = dense_scene(seed, duplicate_share, clump_share)
-    cells = Counter(cell_of(p, 20.0) for p in positions.values())
+    cells = Counter((int(p.x // 20.0), int(p.y // 20.0)) for p in positions.values())
     # 30 nodes share a 20 m square, so some u- and v-windows hold dozens of nodes
     assert max(cells.values()) >= 30
     nodes = _scene_nodes(positions)

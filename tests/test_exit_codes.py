@@ -178,6 +178,21 @@ def test_run_size_is_checked_before_placement(tmp_path, monkeypatch):
     assert not out.exists()
 
 
+def test_bad_prefix_exits_3_before_placement(tmp_path, monkeypatch):
+    def refuse(config):
+        raise AssertionError("placed a population for a run with a bad prefix")
+
+    monkeypatch.setattr(cli, "generate_scenario", refuse)
+    monkeypatch.setattr(sim, "generate_scenario", refuse)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(BASE))
+    out = tmp_path / "out"
+    code, err = run_main("simulate", "--config", cfg, "--out", out, "--prefix", "fd00::/64")
+    assert code == 3, err
+    assert err == "input error: prefix length must be 48, got /64\n"
+    assert not out.exists()
+
+
 # --- sweep bounds -------------------------------------------------------------
 
 

@@ -125,8 +125,8 @@ def test_cluster_diameter_matches_reference_when_rounding_moves_the_widest_pair(
         assert cluster_diameter(c, pos) == ref_cluster_diameter(c, pos)
 
 
-# Far from the origin the float gaps are coarse; in the first and last cases
-# some distances overflow to inf.
+# Far from the origin the float gaps are coarse; in the first, fourth and
+# last cases some distances overflow to inf.
 FAR_AND_OVERFLOWING = [
     {0: Position(-1e308, 0.0), 1: Position(-1e308, 1.0), 2: Position(1e308, 0.0)},
     {i: Position(1e300 + i * 1e285, 1e300) for i in range(4)},
@@ -137,6 +137,7 @@ FAR_AND_OVERFLOWING = [
         2: Position(0.0, 0.0),
         3: Position(1.0, 0.0),
     },
+    {0: Position(1e308, -1e308), 1: Position(-1e308, 1e308), 2: Position(0.0, 0.0)},
 ]
 
 
@@ -201,11 +202,35 @@ def test_index_matches_reference_on_random_partitions():
         assert _outcome(dunn_index, cs, pos) == _outcome(ref_dunn_index, cs, pos)
 
 
+def test_index_matches_reference_when_rounding_hides_the_closest_pair():
+    # Copies a few ulps apart land in different clusters, where rounding can
+    # make the closest pair's computed u or v gap exceed half its float
+    # distance; only the sweep's rounding margin keeps that pair in the window.
+    rnd = random.Random(5)
+    for _ in range(3000):
+        pos = random_ulp_cluster(rnd)
+        cs = random_labels(rnd, len(pos), 3)
+        assert _outcome(dunn_index, cs, pos) == _outcome(ref_dunn_index, cs, pos)
+
+
+def test_index_in_the_subnormal_range():
+    # Halving rounds subnormals: (q, q) gets u = 0 and (3q, 3q) gets u = 4q,
+    # so the computed u gap of the closest pair is its whole distance 4q.
+    # The pair (-5q, 0)-(0, 0), found first, sets the window to half of 5q,
+    # rounded to 2q, plus delta; with 2**-1074 = q in delta instead of 4q,
+    # that window drops the closest pair.
+    q = 5e-324
+    pos = {0: Position(0.0, 0.0), 1: Position(q, q), 2: Position(-5 * q, 0.0), 3: Position(3 * q, 3 * q)}
+    cs = ClusterSet((Cluster(0, 0, (0, 1)), Cluster(1, 2, (2, 3))), 4)
+    assert dunn_index(cs, pos) == ref_dunn_index(cs, pos) == 4 / 11
+
+
 def test_index_far_from_origin_and_overflowing():
-    # Cells widen far from the origin. In the first case every cross-cluster
-    # distance overflows to inf, so no pair is ever shorter than the side and
-    # the scan has to stop once all occupied cells neighbour each other. In
-    # the last the diameter overflows too, and both reject the input.
+    # Far from the origin the rounding margin spans many float gaps. In the
+    # first case every cross-cluster distance overflows to inf, so the sweep
+    # never has a finite bound; in the fourth the diameter overflows too, and
+    # both reject the input. In the last x - y overflows, so the sweep's
+    # frame must be built without it.
     for pos in FAR_AND_OVERFLOWING:
         cs = two_clusters([0, 1], len(pos))
         assert _outcome(dunn_index, cs, pos) == _outcome(ref_dunn_index, cs, pos)
