@@ -3,9 +3,9 @@
 Every node first proposes a candidate cluster: itself as temporary head plus
 every other node strictly within transmission range (Manhattan metric). The
 partition is then built greedily — repeatedly commit the candidate that still
-covers the most unclustered nodes (ties broken toward the lower head id),
-remove its members from all remaining candidates, and drop candidates whose
-head was just absorbed. Nodes left over become singletons.
+covers the most unclustered nodes (ties toward the lower head id); each
+candidate is re-counted against the unclustered nodes only when taken up,
+and skipped then if its head was absorbed. Nodes left over are singletons.
 
 Both stages are exact, and no Python-level work is done per in-range pair.
 Node ``b`` is in range of ``a`` exactly when the float expression
@@ -35,7 +35,7 @@ Float subtraction and addition are monotone, so that slice holds every
 window of the strip's nodes. The slice's nodes are sorted by v, with prefix
 masks over that order, so a v-window mask is the XOR of two prefix masks.
 
-**Why delta = 2**-50 * (M + r) is enough.** Float addition and subtraction
+**Why delta = ``_margin(M + r)`` is enough.** Float addition and subtraction
 round by at most eps relative, at every magnitude. Each computed u or v is
 within 2eps*M of the real x + y or x - y, since |x + y| <= 2M. Each float
 window bound ``fl(u +- w)`` is within eps*(2M + r + delta)(1 + eps) of the
@@ -51,12 +51,12 @@ d is within a factor (1 +- eps)**2 of the real distance D.
   at most r - delta + eps*(6.0002M + 2.0002r); the same bound on delta
   puts that below r(1 - 2eps), and then d <= D(1 + eps)**2 < r.
 
-Scaling by 2**-50 is exact unless the product is subnormal, where it is off
-by at most 2**-1075; adding the smallest subnormal 2**-1074 covers that, so
-the computed delta is at least 7.99eps*(M + r) at every magnitude. When
-4(M + r) overflows, delta is infinite: every window bound is infinite or
-NaN, both of which bisect to the ends of the order, so the maybe windows
-hold every node, the surely windows none, and every node is tested.
+Both facts need delta only from below, and ``_margin``, the rounding margin
+shared with Dunn's index, is at least 31eps*fl(M + r) >= 30.9eps*(M + r) at
+every magnitude. When 4(M + r) overflows, delta is infinite: every window
+bound is infinite or NaN, both of which bisect to the ends of the order, so
+the maybe windows hold every node, the surely windows none, and every node
+is tested.
 
 **Cost.** Sorting is O(N log N). Each node then does eight bisections, a few
 operations on masks as long as its slice, and tests its band, which holds
@@ -93,6 +93,14 @@ T = TypeVar("T")
 
 def manhattan_distance(a: Position, b: Position) -> float:
     return abs(a.x - b.x) + abs(a.y - b.y)
+
+
+def _margin(reach: float) -> float:
+    """The rounding margin of the exact searches over coordinates and ranges up
+    to ``reach``: ``reach * 2**-48 + 2**-1072``, at least 31eps*reach + 3.4q for
+    eps = 2**-53 and q = 2**-1074, as only a subnormal product rounds, by at
+    most q/2; inf when ``4 * reach`` overflows."""
+    return reach * 2.0**-48 + 2.0**-1072 if math.isfinite(4 * reach) else math.inf
 
 
 class CandidateCluster(NamedTuple):
@@ -151,10 +159,7 @@ def pac_candidates(nodes: list[Node], tx_range: float) -> list[CandidateCluster]
         if not (math.isfinite(p.x) and math.isfinite(p.y)):
             raise InputError(f"position ({p.x!r}, {p.y!r}) is not finite")
     reach = max(max(abs(p.x), abs(p.y)) for p in pos)
-    if math.isfinite(4 * (reach + tx_range)):
-        delta = (reach + tx_range) * 2.0**-50 + 2.0**-1074
-    else:
-        delta = math.inf
+    delta = _margin(reach + tx_range)
     maybe_w, surely_w = tx_range + delta, tx_range - delta
 
     order = sorted(range(len(pos)), key=lambda i: pos[i].x + pos[i].y)
@@ -207,10 +212,10 @@ def expac_cluster(nodes: list[Node], tx_range: float) -> ClusterSet:
     """Partition the nodes greedily by candidate coverage.
 
     Each round commits the candidate covering the most still-unclustered
-    nodes (lowest head id on ties) as the next cluster; committed nodes are
-    subtracted from every other candidate and candidates whose head got
-    absorbed are discarded. Once no candidate covers anyone beyond its own
-    head, whatever remains uncovered ends up in singleton clusters. Cluster
+    nodes (lowest head id on ties) as the next cluster. A popped candidate
+    is re-counted against the unclustered nodes and pushed back if its count
+    fell; one whose head was absorbed is skipped. Once no candidate covers
+    anyone beyond its own head, the rest become singleton clusters. Cluster
     ids follow selection order.
     """
     candidates = pac_candidates(nodes, tx_range)

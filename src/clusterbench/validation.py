@@ -4,54 +4,51 @@ index = (minimum pairwise inter-cluster distance) / (maximum cluster
 diameter), both under the Manhattan metric. Higher is better: above 1.0 the
 tightest pair of clusters is further apart than the widest cluster is wide.
 
-Both searches work in a rotated frame, where the real Manhattan distance D
-of two members is the larger of their gaps along the two axes. Write M for
-the largest |coordinate| of the members searched, eps = 2**-53 and
-q = 2**-1074, the smallest subnormal. Each float subtraction or addition
-is within a factor 1 +- eps of its real result, so the float distance d of
-a pair is within a factor (1 +- eps)**2 of D. Both share the rounding margin
-``_margin(M)``: delta = 2**-48 * M + 4q, which is at least 31eps*M + 3.4q
-after rounding, or inf when 4M overflows.
+Both searches work in one frame, u = x/2 + y/2 and v = x/2 - y/2, where the
+real Manhattan distance D of two members is 2 max(|dU|, |dV|) for their real
+gaps; halving first keeps u and v finite. Write M for the largest
+|coordinate| of the members, eps = 2**-53 and q = 2**-1074, the smallest
+subnormal. Each float addition or subtraction is within a factor 1 +- eps
+of its real result, so the float distance d of a pair is within a factor
+(1 +- eps)**2 of D. Halving rounds by at most q/2 and only in the subnormal
+range, so each computed u or v is within e = q + eps(M + q) of the real one.
+Both searches use the margin delta = ``clustering._margin(M)``, at least
+31eps*M + 3.4q, or inf when 4M overflows, which makes every test below keep
+every member. Every pair a search keeps is tested with
+``manhattan_distance``'s expression written inline.
 
-``_min_cross_distance`` finds the closest pair of members in different
-clusters by a plane sweep in u = x/2 + y/2, v = x/2 - y/2, where
-D = 2 max(|dU|, |dV|) for the real gaps dU and dV; halving first keeps u and
-v finite. Members are taken in u order. The active list holds, sorted by v,
-the members behind the current one b that lie within w = best/2 + delta of
-it in u, where best is the shortest cross-cluster distance so far. Those
-within w of b in v are tested with ``manhattan_distance``'s expression
-written inline; then b joins the list. While best is inf, so is w, and
-every member behind b is tested. Otherwise let a come before b in u order
-with d < best when b is reached; best <= 4M, the largest float distance.
-Then D <= d(1 + 3eps), so |dU|, |dV| <= best/2 + 6eps*M. Halving rounds by
-at most q/2 and only in the subnormal range, so each computed u or v is
-within q + eps(M + q) of the real one, and the gaps of the computed
-coordinates are at most best/2 + 8eps*M + 2q(1 + eps). The computed w is at
-least (best/2 - q/2 + delta)(1 - eps) >= best/2 + 28eps*M + 2.8q, which is
-more. So a's u is at least u_b - w, and a's v lies in [v_b - w, v_b + w].
-The thresholds are floats rounded from those real bounds, and rounding is
-monotone, so a is not dropped and lies in the window: the pair is tested. A
-member dropped earlier was dropped against a u no larger than u_b and a
-best no smaller, so the same holds. Every pair left untested has d >= best,
-and the result is exactly the all-pairs minimum. When 4M overflows, delta
-and w are inf, nothing is dropped and every pair is tested. The sweep
-costs O(N log N) plus one step per pair in a window, which before the first
-cross-cluster pair holds every member behind, and O(N**2) list moves at
-worst, when many members share one u.
+``_min_cross_distance`` is a plane sweep in u order. The active list holds,
+sorted by v, the members behind the current one b that lie within
+w = best/2 + delta of it in u, where best is the shortest cross-cluster
+distance so far; those within w of b in v are tested, then b joins. Let a
+come before b with d < best. If best is inf, so is w, and the pair is
+tested. Else best <= 4M, the largest float distance, D <= d(1 + 3eps), so
+|dU|, |dV| <= best/2 + 6eps*M, and the computed gaps are at most
+best/2 + 8eps*M + 2q(1 + eps), less than the computed w, which is at least
+(best/2 - q/2 + delta)(1 - eps) >= best/2 + 28eps*M + 2.8q. Rounding is
+monotone, so a lies in b's window and was not dropped against b or any
+earlier member, whose u is no larger and best no smaller: the result is
+exactly the all-pairs minimum. The sweep costs O(N log N) plus one step per
+pair in a window, and O(N**2) list moves at worst, when many share one u.
 
-``cluster_diameter`` tests only the members that can end the widest pair.
-Under u = x + y and v = x - y the real diameter D* is the larger of the u
-and v spreads. The float distance d of a pair is within a factor
-(1 +- eps)**2 of its real distance D, so the pair with the largest d has
-D >= D*(1 - 4eps), and one axis, u say, has |du| >= D*(1 - 4eps) for it.
-Both its ends then lie within 4eps*D* <= 16eps*M of the two real u
-extremes, since |du| <= D* for every pair. Computed u and v are within
-2eps*M of the real ones, and the float thresholds ``max(us) - delta`` and
-``min(us) + delta`` round by at most eps*(2M + delta)(1 + eps), so
-delta >= 31eps*M keeps both ends. When 4M overflows, every member is kept. The kept members
-are tested all pairs with the inline expression, so the result is exactly
-the all-pairs maximum. In practice a few members per cluster survive, and a
-cluster of at most ``_FEW`` members is tested all pairs directly.
+``_diameter`` tests all pairs of a cluster of at most ``_FEW`` members, else
+only the members that can end the widest pair, in practice a few. A
+cluster's real diameter is D* = 2 max(S_u, S_v) <= 4M for the real spreads
+S of its u and v. The pair with the largest d has D >= D*(1 - 4eps), so on
+one axis, u say, |dU| >= D*/2 - 2eps*D* >= S_u - 8eps*M for it.
+
+- *Axis.* So S_u >= S_v(1 - 4eps) >= S_v - 8eps*M. Each computed spread
+  s = fl(max - min) is within 2e + eps(2M + 2e) <= 4.01eps*M + 2.01q of the
+  real one, so s_u >= s_v - 16.1eps*M - 4.1q. The float test
+  ``s_u + delta < s_v - delta`` fails when s_v <= delta, and otherwise
+  holds only if (s_u + delta)(1 - eps) < (s_v - delta)(1 + eps), that is if
+  s_u < s_v - 2delta + 4.01eps*M + q <= s_v - 57eps*M - 5.8q. So the axis
+  of the widest pair is not dropped.
+- *Extremes.* On it the pair's ends lie within 8eps*M of the real extremes,
+  and within 8eps*M + 2e of the computed ones, max(us) and min(us). The
+  thresholds ``max(us) - delta`` and ``min(us) + delta`` round by at most
+  eps(M + e + delta), so delta >= 11.1eps*M + 2.1q keeps both ends, and the
+  result is exactly the all-pairs maximum.
 """
 
 from __future__ import annotations
@@ -60,11 +57,8 @@ import math
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from enum import Enum
-from .errors import (
-    DegenerateGeometryError,
-    InputError,
-    UndefinedIndexError,
-)
+from .clustering import _margin
+from .errors import ConsistencyError, DegenerateGeometryError, InputError, UndefinedIndexError
 from .model import Cluster, ClusterSet, NodeId, Position
 
 
@@ -104,60 +98,61 @@ class ValidationReport:
 #: Up to this many members, testing all pairs is cheaper than filtering first.
 _FEW = 10
 
-
-def _margin(reach: float) -> float:
-    """The rounding margin of both searches over members with no |coordinate|
-    above ``reach``; inf when ``4 * reach`` overflows (see the module
-    docstring)."""
-    return reach * 2.0**-48 + 2.0**-1072 if math.isfinite(4 * reach) else math.inf
+Point = tuple[float, float, float, float]  # (u, v, x, y), as in the module docstring
 
 
-def cluster_diameter(cluster: Cluster, positions: dict[NodeId, Position]) -> float:
-    """Maximum Manhattan distance between two members; 0 for a singleton.
+def _frame(
+    clusters: tuple[Cluster, ...], positions: dict[NodeId, Position]
+) -> tuple[list[list[Point]], float]:
+    """Each cluster's members as points, and the rounding margin of them all."""
+    groups = []
+    reach = 0.0
+    for c in clusters:
+        points = []
+        for m in c.members:
+            p = positions.get(m)
+            if p is None:
+                raise ConsistencyError(f"no position for node {m}")
+            x, y = p.x, p.y
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise InputError(f"position ({x!r}, {y!r}) is not finite")
+            points.append((x * 0.5 + y * 0.5, x * 0.5 - y * 0.5, x, y))
+            reach = max(reach, abs(x), abs(y))
+        groups.append(points)
+    return groups, _margin(reach)
 
-    Only members within ``delta`` of an extreme of u = x + y or of
-    v = x - y can end the widest pair (see the module docstring); those are
-    tested all-pairs with the inline expression.
-    """
-    points = [(p.x, p.y) for p in map(positions.__getitem__, cluster.members)]
+
+def _diameter(points: list[Point], delta: float) -> float:
+    """The widest float distance between two points, 0 for one; above ``_FEW``
+    points only those near an extreme of an axis that can hold it are tested."""
     if len(points) > _FEW:
-        delta = _margin(max(max(abs(x), abs(y)) for x, y in points))
-        if delta < math.inf:
-            us = [x + y for x, y in points]
-            vs = [x - y for x, y in points]
-            u_lo, u_hi = min(us) + delta, max(us) - delta
-            v_lo, v_hi = min(vs) + delta, max(vs) - delta
-            points = [
-                p
-                for p, u, v in zip(points, us, vs)
-                if u <= u_lo or u >= u_hi or v <= v_lo or v >= v_hi
-            ]
+        us, vs, _, _ = zip(*points)
+        u_lo, u_hi, v_lo, v_hi = min(us), max(us), min(vs), max(vs)
+        if u_hi - u_lo + delta < v_hi - v_lo - delta:
+            u_lo, u_hi = -math.inf, math.inf  # u is too narrow to hold the widest pair
+        elif v_hi - v_lo + delta < u_hi - u_lo - delta:
+            v_lo, v_hi = -math.inf, math.inf
+        u_lo, u_hi, v_lo, v_hi = u_lo + delta, u_hi - delta, v_lo + delta, v_hi - delta
+        points = [p for p in points if p[0] <= u_lo or p[0] >= u_hi or p[1] <= v_lo or p[1] >= v_hi]
     widest = 0.0
-    for i, (ax, ay) in enumerate(points):
-        for bx, by in points[i + 1 :]:
+    for i, (_, _, ax, ay) in enumerate(points):
+        for _, _, bx, by in points[i + 1 :]:
             d = abs(ax - bx) + abs(ay - by)
             if d > widest:
                 widest = d
     return widest
 
 
-def _min_cross_distance(clusters: tuple[Cluster, ...], positions: dict[NodeId, Position]) -> float:
-    """Smallest Manhattan distance between two members of different clusters.
+def cluster_diameter(cluster: Cluster, positions: dict[NodeId, Position]) -> float:
+    """Maximum Manhattan distance between two members; 0 for a singleton."""
+    (points,), delta = _frame((cluster,), positions)
+    return _diameter(points, delta)
 
-    A plane sweep in the order of u = x/2 + y/2 whose active list, sorted by
-    v = x/2 - y/2, holds the members within best/2 + delta behind in u; only
-    those within the same bound in v are tested (see the module docstring).
-    """
-    points = [
-        (p.x, p.y, label)
-        for label, c in enumerate(clusters)
-        for p in map(positions.__getitem__, c.members)
-    ]
-    for x, y, _ in points:
-        if not (math.isfinite(x) and math.isfinite(y)):
-            raise InputError(f"position ({x!r}, {y!r}) is not finite")
-    delta = _margin(max(max(abs(x), abs(y)) for x, y, _ in points))
-    members = sorted((x * 0.5 + y * 0.5, x * 0.5 - y * 0.5, x, y, a) for x, y, a in points)
+
+def _min_cross_distance(groups: list[list[Point]], delta: float) -> float:
+    """Smallest Manhattan distance between points of different groups, by a
+    plane sweep in u order over a v-sorted window (see the module docstring)."""
+    members = sorted((u, v, x, y, a) for a, points in enumerate(groups) for u, v, x, y in points)
     active: list[tuple[float, float, float, int]] = []
     best = math.inf
     left = 0
@@ -183,10 +178,9 @@ def dunn_index(clusters: ClusterSet, positions: dict[NodeId, Position]) -> float
     Needs at least two clusters. All-singleton partitions have diameter 0,
     which yields +inf when the clusters are apart and is an error when two
     clusters touch (distance 0 too). When both distances overflow to +inf
-    the index is inf / inf, and that is an ``InputError``. The minimum
-    inter-cluster distance is the closest pair of members in different
-    clusters, found by a plane sweep in the rotated frame that is
-    near-linear at fixed node density; diameters are per cluster.
+    the index is inf / inf, and that is an ``InputError``. Each member's
+    position is read once: a missing one is a ``ConsistencyError`` and a
+    non-finite one an ``InputError``.
     """
     cs = clusters.clusters
     if len(cs) < 2:
@@ -194,8 +188,9 @@ def dunn_index(clusters: ClusterSet, positions: dict[NodeId, Position]) -> float
             f"index needs at least two clusters, got {len(cs)}"
         )
 
-    min_dist = _min_cross_distance(cs, positions)
-    max_dia = max(cluster_diameter(c, positions) for c in cs)
+    groups, delta = _frame(cs, positions)
+    min_dist = _min_cross_distance(groups, delta)
+    max_dia = max(_diameter(points, delta) for points in groups)
     if min_dist == max_dia == math.inf:
         raise InputError(
             "Manhattan distances overflow: the closest cross-cluster pair and the "

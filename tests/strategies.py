@@ -239,6 +239,31 @@ def random_ulp_cluster(rnd: random.Random):
     return {i: Position(x, y) for i, (x, y) in enumerate(points)}
 
 
+def _jitter(rnd: random.Random, value: float) -> float:
+    for _ in range(rnd.randint(0, 4)):
+        value = math.nextafter(value, rnd.choice((math.inf, -math.inf)))
+    return value
+
+
+def random_diagonal_scene(rnd: random.Random):
+    """Positions 0..n-1, 2 <= n <= 32, a few ulps off the line x + y = c, the
+    line x - y = c, or both lines crossing with the same extent on each.
+
+    On one line the spread of x + y or of x - y is a few ulps; on the cross
+    both spreads agree up to rounding, so their computed order need not be
+    the order of the float distances of the two diagonals."""
+    scale = 10.0 ** rnd.randint(-3, 6)
+    cx, cy = rnd.uniform(-scale, scale), rnd.uniform(-scale, scale)
+    t = scale * rnd.uniform(0.01, 1.0)
+    directions = rnd.choice(([(1, -1)], [(1, 1)], [(1, -1), (1, 1)]))
+    points = [(cx + s * t * dx, cy + s * t * dy) for dx, dy in directions for s in (-1, 1)]
+    for _ in range(rnd.randint(0, 28)):
+        dx, dy = rnd.choice(directions)
+        s = rnd.choice((-1.0, 1.0, rnd.uniform(-1, 1)))
+        points.append((cx + s * t * dx, cy + s * t * dy))
+    return {i: Position(_jitter(rnd, x), _jitter(rnd, y)) for i, (x, y) in enumerate(points)}
+
+
 def random_labels(rnd: random.Random, node_count: int, max_clusters: int) -> ClusterSet:
     """Node ids split into up to ``max_clusters`` clusters by a random label each."""
     groups: dict[int, list[int]] = {}

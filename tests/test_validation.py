@@ -1,5 +1,6 @@
 import math
 import random
+import timeit
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from clusterbench import (
     Cluster,
     ClusterSet,
     Compactness,
+    ConsistencyError,
     DegenerateGeometryError,
     InputError,
     InvariantViolation,
@@ -22,6 +24,7 @@ from clusterbench import (
     expac_cluster,
     validate_clusters,
 )
+from clusterbench.validation import _FEW
 from reference import inter_cluster_distance, ref_cluster_diameter, ref_dunn_index
 from strategies import (
     dense_scene,
@@ -29,6 +32,7 @@ from strategies import (
     edge_scenes,
     far_scenes,
     partitions,
+    random_diagonal_scene,
     random_labels,
     random_partition,
     random_ulp_cluster,
@@ -123,6 +127,38 @@ def test_cluster_diameter_matches_reference_when_rounding_moves_the_widest_pair(
         pos = random_ulp_cluster(rnd)
         c = _whole_scene(pos)
         assert cluster_diameter(c, pos) == ref_cluster_diameter(c, pos)
+
+
+def test_cluster_diameter_matches_reference_along_the_diagonals():
+    # Along one diagonal only the other axis can hold the widest pair, so the
+    # filter keeps only that axis's extremes. On the cross the two spreads tie
+    # up to rounding, and only the margins in the axis test keep the axis of
+    # the float-widest pair.
+    rnd = random.Random(7)
+    sizes = set()
+    for _ in range(3000):
+        pos = random_diagonal_scene(rnd)
+        sizes.add(len(pos) > _FEW)
+        c = _whole_scene(pos)
+        assert cluster_diameter(c, pos) == ref_cluster_diameter(c, pos)
+        cs = random_labels(rnd, len(pos), 2)
+        assert _outcome(dunn_index, cs, pos) == _outcome(ref_dunn_index, cs, pos)
+    assert sizes == {False, True}  # both sides of the all-pairs cut-off
+
+
+def test_line_diameters_time():
+    # 3 000 nodes on x + y = 3000 in two clusters of alternating members:
+    # every u is equal, so only the v extremes need testing.
+    pos = {i: Position(float(i), 3000.0 - i) for i in range(3000)}
+    a = Cluster(0, 0, tuple(range(0, 3000, 2)))
+    b = Cluster(1, 1, tuple(range(1, 3000, 2)))
+
+    def widths():
+        return cluster_diameter(a, pos), cluster_diameter(b, pos)
+
+    assert widths() == (5996.0, 5996.0)
+    elapsed = min(timeit.repeat(widths, number=1, repeat=5))  # the least disturbed run
+    assert elapsed < 0.05, f"{elapsed * 1000:.0f} ms"
 
 
 # Far from the origin the float gaps are coarse; in the first, fourth and
@@ -276,6 +312,27 @@ def test_index_rejects_non_finite_position():
         pos = {0: Position(0.0, 0.0), 1: Position(bad, 0.0), 2: Position(1.0, 0.0)}
         with pytest.raises(InputError):
             dunn_index(two_clusters([0, 1], 3), pos)
+
+
+@pytest.mark.parametrize("size", [_FEW, _FEW + 1], ids=["few", "many"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_diameter_and_index_reject_non_finite_position(size, bad):
+    pos = grid([(i, 0) for i in range(size + 1)])
+    pos[1] = Position(0.0, bad)
+    with pytest.raises(InputError, match="is not finite"):
+        cluster_diameter(Cluster(0, 0, tuple(range(size))), pos)
+    with pytest.raises(InputError, match="is not finite"):
+        dunn_index(two_clusters(range(size), size + 1), pos)
+
+
+@pytest.mark.parametrize("size", [_FEW, _FEW + 1], ids=["few", "many"])
+def test_diameter_and_index_reject_missing_position(size):
+    pos = grid([(i, 0) for i in range(size + 1)])
+    del pos[1]
+    with pytest.raises(ConsistencyError, match="no position for node 1"):
+        cluster_diameter(Cluster(0, 0, tuple(range(size))), pos)
+    with pytest.raises(ConsistencyError, match="no position for node 1"):
+        dunn_index(two_clusters(range(size), size + 1), pos)
 
 
 # --- classification ---------------------------------------------------------
