@@ -4,7 +4,9 @@ Every output file's columns, rows and cells are decided here: the CSV/JSON
 tables, the ``.dat`` plot files and the run manifest, plus the readers that
 load node and cluster tables back. Each CSV/JSON table is declared once, as
 a ``Table`` of column names and cell ``Kind``s, and every byte of its records
-comes from the ``Layout`` derived from that declaration.
+comes from the ``Layout`` derived from that declaration. The node and cluster
+tables are read back through the same declarations, each column by its
+kind's ``parse``; a header that names a column twice is refused.
 """
 
 from __future__ import annotations
@@ -15,12 +17,14 @@ import json
 import math
 import os
 import time
+from collections import defaultdict
 from collections.abc import Iterable, Iterator
 from dataclasses import astuple, dataclass
 from datetime import datetime, timezone
 from enum import Enum
 from functools import partial
 from ipaddress import IPv6Address
+from itertools import compress
 from pathlib import Path
 
 from . import __version__
@@ -51,7 +55,23 @@ class Kind:
     optional: bool = False
     vocabulary: tuple = ()
 
+    def parse(self, cells) -> list:
+        """An int, number or flag column's cell texts as values, parsed in C;
+        a ValueError or KeyError if a cell is not as ``_SPELLINGS`` says."""
+        if self.base == "int":
+            return list(map(int, cells))
+        if self.base == "flag":
+            return list(map(_FLAG_TEXTS.__getitem__, map(str.lower, map(str.strip, cells))))
+        values = list(map(float, cells))
+        if not all(map(math.isfinite, values)):
+            raise ValueError("a number is not finite")
+        return values
 
+
+# What a read takes as a cell of each kind: a flag in any case, with spaces
+# around it, and empty for false.
+_SPELLINGS = {"int": "an integer", "number": "a finite number", "flag": "true or false"}
+_FLAG_TEXTS = {"true": True, "1": True, "false": False, "0": False, "": False}
 INT, NUMBER, FLAG, ADDRESS = Kind("int"), Kind("number"), Kind("flag"), Kind("address")
 OPTIONAL_INT, OPTIONAL_NUMBER = Kind("int", optional=True), Kind("number", optional=True)
 FORMATS = ("csv", "json")
@@ -284,8 +304,8 @@ class TimelineRows:
         # and exempt cells up to the energy's value; the energy; the address.
         tick_text, address_text = layout.slots(0, 1), layout.slots(6, 7)
         node_text = layout.slots(1, 5) + layout.before[5]
-        flag, energy_cell, address_cell = (partial(layout.cell, i) for i in (3, 5, 6))
-        special_energies = layout.maps[5]
+        flag, address_cell = partial(layout.cell, 3), partial(layout.cell, 6)
+        energy_step = layout.steps[5]  # JSON's map of the infinities; none in CSV
         node_ids = range(self.snapshots[0].clusters.node_universe)
         shown = [None] * len(node_ids)  # the Cluster each node's text was taken from
         nodes = [None] * len(node_ids)
@@ -316,14 +336,8 @@ class TimelineRows:
                         )
                     nodes[node_id] = text
             energies = list(map(snap.energies.__getitem__, node_ids))
-            # A float that needs no map renders as its repr; a library-built
-            # node may also hold an int.
-            if set(map(type, energies)) == {float} and (
-                special_energies is None or special_energies.keys().isdisjoint(energies)
-            ):
-                energies = map(float.__repr__, energies)
-            else:
-                energies = map(energy_cell, energies)
+            # str gives the text of the column's "{}" format, in C.
+            energies = map(str, energies if energy_step is None else energy_step(energies))
             prefix = tick_text.format(snap.at_tick)
             yield layout.sep.join(
                 [f"{prefix}{n}{e}{a}" for n, e, a in zip(nodes, energies, addresses)]
@@ -413,56 +427,55 @@ def simulation_tables(snapshots: list[SimSnapshot]) -> dict[str, tuple[Table, ob
     }
 
 
-def _parse_bool(text: str, where: str) -> bool:
-    low = text.strip().lower()
-    if low not in ("true", "1", "false", "0", ""):
-        raise InputError(f"{where}: expected true/false, got {text!r}")
-    return low in ("true", "1")
-
-
-def _finite(row: dict, column: str) -> float:
-    value = float(row[column])
-    if not math.isfinite(value):
-        raise ValueError(f"{column} must be finite, got {row[column]!r}")
-    return value
-
-
-def _read_csv(path: str | Path, required: list[str], what: str) -> list[dict]:
-    """A CSV table's rows of ``what``, as dicts by column name; blank lines are skipped."""
+def _read_table(path: str | Path, table: Table, what: str, defaults: dict) -> list[list]:
+    """A CSV table of ``what``'s declared columns, in order, each parsed by its
+    kind. Blank lines are skipped and undeclared columns ignored; a missing
+    column with a text in ``defaults`` holds that text on every row."""
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
             header = next(reader, [])
-            missing = [col for col in required if col not in header]
+            for i, name in enumerate(header):
+                if name in header[:i]:
+                    raise InputError(f"{path}: column {name} is named more than once")
+            missing = [name for name in table.columns if name not in header + list(defaults)]
             if missing:
                 raise InputError(f"{path}: missing columns: {', '.join(missing)}")
-            rows = []
-            for cells in filter(None, reader):
-                if len(cells) != len(header):
-                    width = f"expected {len(header)} cells, got {len(cells)}"
-                    raise InputError(f"{path} row {len(rows) + 1}: {width}")
-                rows.append(dict(zip(header, cells)))
+            rows = list(filter(None, reader))
     # csv.Error: a cell over the csv module's field limit.
     except (OSError, csv.Error, UnicodeDecodeError) as err:
         raise InputError(f"cannot read {path}: {err}") from err
     if not rows:
         raise InputError(f"{path}: no {what} rows")
-    return rows
+    if set(map(len, rows)) != {len(header)}:
+        i = next(i for i, cells in enumerate(rows) if len(cells) != len(header))
+        raise InputError(f"{path} row {i + 1}: expected {len(header)} cells, got {len(rows[i])}")
+    texts = {name: [text] * len(rows) for name, text in defaults.items()}
+    texts.update(zip(header, zip(*rows)))
+    columns = []
+    for name, kind in zip(table.columns, table.kinds):
+        try:
+            columns.append(kind.parse(texts[name]))
+        except (ValueError, KeyError):
+            # Only a column that fails is parsed a cell at a time, for its row.
+            for i, text in enumerate(texts[name]):
+                try:
+                    kind.parse((text,))
+                except (ValueError, KeyError):
+                    where = f"{path} row {i + 1}: {name} must be {_SPELLINGS[kind.base]}"
+                    raise InputError(f"{where}, got {text!r}") from None
+    return columns
 
 
 def read_nodes_csv(path: str | Path) -> list[Node]:
     """Load a node table (node_id, x, y, energy)."""
-    rows = _read_csv(path, NODES_TABLE.columns, "node")
+    node_ids, xs, ys, energies = _read_table(path, NODES_TABLE, "node", {})
     nodes = []
-    for i, row in enumerate(rows):
-        try:
-            node_id = int(row["node_id"])
-            pos = Position(_finite(row, "x"), _finite(row, "y"))
-            nodes.append(Node(node_id, pos, _finite(row, "energy")))
-        except (ValueError, InvariantViolation) as err:
-            raise InputError(f"{path} row {i + 1}: {err}") from err
-    ids = sorted(n.node_id for n in nodes)
-    if ids != list(range(len(nodes))):
+    try:  # extend keeps the nodes built before a refused one, so counts its row
+        nodes.extend(map(Node, node_ids, map(Position, xs, ys), energies))
+    except InvariantViolation as err:
+        raise InputError(f"{path} row {len(nodes) + 1}: {err}") from err
+    if sorted(node_ids) != list(range(len(nodes))):
         raise InputError(f"{path}: node ids must be the dense range 0..N-1")
     return sorted(nodes, key=lambda n: n.node_id)
 
@@ -472,47 +485,34 @@ def read_clusters_csv(path: str | Path) -> tuple[ClusterSet, dict[NodeId, Positi
     the positional columns (x, y) so the partition can be re-validated; the
     exempt column is optional and defaults to false. The energy column is
     required and checked, but not returned."""
-    rows = _read_csv(path, ["cluster_id", "node_id", "is_head", "energy", "x", "y"], "cluster")
-    grouped: dict[int, dict] = {}
-    positions: dict[NodeId, Position] = {}
-    for i, row in enumerate(rows):
-        where = f"{path} row {i + 1}"
-        try:
-            cid = int(row["cluster_id"])
-            nid = int(row["node_id"])
-            is_head = _parse_bool(row["is_head"], where)
-            energy = _finite(row, "energy")
-            if energy < 0:
-                raise ValueError(f"energy must be >= 0, got {row['energy']!r}")
-            pos = Position(_finite(row, "x"), _finite(row, "y"))
-            exempt = _parse_bool(row.get("exempt", ""), where)
-        except ValueError as err:
-            raise InputError(f"{where}: {err}") from err
-        group = grouped.setdefault(cid, {"members": [], "heads": [], "exempt": set()})
-        group["members"].append(nid)
-        if is_head:
-            group["heads"].append(nid)
-        if exempt:
-            group["exempt"].add(nid)
-        positions[nid] = pos
-    clusters = []
-    for cid in sorted(grouped):
-        group = grouped[cid]
-        if len(group["heads"]) != 1:
+    cluster_ids, node_ids, is_head, energies, xs, ys, exempt = _read_table(
+        path, CLUSTERS_TABLE, "cluster", {"exempt": "false"}
+    )
+    if min(energies) < 0:
+        i = next(i for i, energy in enumerate(energies) if energy < 0)
+        raise InputError(f"{path} row {i + 1}: energy must be >= 0, got {energies[i]!r}")
+    members, heads, exempts = defaultdict(list), defaultdict(list), defaultdict(set)
+    rows = list(zip(cluster_ids, node_ids))
+    for cid, nid in rows:
+        members[cid].append(nid)
+    for cid, nid in compress(rows, is_head):
+        heads[cid].append(nid)
+    for cid, nid in compress(rows, exempt):
+        exempts[cid].add(nid)
+    for cid in sorted(members):
+        if len(heads[cid]) != 1:
             raise InputError(
-                f"{path}: cluster {cid} must have exactly one head row, got {len(group['heads'])}"
+                f"{path}: cluster {cid} must have exactly one head row, got {len(heads[cid])}"
             )
-        try:
-            clusters.append(
-                Cluster(cid, group["heads"][0], tuple(group["members"]), frozenset(group["exempt"]))
-            )
-        except ClusterBenchError as err:
-            raise InputError(f"{path}: cluster {cid}: {err}") from err
-    try:
-        cluster_set = ClusterSet(tuple(clusters), len(positions))
+    positions = dict(zip(node_ids, map(Position, xs, ys)))
+    try:  # a failed Cluster check names its cluster
+        clusters = tuple(
+            Cluster(cid, heads[cid][0], tuple(members[cid]), frozenset(exempts[cid]))
+            for cid in sorted(members)
+        )
+        return ClusterSet(clusters, len(positions)), positions
     except ClusterBenchError as err:
         raise InputError(f"{path}: {err}") from err
-    return cluster_set, positions
 
 
 def sha256_file(path: str | Path) -> str:

@@ -348,6 +348,26 @@ def test_unreadable_cluster_table_exits_3(case):
     assert "Traceback" not in err and not wrote
 
 
+# Each table names a column twice; read as it stood, the later column would
+# win, and here each one makes a valid table of its own.
+DOUBLED = {
+    "x": b"node_id,x,y,energy,x\n0,0,0,500,1\n1,10,0,400,11\n",
+    "is_head": b"cluster_id,node_id,is_head,energy,x,y,exempt,is_head\n"
+    b"0,0,true,5,0,0,false,false\n0,1,false,5,10,0,false,true\n"
+    b"1,2,true,5,50,50,false,true\n1,3,false,5,55,50,false,false\n",
+}
+
+
+@pytest.mark.parametrize(
+    "command, flag, column", [("cluster", "--nodes", "x"), ("validate", "--clusters", "is_head")]
+)
+def test_a_column_named_twice_exits_3(command, flag, column):
+    code, err, wrote = run_on_bytes(command, flag, DOUBLED[column])
+    assert code == 3, err
+    assert err.startswith("input error: ") and f"column {column} is named more than once" in err
+    assert "Traceback" not in err and not wrote
+
+
 @pytest.mark.parametrize(
     "data",
     [b'{"seed": "\xff"}', b"[" * 100_000, b'{"seed": ' + b"7" * 5_000 + b"}"],

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import pkgutil
+import sys
 import tracemalloc
 from enum import Enum
 from ipaddress import IPv6Address
@@ -546,6 +547,114 @@ def test_read_clusters_rejects_overlap(tmp_path):
     )
     with pytest.raises(InputError):
         read_clusters_csv(path)
+
+
+def test_read_clusters_names_a_failed_cluster_once(tmp_path):
+    path = tmp_path / "c.csv"
+    path.write_text(
+        "cluster_id,node_id,is_head,energy,x,y,exempt\n"
+        "0,0,true,5,0,0,true\n"
+        "0,1,false,4,1,1,false\n"
+    )
+    with pytest.raises(InputError) as err:
+        read_clusters_csv(path)
+    assert str(err.value) == f"{path}: cluster 0: exempt ids must be non-head members"
+
+
+# Numbers whose text is easy to get wrong: the smallest subnormal, a negative
+# zero, the first power of ten past 2**53, the largest float, and ints.
+EDGE_NUMBERS = [5e-324, -0.0, 0.0, 1e22, sys.float_info.max, 7]
+COORDINATES = (
+    st.sampled_from(EDGE_NUMBERS + [-5e-324, -sys.float_info.max, -3])
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.integers(-(2**53), 2**53)
+)
+ENERGIES = (
+    st.sampled_from(EDGE_NUMBERS)
+    | st.floats(min_value=0, allow_infinity=False)
+    | st.integers(0, 2**53)
+)
+
+
+@st.composite
+def stored_scenes(draw):
+    """Nodes with edge-value numbers, and a partition of them with exempt
+    members whose cluster ids are sparse and out of order."""
+    n = draw(st.integers(1, 12))
+    nodes = [
+        Node(i, Position(draw(COORDINATES), draw(COORDINATES)), draw(ENERGIES)) for i in range(n)
+    ]
+    groups = {}
+    for node_id, cid in enumerate(draw(st.lists(st.integers(0, 40), min_size=n, max_size=n))):
+        groups.setdefault(cid, []).append(node_id)
+    clusters = []
+    for cid in draw(st.permutations(sorted(groups))):
+        head = draw(st.sampled_from(groups[cid]))
+        others = [m for m in groups[cid] if m != head]
+        exempt = draw(st.frozensets(st.sampled_from(others))) if others else frozenset()
+        clusters.append(Cluster(cid, head, tuple(groups[cid]), exempt))
+    return nodes, ClusterSet(tuple(clusters), n)
+
+
+def bits(*values):
+    """Each number as the hex of its float, so that -0.0 and 0.0 differ."""
+    return [float(v).hex() for v in values]
+
+
+@settings(max_examples=200, deadline=None)
+@given(scene=stored_scenes())
+def test_tables_read_back_what_was_written(scratch, scene):
+    nodes, partition = scene
+    write_table(scratch / "nodes.csv", NODES_TABLE, nodes_rows(nodes), "csv")
+    write_table(scratch / "clusters.csv", CLUSTERS_TABLE, clusters_rows(partition, nodes), "csv")
+    got_nodes = read_nodes_csv(scratch / "nodes.csv")
+    assert got_nodes == nodes
+    assert [bits(n.pos.x, n.pos.y, n.energy) for n in got_nodes] == [
+        bits(n.pos.x, n.pos.y, n.energy) for n in nodes
+    ]
+    got, positions = read_clusters_csv(scratch / "clusters.csv")
+    assert got == ClusterSet(
+        tuple(sorted(partition.clusters, key=lambda c: c.cluster_id)), len(nodes)
+    )
+    assert positions == {n.node_id: n.pos for n in nodes}
+    assert {i: bits(p.x, p.y) for i, p in positions.items()} == {
+        n.node_id: bits(n.pos.x, n.pos.y) for n in nodes
+    }
+
+
+# Each table's reader and lines: a header and two good rows.
+READERS = {
+    "nodes": (read_nodes_csv, ["node_id,x,y,energy", "0,1,1,5", "1,2,3,5"]),
+    "clusters": (
+        read_clusters_csv,
+        ["cluster_id,node_id,is_head,energy,x,y,exempt", "0,0,true,5,0,0,false", "0,1,false,4,1,1,false"],
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "table, column, text, spelling",
+    [
+        ("nodes", "node_id", "1.5", "an integer"),
+        ("nodes", "x", "one", "a finite number"),
+        ("nodes", "energy", "inf", "a finite number"),
+        ("clusters", "cluster_id", "zero", "an integer"),
+        ("clusters", "node_id", "", "an integer"),
+        ("clusters", "x", "nan", "a finite number"),
+        ("clusters", "energy", "1e400", "a finite number"),
+        ("clusters", "is_head", "yes", "true or false"),
+        ("clusters", "exempt", "2", "true or false"),
+    ],
+)
+def test_a_bad_cell_names_its_row_and_column(tmp_path, table, column, text, spelling):
+    read, lines = READERS[table]
+    cells = lines[2].split(",")
+    cells[lines[0].split(",").index(column)] = text
+    path = tmp_path / "t.csv"
+    path.write_text("\n".join([*lines[:2], ",".join(cells)]) + "\n")
+    with pytest.raises(InputError) as err:
+        read(path)
+    assert str(err.value) == f"{path} row 2: {column} must be {spelling}, got {text!r}"
 
 
 def test_manifest_honors_source_date_epoch(tmp_path, monkeypatch):
