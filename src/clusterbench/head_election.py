@@ -54,18 +54,24 @@ def rotate_heads(
     comparator: str = COMPARATOR_BELOW,
     at_tick: int = 0,
     states: dict[tuple, Cluster] | None = None,
+    settled: set[int] | frozenset[int] = frozenset(),
 ) -> tuple[ClusterSet, list[HeadChange]]:
-    """Recompute every head and exempt set from current energies, reporting
-    the head changes, each stamped ``at_tick``. A cluster whose head and
-    exempt set are unchanged is returned as is: it was checked with exactly
-    these members and flags.
+    """Recompute the head and exempt set of every cluster not in ``settled``
+    from current energies, reporting the head changes, each stamped
+    ``at_tick``. A cluster whose head and exempt set are unchanged is
+    returned as is: it was checked with exactly these members and flags.
 
     ``states`` interns cluster states across calls: it maps each state, the
     tuple of every field a ``Cluster`` holds, to the one checked ``Cluster``
     that has it (``cluster_states`` seeds one). A re-election that lands on a
     state in the mapping returns that object; any other state is built,
     checked and recorded. Without a mapping every changed cluster is built
-    afresh."""
+    afresh.
+
+    ``settled`` holds the ids of clusters whose election cannot have changed
+    since they were last elected (``run_simulation`` says which); they are
+    returned as they are. Every cluster keeps its members object, so the
+    result's partition is not checked again."""
     if not clusters.clusters:
         raise InputError("cluster set is empty")
     if comparator not in COMPARATORS:
@@ -78,6 +84,11 @@ def rotate_heads(
     elected = []
     changes = []
     for cluster in clusters.clusters:
+        if cluster.cluster_id in settled:
+            # Exact only while its election cannot change: a singleton after
+            # tick 0, or a cluster drained to 0.0 (run_simulation says why).
+            elected.append(cluster)
+            continue
         head = None
         best = float("-inf")
         failed = set()
@@ -105,4 +116,4 @@ def rotate_heads(
             except KeyError:
                 cluster = states[state] = Cluster(*state)
         elected.append(cluster)
-    return ClusterSet(tuple(elected), clusters.node_universe), changes
+    return ClusterSet._rotation(clusters, elected), changes

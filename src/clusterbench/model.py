@@ -6,6 +6,7 @@ import json
 import math
 import random
 from dataclasses import dataclass, fields
+from operator import attrgetter, is_
 
 from .errors import ConfigError, InvariantViolation
 
@@ -82,7 +83,11 @@ class Cluster:
     threshold_exempt: frozenset[NodeId] = frozenset()
 
     def __post_init__(self) -> None:
-        members = tuple(sorted(self.members))
+        members = self.members
+        # A sorted tuple is kept as the same object, so a rotation's clusters
+        # share their predecessor's members (see ClusterSet._rotation).
+        if type(members) is not tuple or list(members) != sorted(members):
+            members = tuple(sorted(members))
         if self.cluster_id < 0:
             raise InvariantViolation(f"cluster id must be non-negative, got {self.cluster_id}")
         if not members:
@@ -100,6 +105,9 @@ class Cluster:
             )
         object.__setattr__(self, "members", members)
         object.__setattr__(self, "threshold_exempt", exempt)
+
+
+_MEMBERS = attrgetter("members")
 
 
 @dataclass(frozen=True)
@@ -123,6 +131,23 @@ class ClusterSet:
             raise InvariantViolation(
                 f"clusters must cover exactly the ids 0..{self.node_universe - 1}"
             )
+
+    @classmethod
+    def _rotation(cls, before: ClusterSet, clusters) -> ClusterSet:
+        """``before`` with its clusters replaced one for one by ``clusters``,
+        each holding its predecessor's ``members`` object: only heads and
+        exempt sets moved, so the partition is ``before``'s and is not checked
+        again. A cluster with any other members object is an
+        ``InvariantViolation``."""
+        clusters = tuple(clusters)
+        if len(clusters) != len(before.clusters) or not all(
+            map(is_, map(_MEMBERS, clusters), map(_MEMBERS, before.clusters))
+        ):
+            raise InvariantViolation("a rotation must keep every cluster's members")
+        rotated = object.__new__(cls)
+        object.__setattr__(rotated, "clusters", clusters)
+        object.__setattr__(rotated, "node_universe", before.node_universe)
+        return rotated
 
     def by_node(self) -> list[Cluster]:
         """The cluster containing each node, indexed by node id."""

@@ -2,13 +2,15 @@
 
 Tick 0 sets the network up: place nodes, cluster by range, elect heads by
 energy, hand out addresses, and validate the partition. Every later tick
-drains energy (heads pay the higher rate), re-elects heads from the fresh
-energies, reports the validation on schedule, and — when the report
-recommends it — re-clusters and re-addresses. Positions are static and
-energies only ever decrease. The partition depends on positions alone, so a
-re-cluster reproduces the tick-0 partition, index and addresses; only the
-Hello/Reply/Assign trace, which follows the current heads, is rebuilt, as a
-``Handshake`` whose messages are built only when read. Tick 0 never
+drains the energy of the nodes not yet drained to zero (heads pay the
+higher rate), re-elects the heads of the clusters whose election can still
+change (not singletons, nor clusters drained to zero; see
+``run_simulation``), reports the validation on schedule, and — when the
+report recommends it — re-clusters and re-addresses. Positions are static
+and energies only ever decrease. The partition depends on positions alone,
+so a re-cluster reproduces the tick-0 partition, index and addresses; only
+the Hello/Reply/Assign trace, which follows the current heads, is rebuilt,
+as a ``Handshake`` whose messages are built only when read. Tick 0 never
 re-clusters.
 """
 
@@ -74,15 +76,27 @@ class SimSnapshot:
 
 
 def drain(
-    energies: dict[NodeId, EnergyLevel], clusters: ClusterSet, config: ScenarioConfig
-) -> dict[NodeId, EnergyLevel]:
-    """One tick of energy loss: heads pay drain_head, everyone else
-    drain_member, clamped at zero. Returns the drained energies."""
-    heads = {c.head for c in clusters.clusters}
-    return {
-        nid: max(0.0, e - (config.drain_head if nid in heads else config.drain_member))
-        for nid, e in energies.items()
-    }
+    energies: dict[NodeId, EnergyLevel],
+    alive: set[NodeId],
+    heads: set[NodeId],
+    config: ScenarioConfig,
+) -> tuple[dict[NodeId, EnergyLevel], list[NodeId]]:
+    """One tick of energy loss: the ``alive`` nodes in ``heads`` pay
+    drain_head, the other ``alive`` nodes drain_member, clamped at zero.
+    Returns the drained energies and the nodes whose drained energy is 0.0.
+    Any other node keeps its reading: once drained to 0.0, a node stays
+    there, as ``max(0.0, 0.0 - r)`` is 0.0 for every rate r >= 0."""
+    drained = energies.copy()
+    died = []
+    for nid in alive:
+        # max(0.0, e - rate) in one test: e - rate if above 0.0, else 0.0
+        energy = drained[nid] - (config.drain_head if nid in heads else config.drain_member)
+        if energy > 0.0:
+            drained[nid] = energy
+        else:
+            drained[nid] = 0.0
+            died.append(nid)
+    return drained, died
 
 
 def run_simulation(
@@ -131,18 +145,42 @@ def run_simulation(
     # expac_cluster reads only the static positions and rotate_heads keeps
     # membership, so every later partition, Dunn report and address map is
     # the tick-0 one: a re-cluster keeps the cluster count and re-runs only
-    # the handshake, whose trace depends on the current heads. rotate_heads
-    # re-elects every cluster, but each distinct cluster state is built and
-    # checked once per run: heads cycle among the same few members, so
-    # ``states`` hands back the object of a state seen before.
+    # the handshake, whose trace depends on the current heads. Each distinct
+    # cluster state is built and checked once per run: heads cycle among the
+    # same few members, so ``states`` hands back the object of a state seen
+    # before.
+    #
+    # Only a cluster whose election can still change is re-elected; the
+    # ``settled`` rest are carried over as they are, which is exact because
+    # an election reads nothing but its members' readings:
+    # - a singleton, from tick 1 on: its one member is its head, and its
+    #   exempt set, which never holds the head, is empty. Its reading is a
+    #   drain result, >= +0.0 and never NaN, so it can always be elected.
+    # - a cluster every member of which has drained to 0.0, from the tick
+    #   after: max(0.0, 0.0 - r) is 0.0 for every r >= 0 (ScenarioConfig
+    #   holds drain_head >= drain_member >= 0), so its readings, and with
+    #   them the election, never change again. Only a drain result counts:
+    #   a tick-0 reading of -0.0 is drained to 0.0 at tick 1.
     count = len(clusters.clusters)
     states = cluster_states(clusters)
+    settled = {c.cluster_id for c in clusters.clusters if len(c.members) == 1}
+    alive = set(energies)
+    heads = {c.head for c in clusters.clusters}
+    by_node = clusters.by_node()  # ids and members: rotation keeps both
     for t in range(1, config.steps + 1):
         try:
-            energies = drain(energies, clusters, config)
+            energies, died = drain(energies, alive, heads, config)
             clusters, changes = rotate_heads(
-                clusters, energies, config.energy_threshold, config.comparator, t, states
+                clusters, energies, config.energy_threshold, config.comparator, t, states,
+                settled,
             )
+            alive.difference_update(died)
+            for nid in died:
+                if alive.isdisjoint(by_node[nid].members):
+                    settled.add(by_node[nid].cluster_id)
+            for change in changes:
+                heads.remove(change.old_head)
+                heads.add(change.new_head)
             events = list(changes)
             scheduled = report if t % config.validation_interval == 0 else None
             if scheduled is not None and scheduled.recommend_recluster:

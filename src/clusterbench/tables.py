@@ -57,7 +57,13 @@ class Kind:
 
     def parse(self, cells) -> list:
         """An int, number or flag column's cell texts as values, parsed in C;
-        a ValueError or KeyError if a cell is not as ``_SPELLINGS`` says."""
+        a ValueError or KeyError if a cell is not as ``_SPELLINGS`` says.
+        ``int`` and ``float`` also read ``1_0`` as 10 and non-ASCII digits,
+        which no writer makes, so a number cell must be ASCII without ``_``."""
+        if self.base != "flag":
+            joined = "".join(cells)
+            if not joined.isascii() or "_" in joined:
+                raise ValueError("a number holds a non-ASCII character or '_'")
         if self.base == "int":
             return list(map(int, cells))
         if self.base == "flag":

@@ -27,11 +27,12 @@ from clusterbench import (
     run_simulation,
     validate_clusters,
 )
-from clusterbench import cli
+from clusterbench import cli, sim
 from clusterbench.head_election import HeadChange
 from clusterbench.sim import ReclusterEvent
 from clusterbench.validation import Compactness
 from strategies import random_partition
+from test_sim import steady_config
 
 
 _CONSOLE = None
@@ -372,4 +373,29 @@ def test_c12_closest_cross_cluster_pair_worst_cases_time():
         "under 1 s each",
         ok,
         ", ".join(details),
+    )
+
+
+def test_c13_steady_run_elects_only_clusters_that_can_change(monkeypatch):
+    # The 500-node steady run has 229 clusters over 200 ticks after tick 0,
+    # 45 800 elections in all if every cluster were elected every tick.
+    # Singletons and clusters drained to 0.0 are carried over unelected.
+    # A count, unlike a time, does not depend on the machine.
+    elected = 0
+    rotate = sim.rotate_heads
+
+    def counted(clusters, energies, threshold, comparator, at_tick, states, settled):
+        nonlocal elected
+        elected += sum(c.cluster_id not in settled for c in clusters.clusters)
+        return rotate(clusters, energies, threshold, comparator, at_tick, states, settled)
+
+    monkeypatch.setattr(sim, "rotate_heads", counted)
+    snaps = run_simulation(steady_config())
+    changes = sum(isinstance(e, HeadChange) for s in snaps for e in s.events)
+    ok = elected == 17_857 and changes == 15_467 and len(snaps[0].clusters.clusters) == 229
+    _report(
+        13,
+        "500-node steady run elects 17 857 clusters after tick 0, not 45 800",
+        ok,
+        f"{elected} elections, {changes} head changes",
     )

@@ -211,3 +211,23 @@ def test_rotate_with_shared_states_matches_reference(data, threshold, comparator
             seen[id(cluster)] = cluster
     # One object per distinct state over the whole run.
     assert len({(c.cluster_id, c.head, c.members, c.threshold_exempt) for c in seen.values()}) == len(seen)
+
+
+def test_settled_clusters_are_returned_unelected():
+    # Cluster 0's readings would elect node 1, but it is settled, so it comes
+    # back as the same object; cluster 1 is elected as usual.
+    cs = ClusterSet((Cluster(0, 0, (0, 1)), Cluster(1, 2, (2, 3))), 4)
+    energies = {0: 5.0, 1: 9.0, 2: 1.0, 3: 7.0}
+    rotated, changes = rotate_heads(cs, energies, 500.0, settled={0})
+    assert rotated.clusters[0] is cs.clusters[0]
+    assert rotated.clusters[1].head == 3
+    assert [(c.cluster_id, c.new_head) for c in changes] == [(1, 3)]
+    assert psopac_rebuild(cs, energies, 500.0).clusters[0].head == 1
+
+
+def test_rotation_keeps_each_members_object():
+    cs = ClusterSet((Cluster(0, 0, (0, 1, 2)), Cluster(1, 3, (3,))), 4)
+    rotated, _ = rotate_heads(cs, {0: 1.0, 1: 2.0, 2: 3.0, 3: 4.0}, 500.0)
+    assert rotated.clusters[0].head == 2
+    for before, after in zip(cs.clusters, rotated.clusters):
+        assert after.members is before.members

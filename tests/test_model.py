@@ -236,6 +236,30 @@ def test_cluster_sorts_members_and_checks_head():
         Cluster(0, 1, (1, 2), threshold_exempt=frozenset({1}))  # head can't be exempt
 
 
+def test_cluster_keeps_a_sorted_member_tuple_as_is():
+    members = (1, 2, 3)
+    assert Cluster(0, 2, members).members is members
+    assert Cluster(0, 2, [1, 2, 3]).members == members
+    assert Cluster(0, 2, (3, 1, 2)).members == members
+
+
+def test_rotation_requires_each_predecessor_members_object():
+    before = ClusterSet((Cluster(0, 0, (0, 1)), Cluster(1, 2, (2, 3))), 4)
+    a, b = before.clusters
+    moved = Cluster(0, 1, a.members)
+    rotated = ClusterSet._rotation(before, [moved, b])
+    assert rotated == ClusterSet((moved, b), 4)
+    assert rotated.clusters == (moved, b) and rotated.node_universe == 4
+    # Equal members in another tuple object, a dropped cluster and a moved
+    # node are all refused.
+    with pytest.raises(InvariantViolation):
+        ClusterSet._rotation(before, [Cluster(0, 1, tuple(list(a.members))), b])
+    with pytest.raises(InvariantViolation):
+        ClusterSet._rotation(before, [moved])
+    with pytest.raises(InvariantViolation):
+        ClusterSet._rotation(before, [moved, Cluster(1, 2, (1, 2, 3))])
+
+
 def test_cluster_set_must_partition():
     a = Cluster(0, 0, (0, 1))
     b = Cluster(1, 2, (2,))
@@ -246,3 +270,9 @@ def test_cluster_set_must_partition():
         ClusterSet((a, overlap), 3)
     with pytest.raises(InvariantViolation):
         ClusterSet((a,), 3)  # node 2 missing
+    # Only a rotation skips the check: a hand-built set is checked in full,
+    # even when two clusters share one members object.
+    with pytest.raises(InvariantViolation, match="overlap"):
+        ClusterSet((a, b, Cluster(2, 1, a.members)), 3)
+    with pytest.raises(InvariantViolation, match="cover"):
+        ClusterSet((a, b), 4)

@@ -2,6 +2,8 @@ import math
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clusterbench import (
     Cluster,
@@ -17,7 +19,7 @@ from clusterbench import (
     run_simulation,
 )
 from clusterbench import sim, validation
-from clusterbench.model import MAX_NODE_TICKS
+from clusterbench.model import COMPARATORS, MAX_NODE_TICKS
 from clusterbench.sim import AddressEvent
 from reference import ref_dunn_index, ref_expac_cluster, ref_rotate_heads
 
@@ -38,18 +40,28 @@ def recluster_events(snapshots):
 
 
 def test_drain_rates_and_clamp():
-    clusters = ClusterSet((Cluster(0, 0, (0, 1)),), 2)
-    cfg = ScenarioConfig(node_count=2)
-    out = drain({0: 500.0, 1: 5.0}, clusters, cfg)
-    assert out == {0: 450.0, 1: 0.0}
+    cfg = ScenarioConfig(node_count=3)
+    out, died = drain({0: 500.0, 1: 5.0, 2: 20.0}, {0, 1, 2}, {0}, cfg)
+    assert out == {0: 450.0, 1: 0.0, 2: 10.0}
+    assert died == [1]
 
 
 def test_drain_zero_rates_identity():
-    clusters = ClusterSet((Cluster(0, 0, (0, 1)),), 2)
     cfg = ScenarioConfig(node_count=2, drain_member=0.0, drain_head=0.0)
     before = {0: 42.0, 1: 7.0}
-    out = drain(before, clusters, cfg)
-    assert out == before
+    out, died = drain(before, {0, 1}, {0}, cfg)
+    assert out == before and out is not before
+    assert died == []
+
+
+def test_drain_skips_dead_nodes_and_reports_each_death_once():
+    # Node 1 is already dead, so it keeps its reading; a tick-0 reading of
+    # -0.0 or 0.0 counts as dead only once drained, as 0.0.
+    cfg = ScenarioConfig(node_count=4, drain_member=0.0, drain_head=0.0)
+    out, died = drain({0: 42.0, 1: 0.0, 2: -0.0, 3: 0.0}, {0, 2, 3}, {0}, cfg)
+    assert out == {0: 42.0, 1: 0.0, 2: 0.0, 3: 0.0}
+    assert math.copysign(1.0, out[2]) == 1.0
+    assert sorted(died) == [2, 3]
 
 
 # --- timeline shape ---------------------------------------------------------
@@ -334,3 +346,139 @@ def test_run_holds_under_10_mb_on_the_steady_workload():
         tracemalloc.stop()
     assert len(snaps) == 201
     assert held < 10e6, held
+
+
+# --- settled clusters: carried over, never elected again ---------------------
+
+
+def assert_matches_full_reelection(cfg, nodes=None):
+    """Run the scenario and check every tick against a full drain of every
+    node and a full re-election of every cluster by ``ref_rotate_heads``:
+    the energies bit for bit (so -0.0 is told from 0.0), the clusters and the
+    events."""
+    snaps = run_simulation(cfg, nodes)
+    for prev, cur in zip(snaps, snaps[1:]):
+        heads = {c.head for c in prev.clusters.clusters}
+        drained = {
+            nid: max(0.0, e - (cfg.drain_head if nid in heads else cfg.drain_member))
+            for nid, e in prev.energies.items()
+        }
+        assert [(k, repr(e)) for k, e in cur.energies.items()] == [
+            (k, repr(e)) for k, e in drained.items()
+        ]
+        fresh, changes = ref_rotate_heads(
+            prev.clusters, cur.energies, cfg.energy_threshold, cfg.comparator, cur.at_tick
+        )
+        assert cur.clusters == fresh
+        assert cur.events[: len(changes)] == tuple(changes)
+        recluster = cur.report is not None and cur.report.recommend_recluster
+        rest = [type(e) for e in cur.events[len(changes) :]]
+        assert rest == ([ReclusterEvent, AddressEvent] if recluster else [])
+    return snaps
+
+
+def dead_clusters(snap):
+    """The multi-member clusters of a snapshot whose members all read 0.0."""
+    return [
+        c for c in snap.clusters.clusters
+        if len(c.members) > 1 and not any(snap.energies[m] for m in c.members)
+    ]
+
+
+SETTLED_CASES = {
+    # tx_range below every spacing: every cluster is a singleton
+    "singletons": (ScenarioConfig(node_count=30, tx_range=0.5, execution_time=8.0), None),
+    "die-out": (
+        ScenarioConfig(node_count=40, initial_energy=(0.0, 60.0), execution_time=12.0), None
+    ),
+    "threshold-0-below": (
+        ScenarioConfig(
+            node_count=40, initial_energy=(0.0, 60.0), energy_threshold=0.0, execution_time=12.0
+        ),
+        None,
+    ),
+    "threshold-0-at-or-above": (
+        ScenarioConfig(
+            node_count=40,
+            initial_energy=(0.0, 60.0),
+            energy_threshold=0.0,
+            comparator="at_or_above",
+            execution_time=12.0,
+        ),
+        None,
+    ),
+    "drain-member-0": (
+        ScenarioConfig(
+            node_count=40, initial_energy=(0.0, 60.0), drain_member=0.0, execution_time=4.0
+        ),
+        None,
+    ),
+    # 0 and 1 start at -0.0 and 0.0 in one cluster, 2 and 3 at +inf in
+    # another, 4 alone at -0.0; 5 and 6 die at ticks 1 and 2.
+    "hand-built": (
+        ScenarioConfig(node_count=7, tx_range=2.0, execution_time=6.0, energy_threshold=0.0),
+        line_nodes(
+            [0, 1, 10, 11, 20, 30, 31], [-0.0, 0.0, math.inf, math.inf, -0.0, 10.0, 60.0]
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(SETTLED_CASES))
+def test_settled_runs_match_full_reelection(case):
+    cfg, nodes = SETTLED_CASES[case]
+    snaps = assert_matches_full_reelection(cfg, nodes)
+    last = snaps[-1]
+    if case == "singletons":
+        assert all(len(c.members) == 1 for c in last.clusters.clusters)
+        return
+    if case == "hand-built":
+        assert [c.members for c in last.clusters.clusters] == [(0, 1), (2, 3), (5, 6), (4,)]
+        assert [repr(s.energies[0]) for s in snaps[:2]] == ["-0.0", "0.0"]
+        assert last.energies[2] == last.energies[3] == math.inf
+    if case == "drain-member-0":
+        # only heads drain: a node never elected keeps its tick-0 reading
+        heads = {c.head for snap in snaps for c in snap.clusters.clusters}
+        kept = [n for n in last.energies if n not in heads]
+        assert kept and all(last.energies[n] == snaps[0].energies[n] for n in kept)
+    assert dead_clusters(last), "expected a cluster drained to 0.0"
+
+
+HAND_ENERGY = st.sampled_from([-0.0, 0.0, math.inf]) | st.integers(0, 60).map(float)
+
+
+@st.composite
+def settled_scenarios(draw):
+    """A small run, seeded or hand-built, where singletons, clusters that die
+    out, zero thresholds and zero member drains are all common."""
+    drain_member = draw(st.sampled_from([0.0, 1.0, 5.0]))
+    base = dict(
+        area=(60.0, 60.0),
+        comparator=draw(st.sampled_from(COMPARATORS)),
+        energy_threshold=draw(st.sampled_from([0.0, 10.0, 30.0, 500.0])),
+        drain_member=drain_member,
+        drain_head=drain_member + draw(st.sampled_from([0.0, 2.0, 20.0])),
+        execution_time=float(draw(st.integers(1, 25))),
+        validation_interval=draw(st.integers(1, 5)),
+    )
+    if draw(st.booleans()):
+        low = draw(st.sampled_from([0.0, 5.0]))
+        high = low + draw(st.sampled_from([0.0, 40.0, 100.0]))
+        node_count = draw(st.integers(1, 30))
+        seed = draw(st.integers(0, 2**16))
+        return ScenarioConfig(node_count, seed=seed, initial_energy=(low, high), **base), None
+    spots = draw(
+        st.lists(st.tuples(st.integers(0, 60), st.integers(0, 60)), min_size=1, max_size=12,
+                 unique=True)
+    )
+    nodes = [
+        Node(i, Position(float(x), float(y)), draw(HAND_ENERGY)) for i, (x, y) in enumerate(spots)
+    ]
+    return ScenarioConfig(len(nodes), **base), nodes
+
+
+@settings(max_examples=150, deadline=None)
+@given(scenario=settled_scenarios())
+def test_run_matches_full_reelection_every_tick(scenario):
+    cfg, nodes = scenario
+    assert_matches_full_reelection(cfg, nodes)

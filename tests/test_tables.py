@@ -473,6 +473,20 @@ def test_read_nodes_rejects_garbage_cell(tmp_path):
         read_nodes_csv(path)
 
 
+@pytest.mark.parametrize("column", ["node_id", "x", "y", "energy"])
+@pytest.mark.parametrize("value", ["1_0", "\u0665", "\uff11", "1\u00a0"])
+def test_read_nodes_rejects_underscores_and_non_ascii_digits(tmp_path, column, value):
+    # int() and float() accept each of these; a number cell is ASCII without "_".
+    row = {"node_id": "1", "x": "2", "y": "3", "energy": "5", column: value}
+    path = tmp_path / "bad.csv"
+    path.write_text(
+        "node_id,x,y,energy\n0,1,1,5\n" + ",".join(row.values()) + "\n", encoding="utf-8"
+    )
+    with pytest.raises(InputError) as err:
+        read_nodes_csv(path)
+    assert f"row 2: {column} must be" in str(err.value) and repr(value) in str(err.value)
+
+
 @pytest.mark.parametrize("column", ["x", "y", "energy"])
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_read_nodes_rejects_non_finite(tmp_path, column, value):
