@@ -7,7 +7,7 @@ that rotates heads as energy drains and re-clusters when separation
 degrades.
 """
 
-from .addressing import DEFAULT_PREFIX, Handshake, Message, MessageKind, assign_addresses
+from .addressing import DEFAULT_PREFIX, Handshake, MessageKind, assign_addresses
 from .clustering import (
     CandidateCluster,
     expac_cluster,
@@ -65,7 +65,6 @@ __all__ = [
     "HeadChange",
     "InputError",
     "InvariantViolation",
-    "Message",
     "MessageKind",
     "Node",
     "Position",

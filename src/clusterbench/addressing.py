@@ -11,15 +11,13 @@ whole run.
 
 from __future__ import annotations
 
-import operator
-from bisect import bisect_right
-from collections.abc import Sequence
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from enum import Enum
 from ipaddress import AddressValueError, IPv6Address, IPv6Network
 
 from .errors import CapacityError, InputError
-from .model import ClusterSet, NodeId
+from .model import Cluster, ClusterSet, NodeId
 
 DEFAULT_PREFIX = "fd00::/48"
 
@@ -28,15 +26,6 @@ class MessageKind(str, Enum):
     HELLO = "Hello"
     REPLY = "Reply"
     ASSIGN = "Assign"
-
-
-@dataclass(frozen=True)
-class Message:
-    seq: int
-    sender: NodeId
-    receiver: NodeId
-    kind: MessageKind
-    payload: IPv6Address | None = None
 
 
 def parse_prefix(prefix: str | int) -> int:
@@ -89,22 +78,21 @@ def node_address(prefix48: int, cluster_id: int, node_id: NodeId) -> IPv6Address
     return IPv6Address((prefix48 << 80) | (cluster_id << 64) | iid)
 
 
-class Handshake(Sequence[Message]):
+@dataclass(frozen=True)
+class Handshake:
     """The Hello/Reply/Assign trace of one ``assign_addresses`` call.
 
     It holds the 48-bit prefix value and one block per served cluster (one
     with a member besides its head): ``(first seq, cluster id, head, non-head
-    members)``, clusters by id and members ascending. Its messages are built
-    as they are read. ``len`` is 3 × the non-heads; indexing, slicing and
-    iteration give ``Message`` objects, and it equals any list or tuple of
-    the same messages.
+    members)``, clusters by id and members ascending. Each member's three
+    messages, numbered from the block's first seq, are Hello (head to
+    member), Reply (member to head) and Assign (head to member, carrying
+    ``node_address(prefix48, cluster id, member)``). ``len`` is 3 × the
+    non-heads.
     """
 
-    def __init__(
-        self, prefix48: int, blocks: tuple[tuple[int, int, NodeId, tuple[NodeId, ...]], ...]
-    ) -> None:
-        self.prefix48 = prefix48
-        self.blocks = blocks
+    prefix48: int
+    blocks: tuple[tuple[int, int, NodeId, tuple[NodeId, ...]], ...]
 
     def __len__(self) -> int:
         if not self.blocks:
@@ -112,57 +100,66 @@ class Handshake(Sequence[Message]):
         first, _, _, members = self.blocks[-1]
         return first + 3 * len(members)
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self)))]
-        seq = operator.index(index)
-        if seq < 0:
-            seq += len(self)
-        if not 0 <= seq < len(self):
-            raise IndexError("handshake index out of range")
-        first, cluster_id, head, members = self.blocks[
-            bisect_right(self.blocks, seq, key=operator.itemgetter(0)) - 1
-        ]
-        step, kind = divmod(seq - first, 3)
-        member = members[step]
-        if kind == 0:
-            return Message(seq, head, member, MessageKind.HELLO)
-        if kind == 1:
-            return Message(seq, member, head, MessageKind.REPLY)
-        address = node_address(self.prefix48, cluster_id, member)
-        return Message(seq, head, member, MessageKind.ASSIGN, address)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, (Handshake, list, tuple)):
-            return NotImplemented
-        return list(self) == list(other)
+class AddressMap(Mapping[NodeId, IPv6Address]):
+    """The address map of one ``assign_addresses`` call, read-only.
 
-    def __repr__(self) -> str:
-        return f"Handshake(prefix48={self.prefix48:#x}, blocks={self.blocks!r})"
+    Its ``IPv6Address`` objects are built on the first read of a key, a
+    value or the iteration, all at once, and kept; ``len`` is the node
+    universe and builds nothing. It iterates as the handshake serves the
+    nodes: clusters by id, each head and then its other members ascending.
+    """
+
+    def __init__(self, prefix48: int, ordered: list[Cluster], node_universe: int) -> None:
+        self._prefix48 = prefix48
+        self._ordered = ordered
+        self._len = node_universe
+        self._built: dict[NodeId, IPv6Address] | None = None
+
+    def _addresses(self) -> dict[NodeId, IPv6Address]:
+        if self._built is None:
+            built = {}
+            for cluster in self._ordered:
+                cluster_id, head = cluster.cluster_id, cluster.head
+                for node_id in (head, *(m for m in cluster.members if m != head)):
+                    built[node_id] = node_address(self._prefix48, cluster_id, node_id)
+            self._built = built
+        return self._built
+
+    def __getitem__(self, node_id: NodeId) -> IPv6Address:
+        return self._addresses()[node_id]
+
+    def __iter__(self) -> Iterator[NodeId]:
+        return iter(self._addresses())
+
+    def __len__(self) -> int:
+        return self._len
 
 
 def assign_addresses(
     clusters: ClusterSet, prefix: str | int = DEFAULT_PREFIX
-) -> tuple[dict[NodeId, IPv6Address], Handshake]:
+) -> tuple[AddressMap, Handshake]:
     """Run the assignment handshake over every cluster.
 
     Returns the address map and the message trace. Clusters are served in
     cluster-id order; within each, the head self-assigns silently, then each
     member in ascending id order costs three messages (Hello, Reply, Assign).
-    Every address is built here, so a ``CapacityError`` is raised by this
-    call; the trace's messages are built only when read.
+    The capacity check runs here, once per cluster on its id and the ends of
+    its sorted members, so a ``CapacityError`` is raised by this call, for
+    the first cluster by id and the first node in serving order that does
+    not fit. The map builds its addresses on its first read.
     """
     prefix48 = parse_prefix(prefix)
-    addresses: dict[NodeId, IPv6Address] = {}
+    ordered = sorted(clusters.clusters, key=lambda c: c.cluster_id)
     blocks = []
     seq = 0
-    for cluster in sorted(clusters.clusters, key=lambda c: c.cluster_id):
-        cluster_id, head = cluster.cluster_id, cluster.head
-        addresses[head] = node_address(prefix48, cluster_id, head)
-        others = tuple(m for m in cluster.members if m != head)
-        for member in others:
-            addresses[member] = node_address(prefix48, cluster_id, member)
-        if others:
+    for cluster in ordered:
+        cluster_id, head, members = cluster.cluster_id, cluster.head, cluster.members
+        if not (0 <= cluster_id < 2**16 and members[0] >= 0 and members[-1] < 2**64 - 1):
+            for node_id in (head, *members):  # raises as a node-by-node pass would
+                node_address(prefix48, cluster_id, node_id)
+        if len(members) > 1:
+            others = tuple(m for m in members if m != head)
             blocks.append((seq, cluster_id, head, others))
             seq += 3 * len(others)
-    return addresses, Handshake(prefix48, tuple(blocks))
+    return AddressMap(prefix48, ordered, clusters.node_universe), Handshake(prefix48, tuple(blocks))

@@ -10,12 +10,15 @@ report recommends it — re-clusters and re-addresses. Positions are static
 and energies only ever decrease. The partition depends on positions alone,
 so a re-cluster reproduces the tick-0 partition, index and addresses; only
 the Hello/Reply/Assign trace, which follows the current heads, is rebuilt,
-as a ``Handshake`` whose messages are built only when read. Tick 0 never
-re-clusters.
+as a ``Handshake`` of blocks. Each ``assign_addresses`` call checks capacity
+when it is made, but its address map is built on first read: the run keeps
+the tick-0 map, and a re-cluster's map is never read, so never built. Tick 0
+never re-clusters.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from ipaddress import IPv6Address
 
@@ -46,11 +49,11 @@ class ReclusterEvent:
 @dataclass(frozen=True)
 class AddressEvent:
     """One run of the addressing handshake at ``at_tick``: the run's address
-    map and the ``Handshake`` trace, whose messages are built only when
-    read."""
+    map, whose addresses are built on its first read, and the ``Handshake``
+    trace."""
 
     at_tick: int
-    assigned: dict[NodeId, IPv6Address]
+    assigned: Mapping[NodeId, IPv6Address]
     messages: Handshake
 
 
@@ -62,7 +65,8 @@ class SimSnapshot:
     """State at the end of one tick.
 
     The address map is fixed after tick 0, so every snapshot and address event
-    of a run shares that one dict; treat it as read-only. Likewise each
+    of a run shares that one read-only map, built on its first read and kept
+    (``assign_addresses`` checked its capacity at tick 0). Likewise each
     distinct cluster state (id, head, members and exempt set) is one
     ``Cluster`` object per run, shared by every snapshot that holds it.
     """
@@ -72,7 +76,7 @@ class SimSnapshot:
     energies: dict[NodeId, EnergyLevel]
     report: ValidationReport | None
     events: tuple[Event, ...]
-    addresses: dict[NodeId, IPv6Address]
+    addresses: Mapping[NodeId, IPv6Address]
 
 
 def drain(
@@ -145,10 +149,10 @@ def run_simulation(
     # expac_cluster reads only the static positions and rotate_heads keeps
     # membership, so every later partition, Dunn report and address map is
     # the tick-0 one: a re-cluster keeps the cluster count and re-runs only
-    # the handshake, whose trace depends on the current heads. Each distinct
-    # cluster state is built and checked once per run: heads cycle among the
-    # same few members, so ``states`` hands back the object of a state seen
-    # before.
+    # the handshake, whose trace depends on the current heads; its own
+    # address map is never read, so never built. Each distinct cluster state
+    # is built and checked once per run: heads cycle among the same few
+    # members, so ``states`` hands back the object of a state seen before.
     #
     # Only a cluster whose election can still change is re-elected; the
     # ``settled`` rest are carried over as they are, which is exact because

@@ -19,7 +19,7 @@ import os
 import time
 from collections import defaultdict
 from collections.abc import Iterable, Iterator
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import Enum
 from functools import partial
@@ -261,8 +261,13 @@ def energy_dat_rows(clusters: ClusterSet, nodes: list[Node]) -> Iterator[tuple[i
 
 def report_row(at_tick: int, report: ValidationReport) -> tuple:
     """One validation-report row: the tick, then the report's fields, which
-    VALIDATION_TABLE declares in their order."""
-    return (at_tick, *astuple(report))
+    VALIDATION_TABLE declares in their order. Each field is a number, a str
+    enum member, a bool, a str or ``None``, so the row needs no copy of them."""
+    return (
+        at_tick, report.dunn_index, report.separation_pct, report.overlap_pct,
+        report.compactness, report.classification, report.recommend_recluster,
+        report.footnote,
+    )
 
 
 def event_row(event) -> tuple:

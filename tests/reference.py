@@ -11,14 +11,18 @@ written out here and share no code with the library. ``ref_csv_cell`` and
 ``ref_json_cell`` are the per-cell renderings that ``write_table`` must
 reproduce, and ``ref_timeline_rows`` is the simulate timeline as plain
 tuples, each cell looked up afresh from the snapshots. ``ref_handshake`` is
-the addressing trace as a plain list of messages, each address put together
-from its bit fields, and ``ref_message_rows`` the simulate messages table
-as tuples, each event's trace rebuilt by ``ref_handshake``.
+the addressing trace as a plain list of ``Message`` objects, each address
+put together from its bit fields, and ``handshake_messages`` expands the
+library's ``Handshake`` blocks into the same objects. ``ref_message_rows``
+is the simulate messages table as tuples, each event's trace rebuilt by
+``ref_handshake``. ``ref_addresses`` is the address map as an eager dict,
+each address built by ``node_address`` in serving order.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from enum import Enum
 from ipaddress import IPv6Address
 
@@ -28,11 +32,11 @@ from clusterbench import (
     ClusterSet,
     DegenerateGeometryError,
     InvariantViolation,
-    Message,
     MessageKind,
     UndefinedIndexError,
     manhattan_distance,
 )
+from clusterbench.addressing import node_address
 from clusterbench.clustering import _check_nodes
 from clusterbench.errors import ConfigError, ConsistencyError, InputError
 from clusterbench.head_election import HeadChange
@@ -162,6 +166,44 @@ def ref_timeline_rows(snapshots):
 
 #: The 48-bit value of the default prefix fd00::/48.
 DEFAULT_PREFIX48 = 0xFD00 << 32
+
+
+@dataclass(frozen=True)
+class Message:
+    seq: int
+    sender: int
+    receiver: int
+    kind: MessageKind
+    payload: IPv6Address | None = None
+
+
+def handshake_messages(handshake):
+    """A ``Handshake``'s messages, block by block: per member, Hello, Reply
+    and Assign, numbered on from the block's first seq."""
+    messages = []
+    for seq, cluster_id, head, members in handshake.blocks:
+        for member in members:
+            address = node_address(handshake.prefix48, cluster_id, member)
+            messages += (
+                Message(seq, head, member, MessageKind.HELLO),
+                Message(seq + 1, member, head, MessageKind.REPLY),
+                Message(seq + 2, head, member, MessageKind.ASSIGN, address),
+            )
+            seq += 3
+    return tuple(messages)
+
+
+def ref_addresses(clusters, prefix48=DEFAULT_PREFIX48):
+    """Every node's address, built at once: clusters by ascending id, each
+    head and then its other members by ascending id."""
+    addresses = {}
+    for cluster in sorted(clusters.clusters, key=lambda c: c.cluster_id):
+        head = cluster.head
+        addresses[head] = node_address(prefix48, cluster.cluster_id, head)
+        for member in sorted(cluster.members):
+            if member != head:
+                addresses[member] = node_address(prefix48, cluster.cluster_id, member)
+    return addresses
 
 
 def ref_handshake(clusters, prefix48=DEFAULT_PREFIX48):

@@ -31,6 +31,7 @@ from clusterbench import cli, sim
 from clusterbench.head_election import HeadChange
 from clusterbench.sim import ReclusterEvent
 from clusterbench.validation import Compactness
+from reference import handshake_messages
 from strategies import random_partition
 from test_sim import steady_config
 
@@ -214,13 +215,14 @@ def test_c6_addressing_properties():
     ok = True
     for _ in range(500):
         clusters, _pos = random_partition(rnd, min_nodes=1, max_nodes=60)
-        addresses, trace = assign_addresses(clusters)
+        addresses, handshake = assign_addresses(clusters)
+        trace = handshake_messages(handshake)
         n = clusters.node_universe
         ok = ok and set(addresses) == set(range(n))
         ok = ok and len(set(addresses.values())) == n
         ok = ok and [m.seq for m in trace] == list(range(len(trace)))
         heads = {c.head for c in clusters.clusters}
-        ok = ok and len(trace) == 3 * (n - len(heads & set(range(n))))
+        ok = ok and len(handshake) == len(trace) == 3 * (n - len(heads & set(range(n))))
         per_member: dict[int, list] = {}
         for msg in trace:
             member = msg.sender if msg.kind == MessageKind.REPLY else msg.receiver

@@ -14,7 +14,7 @@ from clusterbench import (
     assign_addresses,
 )
 from clusterbench.addressing import node_address, parse_prefix
-from reference import DEFAULT_PREFIX48, ref_handshake
+from reference import DEFAULT_PREFIX48, handshake_messages, ref_addresses, ref_handshake
 from strategies import head_rotations, partitions, random_partition
 
 
@@ -55,13 +55,14 @@ def test_head_only_cluster_has_no_traffic():
     clusters = ClusterSet((Cluster(0, 0, (0,)),), 1)
     addresses, trace = assign_addresses(clusters)
     assert len(addresses) == 1
-    assert trace == []
+    assert len(trace) == 0 and handshake_messages(trace) == ()
 
 
 def test_trace_choreography():
     clusters = ClusterSet((Cluster(0, 2, (0, 1, 2)),), 3)
-    addresses, trace = assign_addresses(clusters)
-    assert len(trace) == 6  # three messages per non-head member
+    addresses, handshake = assign_addresses(clusters)
+    assert len(handshake) == 6  # three messages per non-head member
+    trace = handshake_messages(handshake)
     assert [m.seq for m in trace] == list(range(6))
     # member 0 first, then member 1, each Hello/Reply/Assign
     hello, reply, assign = trace[:3]
@@ -75,8 +76,47 @@ def test_trace_choreography():
 
 def test_cluster_id_overflow():
     clusters = ClusterSet((Cluster(2**16, 0, (0,)),), 1)
-    with pytest.raises(CapacityError):
+    with pytest.raises(CapacityError, match="cluster id 65536 does not fit"):
         assign_addresses(clusters)
+
+
+def test_capacity_is_checked_at_the_call():
+    # The map builds its addresses only when read, but a field that does not
+    # fit is refused by the call itself, for the first cluster by id.
+    clusters = ClusterSet(
+        (Cluster(2**16 + 1, 3, (3,)), Cluster(0, 0, (0, 1)), Cluster(2**16, 2, (2,))), 4
+    )
+    with pytest.raises(CapacityError) as raised:
+        assign_addresses(clusters)
+    assert str(raised.value) == "cluster id 65536 does not fit the 16-bit subnet field"
+
+
+def unchecked_partition(clusters, node_universe):
+    """A ClusterSet whose partition check is skipped, so that node ids too
+    wide for the host field can reach ``assign_addresses``."""
+    partition = object.__new__(ClusterSet)
+    object.__setattr__(partition, "clusters", clusters)
+    object.__setattr__(partition, "node_universe", node_universe)
+    return partition
+
+
+@pytest.mark.parametrize(
+    "clusters",
+    [
+        (Cluster(0, 0, (0, 2**64 - 1, 2**64)),),
+        (Cluster(0, 2**64, (0, 2**64 - 1, 2**64)),),
+        (Cluster(1, -1, (-1, 2**64)), Cluster(0, 0, (0, 2**64 - 1))),
+        (Cluster(0, 0, (-2, -1, 0)),),
+        (Cluster(0, 0, (0, 1)), Cluster(2**16, 2**64, (2**64,))),
+    ],
+)
+def test_capacity_error_names_what_a_node_by_node_pass_names(clusters):
+    partition = unchecked_partition(clusters, 2)
+    with pytest.raises(CapacityError) as expected:
+        ref_addresses(partition)
+    with pytest.raises(CapacityError) as raised:
+        assign_addresses(partition)
+    assert str(raised.value) == str(expected.value)
 
 
 def test_node_address_overflow():
@@ -111,7 +151,7 @@ def test_trace_pattern_per_member():
         _addresses, trace = assign_addresses(clusters)
         heads = {c.head for c in clusters.clusters}
         per_member: dict[int, list] = {}
-        for msg in trace:
+        for msg in handshake_messages(trace):
             member = msg.receiver if msg.kind != MessageKind.REPLY else msg.sender
             per_member.setdefault(member, []).append(msg.kind)
         for member, kinds in per_member.items():
@@ -119,28 +159,48 @@ def test_trace_pattern_per_member():
             assert kinds == [MessageKind.HELLO, MessageKind.REPLY, MessageKind.ASSIGN]
 
 
+PREFIXES = [0, DEFAULT_PREFIX48, 2**48 - 1]
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     partition=partitions(max_nodes=30),
-    prefix48=st.sampled_from([0, DEFAULT_PREFIX48, 2**48 - 1]),
+    prefix48=st.sampled_from(PREFIXES),
     data=st.data(),
 )
 def test_trace_matches_reference(partition, prefix48, data):
-    # The trace builds its messages as they are read: by iteration, by
-    # index from either end and by slice, it is the reference's list.
+    # The handshake's blocks expand to the reference's messages, in order and
+    # numbered from 0, and its len is their count.
     clusters = data.draw(head_rotations(partition[0]))
     addresses, trace = assign_addresses(clusters, prefix48)
     expected = ref_handshake(clusters, prefix48)
     assert len(trace) == len(expected)
-    assert list(trace) == expected
-    assert trace == expected and trace == tuple(expected)
-    assert [trace[i] for i in range(-len(expected), len(expected))] == expected * 2
-    assert trace[1:-1:2] == expected[1:-1:2] and trace[::-1] == expected[::-1]
-    with pytest.raises(IndexError):
-        trace[len(expected)]
-    assert trace != expected + [expected[0] if expected else None]
-    if expected:
-        assert trace != expected[:-1]
+    assert handshake_messages(trace) == tuple(expected)
+    assert trace.prefix48 == prefix48
     for msg in expected:
         if msg.kind is MessageKind.ASSIGN:
             assert addresses[msg.receiver] == msg.payload
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    partition=partitions(max_nodes=30),
+    prefix48=st.sampled_from(PREFIXES),
+    data=st.data(),
+)
+def test_address_map_matches_reference(partition, prefix48, data):
+    # The map builds its addresses on its first read, whichever key that
+    # read asks for, and then reads as the eager dict: by key in any order,
+    # by len, by iteration order and by ==.
+    clusters = data.draw(head_rotations(partition[0]))
+    expected = ref_addresses(clusters, prefix48)
+    addresses, _trace = assign_addresses(clusters, prefix48)
+    assert len(addresses) == len(expected) == clusters.node_universe
+    order = data.draw(st.permutations(list(expected)))
+    assert [addresses[node_id] for node_id in order] == [expected[i] for i in order]
+    assert list(addresses) == list(expected)
+    assert addresses == expected and expected == addresses
+    assert list(addresses.items()) == list(expected.items())
+    assert clusters.node_universe not in addresses
+    with pytest.raises(KeyError):
+        addresses[clusters.node_universe]

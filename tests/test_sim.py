@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from ipaddress import IPv6Address
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +19,7 @@ from clusterbench import (
     drain,
     run_simulation,
 )
-from clusterbench import sim, validation
+from clusterbench import addressing, sim, validation
 from clusterbench.model import COMPARATORS, MAX_NODE_TICKS
 from clusterbench.sim import AddressEvent
 from reference import ref_dunn_index, ref_expac_cluster, ref_rotate_heads
@@ -255,6 +256,39 @@ def test_partition_and_index_computed_once_per_run(monkeypatch):
         calls.update(expac_cluster=0, dunn_index=0)
         run_simulation(ScenarioConfig(seed=seed))
         assert calls == {"expac_cluster": 1, "dunn_index": 1}
+
+
+def test_reclusters_build_no_address(monkeypatch):
+    # perfbench's sim_recluster run: 300 nodes re-cluster at every tick after
+    # tick 0. Each re-cluster's handshake needs no address map and its map is
+    # never read, so none is built; the tick-0 map is built on its first
+    # read, once, and every snapshot and address event shares it.
+    built = []
+    monkeypatch.setattr(
+        addressing, "IPv6Address", lambda value: built.append(value) or IPv6Address(value)
+    )
+    after_call = []
+    assign = sim.assign_addresses
+
+    def counted(*args):
+        result = assign(*args)
+        after_call.append(len(built))
+        return result
+
+    monkeypatch.setattr(sim, "assign_addresses", counted)
+    snaps = run_simulation(ScenarioConfig(node_count=300, execution_time=50.0))
+    assert len(recluster_events(snaps)) == 50 and len(after_call) == 51
+    # None after tick 0's call, and none at it: the run reads no map.
+    assert len(built) == after_call[0] == 0
+    first = snaps[0].addresses
+    assert len(first) == 300 and not built  # len builds nothing
+    assert sorted(first) == list(range(300)) and len(built) == 300
+    for snap in snaps:
+        assert snap.addresses is first
+        for event in snap.events:
+            if isinstance(event, AddressEvent):
+                assert event.assigned is first
+    assert len({first[n] for n in range(300)}) == 300 and len(built) == 300  # kept
 
 
 def test_unchanged_clusters_carry_over_between_ticks():

@@ -6,6 +6,7 @@ import math
 import pkgutil
 import sys
 import tracemalloc
+from dataclasses import astuple
 from enum import Enum
 from ipaddress import IPv6Address
 from itertools import accumulate
@@ -28,6 +29,7 @@ from clusterbench import (
     ReclusterEvent,
     SimSnapshot,
     assign_addresses,
+    classify,
     config_from_dict,
     generate_scenario,
     run_simulation,
@@ -130,6 +132,19 @@ def test_every_row_has_one_cell_per_column():
         assert rows
         for row in rows:
             assert isinstance(row, tuple) and len(row) == len(columns), (columns, row)
+
+
+def test_report_row_is_the_tick_and_the_report_fields():
+    # The indices span every classification; those below 0.1 carry the
+    # footnote, and a threshold of 0.6 recommends a re-cluster for some.
+    reports = [classify(index, 0.6) for index in (0.0, 0.05, 0.3, 0.7, 1.5, math.inf)]
+    assert {r.footnote for r in reports} == {None, STRICT_PCT_FOOTNOTE}
+    assert {r.classification for r in reports} == set(Classification)
+    assert {r.recommend_recluster for r in reports} == {True, False}
+    for report in reports:
+        row = report_row(7, report)
+        assert row == (7, *astuple(report))
+        assert list(map(type, row)) == [int, *map(type, astuple(report))]
 
 
 def test_each_address_is_rendered_once(tmp_path, monkeypatch):
