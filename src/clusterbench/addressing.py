@@ -82,16 +82,14 @@ def node_address(prefix48: int, cluster_id: int, node_id: NodeId) -> IPv6Address
 class Handshake:
     """The Hello/Reply/Assign trace of one ``assign_addresses`` call.
 
-    It holds the 48-bit prefix value and one block per served cluster (one
-    with a member besides its head): ``(first seq, cluster id, head, non-head
-    members)``, clusters by id and members ascending. Each member's three
-    messages, numbered from the block's first seq, are Hello (head to
-    member), Reply (member to head) and Assign (head to member, carrying
-    ``node_address(prefix48, cluster id, member)``). ``len`` is 3 × the
-    non-heads.
+    It holds one block per served cluster (one with a member besides its
+    head): ``(first seq, cluster id, head, non-head members)``, clusters by
+    id and members ascending. Each member's three messages, numbered from
+    the block's first seq, are Hello (head to member), Reply (member to head)
+    and Assign (head to member, carrying the member's address in the call's
+    map). ``len`` is 3 × the non-heads.
     """
 
-    prefix48: int
     blocks: tuple[tuple[int, int, NodeId, tuple[NodeId, ...]], ...]
 
     def __len__(self) -> int:
@@ -162,4 +160,4 @@ def assign_addresses(
             others = tuple(m for m in members if m != head)
             blocks.append((seq, cluster_id, head, others))
             seq += 3 * len(others)
-    return AddressMap(prefix48, ordered, clusters.node_universe), Handshake(prefix48, tuple(blocks))
+    return AddressMap(prefix48, ordered, clusters.node_universe), Handshake(tuple(blocks))

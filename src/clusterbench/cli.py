@@ -47,6 +47,7 @@ from .tables import (
     manifest_data,
     manifest_timestamp,
     nodes_rows,
+    parse_int,
     read_clusters_csv,
     read_nodes_csv,
     report_row,
@@ -76,7 +77,7 @@ def resolve_config(args: argparse.Namespace) -> ScenarioConfig:
         env_seed = os.environ.get(SEED_ENV_VAR)
         if env_seed is not None:
             try:
-                raw["seed"] = int(env_seed)
+                raw["seed"] = parse_int(env_seed)
             except ValueError:
                 raise ConfigError(
                     f"{SEED_ENV_VAR} must be an integer, got {env_seed!r}"
@@ -183,7 +184,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     config = resolve_config(args)
     try:
-        sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
+        sizes = [parse_int(s) for s in args.sizes.split(",") if s.strip()]
     except ValueError:
         raise ConfigError(f"--sizes must be comma-separated integers, got {args.sizes!r}") from None
     if not sizes or any(not 1 <= n <= MAX_NODES for n in sizes):
@@ -225,6 +226,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
+def _integer(text: str) -> int:
+    """An integer flag's value, read as a table's int cell is."""
+    try:
+        return parse_int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="clusterbench",
@@ -235,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON config file (or a manifest to replay)")
-    common.add_argument("--seed", type=int, help="RNG seed; overrides config and environment")
+    common.add_argument("--seed", type=_integer, help="RNG seed; overrides config and environment")
     common.add_argument(
         "--out", help="output directory (default: out; validate writes files only when given)"
     )
@@ -278,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sizes", default="25,50,300", help="comma-separated node counts")
     p.add_argument(
         "--seeds",
-        type=int,
+        type=_integer,
         default=20,
         help=f"seeds per population, at most {MAX_SWEEP_SEEDS} (default: 20)",
     )

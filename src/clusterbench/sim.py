@@ -50,7 +50,7 @@ class ReclusterEvent:
 class AddressEvent:
     """One run of the addressing handshake at ``at_tick``: the run's address
     map, whose addresses are built on its first read, and the ``Handshake``
-    trace."""
+    trace, whose Assign payloads are that map's addresses."""
 
     at_tick: int
     assigned: Mapping[NodeId, IPv6Address]

@@ -28,7 +28,7 @@ from itertools import compress
 from pathlib import Path
 
 from . import __version__
-from .addressing import MessageKind, node_address
+from .addressing import MessageKind
 from .errors import ClusterBenchError, ConfigError, InputError, InvariantViolation
 from .head_election import HeadChange
 from .model import (
@@ -85,19 +85,24 @@ FORMATS = ("csv", "json")
 CHUNK_ROWS = 128
 
 
+def parse_int(text: str) -> int:
+    """One integer as an int cell is read: ASCII without ``_``, else a ValueError."""
+    [value] = INT.parse((text,))
+    return value
+
+
 def _csv_quoted(text: str) -> str:
     """A text as one CSV cell: quoted, quotes doubled, if it could split the cell."""
     return '"' + text.replace('"', '""') + '"' if any(c in text for c in ',"\r\n') else text
 
 
-def _translation(kind: Kind, fmt: str) -> tuple[dict | None, bool, str]:
-    """How a format writes a kind's cells: a map from each value that needs
-    one to its text (None if none does), whether every cell must be a key of
-    it, and the format of every other value. ``format`` writes an int or a
-    float as its repr, as csv.writer and the JSON encoder do, but a bool as
-    ``True`` and a str enum as its qualified name, so flags and texts always
-    take their map; and since True == 1, only flag columns have bool keys.
-    An address text holds no comma, quote, backslash or line break."""
+def _cell_texts(kind: Kind, fmt: str):
+    """None if ``"{}"`` writes a kind's cells as they are (an int or a float
+    as its repr, as csv.writer and the JSON encoder do), else a map from a
+    column, a sequence, to what it writes. Flags and texts map strictly, so a value
+    outside a vocabulary is a KeyError (since True == 1, only flags have
+    bool keys); the rest map None and JSON's infinities, and keep any other
+    value, a JSON address between quotes (its text needs no escape)."""
     json_fmt = fmt == "json"
     if kind.base == "flag":
         cells = {False: "false", True: "true"}
@@ -110,8 +115,11 @@ def _translation(kind: Kind, fmt: str) -> tuple[dict | None, bool, str]:
         cells = {}
     if kind.optional:
         cells[None] = "null" if json_fmt else ""
-    cell_format = '"{}"' if json_fmt and kind.base == "address" else "{}"
-    return cells or None, kind.base in ("flag", "text"), cell_format
+    if kind.base in ("flag", "text"):
+        return partial(map, cells.__getitem__)
+    if json_fmt and kind.base == "address":
+        return lambda column: map(cells.get, column, map('"{}"'.format, column))
+    return (lambda column: map(cells.get, column, column)) if cells else None
 
 
 class Layout:
@@ -120,7 +128,8 @@ class Layout:
     and ``tail``, or ``empty`` if it has no record. A record is
     ``before[0]``, cell 0, ``before[1]``, cell 1 and so on, then ``end``; in
     JSON, one object of ``json.dump(indent=2)``'s layout. ``before`` and
-    ``end`` are ``str.format`` texts, with each brace doubled."""
+    ``end`` are ``str.format`` texts, with each brace doubled, and
+    ``cell_texts`` holds each column's ``_cell_texts``."""
 
     def __init__(self, table: Table, fmt: str) -> None:
         if fmt == "csv":
@@ -132,43 +141,28 @@ class Layout:
             self.before = ["  {{\n    " + keys[0], *(",\n    " + key for key in keys[1:])]
             self.end, self.sep, self.tail = "\n  }}", ",\n", "\n]\n"
             self.head, self.empty = "[\n", "[]\n"
-        self.maps, self.strict, self.formats = zip(*(_translation(k, fmt) for k in table.kinds))
-        # A column without a map puts its format in the tuple template; one
-        # with a map goes through it, in C unless its misses need a format.
-        self.template = self.slots(0, len(self.before), values=True)
-        self.steps = [
-            None if cells is None
-            else partial(map, cells.__getitem__) if strict
-            else partial(map, partial(self.cell, i)) if form != "{}"
-            else lambda column, get=cells.get: map(get, column, column)
-            for i, (cells, strict, form) in enumerate(zip(self.maps, self.strict, self.formats))
-        ]
+        self.cell_texts = [_cell_texts(kind, fmt) for kind in table.kinds]
+        self.template = self.slots(0, len(self.before))
 
     def cell(self, i: int, value) -> str:
         """The text of ``value`` in column ``i`` (a KeyError outside a vocabulary)."""
-        cells = self.maps[i]
-        if cells is not None and (self.strict[i] or value in cells):
-            return cells[value]
-        return self.formats[i].format(value)
+        texts = self.cell_texts[i]
+        return str(value if texts is None else next(texts((value,))))
 
-    def slots(self, start: int, stop: int, values: bool = False) -> str:
-        """The format of columns start..stop-1, each slot after the text
-        before it, and the record end if ``stop`` is past the last column.
-        Slots take cell texts, or with ``values`` map-less columns' values."""
-        text = "".join(
-            self.before[i] + (self.formats[i] if values and self.maps[i] is None else "{}")
-            for i in range(start, stop)
-        )
+    def slots(self, start: int, stop: int) -> str:
+        """The format of columns start..stop-1, each ``"{}"`` slot after the
+        text before it, and the record end if ``stop`` is past the last column."""
+        text = "".join(self.before[i] + "{}" for i in range(start, stop))
         return text + (self.end if stop == len(self.before) else "")
 
     def records(self, rows: list[tuple]) -> Iterator[str]:
         """Tuples in column order as records, ``CHUNK_ROWS`` a chunk: a
-        chunk's columns go through their steps and, together, the template."""
+        chunk's columns go through their texts and, together, the template."""
         for start in range(0, len(rows), CHUNK_ROWS):
             columns = list(zip(*rows[start : start + CHUNK_ROWS], strict=True))
-            if len(columns) != len(self.steps):
-                raise ValueError(f"rows of {len(columns)} cells for {len(self.steps)} columns")
-            cells = [c if step is None else step(c) for step, c in zip(self.steps, columns)]
+            if len(columns) != len(self.cell_texts):
+                raise ValueError(f"rows of {len(columns)} cells for {len(self.cell_texts)} columns")
+            cells = [c if texts is None else texts(c) for texts, c in zip(self.cell_texts, columns)]
             yield self.sep.join(map(self.template.format, *cells))
 
 
@@ -316,7 +310,7 @@ class TimelineRows:
         tick_text, address_text = layout.slots(0, 1), layout.slots(6, 7)
         node_text = layout.slots(1, 5) + layout.before[5]
         flag, address_cell = partial(layout.cell, 3), partial(layout.cell, 6)
-        energy_step = layout.steps[5]  # JSON's map of the infinities; none in CSV
+        energy_texts = layout.cell_texts[5]  # JSON's map of the infinities; none in CSV
         node_ids = range(self.snapshots[0].clusters.node_universe)
         shown = [None] * len(node_ids)  # the Cluster each node's text was taken from
         nodes = [None] * len(node_ids)
@@ -348,7 +342,7 @@ class TimelineRows:
                     nodes[node_id] = text
             energies = list(map(snap.energies.__getitem__, node_ids))
             # str gives the text of the column's "{}" format, in C.
-            energies = map(str, energies if energy_step is None else energy_step(energies))
+            energies = map(str, energies if energy_texts is None else energy_texts(energies))
             prefix = tick_text.format(snap.at_tick)
             yield layout.sep.join(
                 [f"{prefix}{n}{e}{a}" for n, e, a in zip(nodes, energies, addresses)]
@@ -359,10 +353,11 @@ class TimelineRows:
 class MessageRows:
     """The simulate messages table, rendered event by event as
     ``write_table`` writes it: ``len`` is its record count, and
-    ``chunks(fmt)`` yields each address event's records as one text. A
-    ``Handshake`` block's records, all but their tick cell, are rendered
-    once per write for each distinct (prefix, block), and each distinct
-    address's cell once, from ``texts``; per event only the tick's shared
+    ``chunks(fmt)`` yields each address event's records as one text. Each
+    Assign payload is its member's address in the event's ``assigned`` map.
+    Per map, a ``Handshake`` block's records, all but their tick cell, are
+    rendered once per write for each distinct block, and each member's
+    payload cell once, from ``texts``; per event only the tick's shared
     prefix is new."""
 
     events: list[AddressEvent]
@@ -376,38 +371,35 @@ class MessageRows:
         tick_text, record_text = layout.slots(0, 1), layout.slots(1, 6)
         hello, reply, assign = (layout.cell(4, kind) for kind in MessageKind)
         no_payload = layout.cell(5, None)
-        payloads = {}  # each distinct address's cell, by (prefix48, cluster id, node id)
-        rendered = {}  # each distinct block's records, by (prefix48, block)
+        assigned = None
 
         # A block's records are kept joined by NUL, which no record holds; per
         # event, each NUL becomes the separator and the tick's prefix.
-        def render(prefix48, block):
-            seq, cluster_id, head, members = block
+        def render(block):
+            seq, _, head, members = block
             records = []
             for member in members:
-                key = (prefix48, cluster_id, member)
-                if key not in payloads:
-                    payloads[key] = layout.cell(5, self.texts[node_address(*key)])
+                if member not in payloads:
+                    payloads[member] = layout.cell(5, self.texts[assigned[member]])
                 records += (
                     record_text.format(seq, head, member, hello, no_payload),
                     record_text.format(seq + 1, member, head, reply, no_payload),
-                    record_text.format(seq + 2, head, member, assign, payloads[key]),
+                    record_text.format(seq + 2, head, member, assign, payloads[member]),
                 )
                 seq += 3
             return "\0".join(records)
 
         for event in self.events:
-            handshake = event.messages
-            if not handshake.blocks:
+            if not event.messages.blocks:
                 continue
-            blocks = []
-            for block in handshake.blocks:
-                key = (handshake.prefix48, block)
-                if key not in rendered:
-                    rendered[key] = render(*key)
-                blocks.append(rendered[key])
+            if event.assigned is not assigned:  # payload cells by member, records by block
+                assigned, payloads, rendered = event.assigned, {}, {}
+            for block in event.messages.blocks:
+                if block not in rendered:
+                    rendered[block] = render(block)
+            records = "\0".join(map(rendered.__getitem__, event.messages.blocks))
             prefix = tick_text.format(event.at_tick)
-            yield prefix + "\0".join(blocks).replace("\0", layout.sep + prefix)
+            yield prefix + records.replace("\0", layout.sep + prefix)
 
 
 def simulation_tables(snapshots: list[SimSnapshot]) -> dict[str, tuple[Table, object]]:
@@ -538,7 +530,7 @@ def manifest_timestamp() -> str:
     """UTC ISO-8601 stamp; honors SOURCE_DATE_EPOCH for reproducible output."""
     epoch = os.environ.get("SOURCE_DATE_EPOCH")
     try:
-        moment = int(epoch) if epoch else int(time.time())
+        moment = parse_int(epoch) if epoch else int(time.time())
         return datetime.fromtimestamp(moment, tz=timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
     except (ValueError, OverflowError, OSError):
         raise ConfigError(

@@ -13,9 +13,10 @@ reproduce, and ``ref_timeline_rows`` is the simulate timeline as plain
 tuples, each cell looked up afresh from the snapshots. ``ref_handshake`` is
 the addressing trace as a plain list of ``Message`` objects, each address
 put together from its bit fields, and ``handshake_messages`` expands the
-library's ``Handshake`` blocks into the same objects. ``ref_message_rows``
-is the simulate messages table as tuples, each event's trace rebuilt by
-``ref_handshake``. ``ref_addresses`` is the address map as an eager dict,
+library's ``Handshake`` blocks into the same objects, each Assign payload
+read from the address map of the same ``assign_addresses`` call.
+``ref_message_rows`` is the simulate messages table as tuples, each event's
+trace rebuilt by ``ref_handshake``. ``ref_addresses`` is the address map as an eager dict,
 each address built by ``node_address`` in serving order.
 """
 
@@ -177,17 +178,17 @@ class Message:
     payload: IPv6Address | None = None
 
 
-def handshake_messages(handshake):
+def handshake_messages(handshake, addresses):
     """A ``Handshake``'s messages, block by block: per member, Hello, Reply
-    and Assign, numbered on from the block's first seq."""
+    and Assign, numbered on from the block's first seq. Each Assign carries
+    the member's address in ``addresses``, the map of the same call."""
     messages = []
-    for seq, cluster_id, head, members in handshake.blocks:
+    for seq, _cluster_id, head, members in handshake.blocks:
         for member in members:
-            address = node_address(handshake.prefix48, cluster_id, member)
             messages += (
                 Message(seq, head, member, MessageKind.HELLO),
                 Message(seq + 1, member, head, MessageKind.REPLY),
-                Message(seq + 2, head, member, MessageKind.ASSIGN, address),
+                Message(seq + 2, head, member, MessageKind.ASSIGN, addresses[member]),
             )
             seq += 3
     return tuple(messages)

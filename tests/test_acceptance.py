@@ -216,7 +216,7 @@ def test_c6_addressing_properties():
     for _ in range(500):
         clusters, _pos = random_partition(rnd, min_nodes=1, max_nodes=60)
         addresses, handshake = assign_addresses(clusters)
-        trace = handshake_messages(handshake)
+        trace = handshake_messages(handshake, addresses)
         n = clusters.node_universe
         ok = ok and set(addresses) == set(range(n))
         ok = ok and len(set(addresses.values())) == n

@@ -55,14 +55,14 @@ def test_head_only_cluster_has_no_traffic():
     clusters = ClusterSet((Cluster(0, 0, (0,)),), 1)
     addresses, trace = assign_addresses(clusters)
     assert len(addresses) == 1
-    assert len(trace) == 0 and handshake_messages(trace) == ()
+    assert len(trace) == 0 and handshake_messages(trace, addresses) == ()
 
 
 def test_trace_choreography():
     clusters = ClusterSet((Cluster(0, 2, (0, 1, 2)),), 3)
     addresses, handshake = assign_addresses(clusters)
     assert len(handshake) == 6  # three messages per non-head member
-    trace = handshake_messages(handshake)
+    trace = handshake_messages(handshake, addresses)
     assert [m.seq for m in trace] == list(range(6))
     # member 0 first, then member 1, each Hello/Reply/Assign
     hello, reply, assign = trace[:3]
@@ -148,10 +148,10 @@ def test_trace_pattern_per_member():
     rnd = random.Random(8)
     for _ in range(50):
         clusters, _pos = random_partition(rnd, min_nodes=2, max_nodes=30)
-        _addresses, trace = assign_addresses(clusters)
+        addresses, trace = assign_addresses(clusters)
         heads = {c.head for c in clusters.clusters}
         per_member: dict[int, list] = {}
-        for msg in handshake_messages(trace):
+        for msg in handshake_messages(trace, addresses):
             member = msg.receiver if msg.kind != MessageKind.REPLY else msg.sender
             per_member.setdefault(member, []).append(msg.kind)
         for member, kinds in per_member.items():
@@ -175,8 +175,8 @@ def test_trace_matches_reference(partition, prefix48, data):
     addresses, trace = assign_addresses(clusters, prefix48)
     expected = ref_handshake(clusters, prefix48)
     assert len(trace) == len(expected)
-    assert handshake_messages(trace) == tuple(expected)
-    assert trace.prefix48 == prefix48
+    # The payloads come from the map and the reference's from its bit fields.
+    assert handshake_messages(trace, addresses) == tuple(expected)
     for msg in expected:
         if msg.kind is MessageKind.ASSIGN:
             assert addresses[msg.receiver] == msg.payload

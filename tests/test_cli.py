@@ -96,12 +96,34 @@ def test_seed_precedence(tmp_path, monkeypatch):
 
 
 def test_bad_env_seed_is_config_error(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("CLUSTERBENCH_SEED", "lots")
-    assert run("generate", "--out", str(tmp_path / "g")) == 2
-    assert "CLUSTERBENCH_SEED" in capsys.readouterr().err
+    # Read as a table's int cell is: Python's int would take 1_0 and ٥.
+    for value in ("lots", "1_0", "\u0665"):
+        monkeypatch.setenv("CLUSTERBENCH_SEED", value)
+        assert run("generate", "--out", str(tmp_path / "g")) == 2
+        assert "CLUSTERBENCH_SEED" in capsys.readouterr().err
+        assert not (tmp_path / "g").exists()
 
 
-@pytest.mark.parametrize("value", ["abc", "-99999999999999"])
+@pytest.mark.parametrize(
+    "flag, argv",
+    [
+        ("--seed", ["generate", "--seed", "1_0"]),
+        ("--seed", ["generate", "--seed", "\u0661"]),
+        ("--sizes", ["sweep", "--sizes", "2_5", "--seeds", "1"]),
+        ("--sizes", ["sweep", "--sizes", "25,\u0665", "--seeds", "1"]),
+        ("--seeds", ["sweep", "--sizes", "25", "--seeds", "1_0"]),
+        ("--seeds", ["sweep", "--sizes", "25", "--seeds", "\u0661"]),
+    ],
+)
+def test_bad_integer_flag_is_config_error(tmp_path, capsys, flag, argv):
+    # An integer flag is read as a table's int cell is, and its error names it.
+    out = tmp_path / "o"
+    assert run(*argv, "--out", str(out)) == 2
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["abc", "-99999999999999", "1_700_000_000", "\u0661\u0667"])
 def test_bad_source_date_epoch_is_config_error(tmp_path, monkeypatch, capsys, value):
     monkeypatch.setenv("SOURCE_DATE_EPOCH", value)
     out = tmp_path / "s"

@@ -19,7 +19,7 @@ from clusterbench import (
     drain,
     run_simulation,
 )
-from clusterbench import addressing, sim, validation
+from clusterbench import addressing, cli, sim, validation
 from clusterbench.model import COMPARATORS, MAX_NODE_TICKS
 from clusterbench.sim import AddressEvent
 from reference import ref_dunn_index, ref_expac_cluster, ref_rotate_heads
@@ -258,11 +258,13 @@ def test_partition_and_index_computed_once_per_run(monkeypatch):
         assert calls == {"expac_cluster": 1, "dunn_index": 1}
 
 
-def test_reclusters_build_no_address(monkeypatch):
+def test_reclusters_build_no_address(monkeypatch, tmp_path):
     # perfbench's sim_recluster run: 300 nodes re-cluster at every tick after
     # tick 0. Each re-cluster's handshake needs no address map and its map is
     # never read, so none is built; the tick-0 map is built on its first
-    # read, once, and every snapshot and address event shares it.
+    # read, once, and every snapshot and address event shares it. The
+    # written tables take every address from that map, so a whole simulate
+    # builds each address once.
     built = []
     monkeypatch.setattr(
         addressing, "IPv6Address", lambda value: built.append(value) or IPv6Address(value)
@@ -289,6 +291,13 @@ def test_reclusters_build_no_address(monkeypatch):
             if isinstance(event, AddressEvent):
                 assert event.assigned is first
     assert len({first[n] for n in range(300)}) == 300 and len(built) == 300  # kept
+    config = tmp_path / "config.json"
+    config.write_text('{"node_count": 300, "execution_time": 50.0}')
+    for fmt in ("csv", "json"):
+        built.clear()
+        argv = ["simulate", "--config", str(config), "--out", str(tmp_path / fmt), "--format", fmt]
+        assert cli.main(argv) == 0
+        assert len(built) == 300, fmt
 
 
 def test_unchanged_clusters_carry_over_between_ticks():

@@ -377,8 +377,10 @@ def test_messages_are_written_without_a_row_list(tmp_path):
     # table and its write take a small multiple of one event's text beyond
     # what the same write of no rows takes: the per-address texts, the
     # blocks rendered so far (about two events' worth here) and one event's
-    # text in flight.
+    # text in flight. The run's address map is built on its first read, so it
+    # is read here, before the trace: the write takes it as it is.
     _, snapshots = reclustering_run()
+    dict(snapshots[0].addresses)
     for fmt in ("csv", "json"):
         tracemalloc.start()
         try:
