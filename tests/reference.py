@@ -17,13 +17,19 @@ library's ``Handshake`` blocks into the same objects, each Assign payload
 read from the address map of the same ``assign_addresses`` call.
 ``ref_message_rows`` is the simulate messages table as tuples, each event's
 trace rebuilt by ``ref_handshake``. ``ref_addresses`` is the address map as an eager dict,
-each address built by ``node_address`` in serving order.
+each address built by ``node_address`` in serving order. ``ref_simulate`` is
+a whole simulate run from its config, all five tables as tuples, and
+``ref_csv_text`` and ``ref_json_text`` render rows as csv.writer and
+json.dumps write them.
 """
 
 from __future__ import annotations
 
+import csv
+import io
+import json
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from enum import Enum
 from ipaddress import IPv6Address
 
@@ -35,6 +41,8 @@ from clusterbench import (
     InvariantViolation,
     MessageKind,
     UndefinedIndexError,
+    classify,
+    generate_scenario,
     manhattan_distance,
 )
 from clusterbench.addressing import node_address
@@ -141,6 +149,22 @@ def ref_json_cell(value):
     return value
 
 
+def ref_csv_text(columns, rows):
+    """A table's CSV file: the header, then each row's ``ref_csv_cell``s."""
+    expected = io.StringIO()
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(columns)
+    for row in rows:
+        writer.writerow([ref_csv_cell(v) for v in row])
+    return expected.getvalue()
+
+
+def ref_json_text(columns, rows):
+    """A table's JSON file: one object of ``ref_json_cell``s per row."""
+    payload = [dict(zip(columns, map(ref_json_cell, row))) for row in rows]
+    return json.dumps(payload, indent=2) + "\n"
+
+
 TIMELINE_COLUMNS = ["tick", "node_id", "cluster_id", "is_head", "exempt", "energy", "address"]
 
 
@@ -207,6 +231,11 @@ def ref_addresses(clusters, prefix48=DEFAULT_PREFIX48):
     return addresses
 
 
+def ref_address(prefix48, cluster_id, node_id):
+    """A node's address, put together from its bit fields."""
+    return IPv6Address(prefix48 * 2**80 + cluster_id * 2**64 + node_id + 1)
+
+
 def ref_handshake(clusters, prefix48=DEFAULT_PREFIX48):
     """Every cluster by ascending id, every non-head member by ascending id:
     Hello, Reply, Assign, numbered from 0 across the whole list."""
@@ -216,7 +245,7 @@ def ref_handshake(clusters, prefix48=DEFAULT_PREFIX48):
         for member in sorted(cluster.members):
             if member == head:
                 continue
-            address = IPv6Address(prefix48 * 2**80 + cluster.cluster_id * 2**64 + member + 1)
+            address = ref_address(prefix48, cluster.cluster_id, member)
             for sender, receiver, kind, payload in (
                 (head, member, MessageKind.HELLO, None),
                 (member, head, MessageKind.REPLY, None),
@@ -243,6 +272,82 @@ def ref_message_rows(snapshots, prefix48=DEFAULT_PREFIX48):
                     payload = None if msg.payload is None else str(msg.payload)
                     rows.append((event.at_tick, msg.seq, msg.sender, msg.receiver, msg.kind, payload))
     return rows
+
+
+def ref_simulate(config, nodes, prefix48=DEFAULT_PREFIX48):
+    """The simulate command's five tables as lists of rows, by file stem,
+    derived afresh from the config: ``nodes``, or the seeded placement if
+    None, clustered by ``ref_expac_cluster`` and elected by
+    ``ref_rotate_heads``; every tick drains every node through a dict,
+    ``max(0.0, e - rate)``, and elects every cluster; a scheduled report is
+    ``classify`` of ``ref_dunn_index`` on the tick's partition; a re-cluster
+    clusters and elects from scratch and re-runs ``ref_handshake``, whose
+    payloads' bit fields also give the addresses. A domain error is raised
+    as it is, without its tick."""
+    if nodes is None:
+        nodes = generate_scenario(config)
+    positions = {n.node_id: n.pos for n in nodes}
+    energies = {n.node_id: n.energy for n in nodes}
+    node_ids = range(len(nodes))
+    threshold, comparator = config.energy_threshold, config.comparator
+    timeline, events, validation, messages = [], [], [], []
+
+    def elect(at_tick):
+        fresh = ref_expac_cluster(nodes, config.tx_range)
+        return ref_rotate_heads(fresh, energies, threshold, comparator, at_tick)[0]
+
+    def address(clusters, at_tick):
+        trace = ref_handshake(clusters, prefix48)
+        counts = (len(nodes), len(trace))
+        events.append((at_tick, "address", None, None, None, None, None, None, *counts))
+        for msg in trace:
+            payload = None if msg.payload is None else str(msg.payload)
+            messages.append((at_tick, msg.seq, msg.sender, msg.receiver, msg.kind, payload))
+        return {
+            m: str(ref_address(prefix48, c.cluster_id, m))
+            for c in clusters.clusters
+            for m in c.members
+        }
+
+    clusters = elect(0)
+    addresses = address(clusters, 0)
+    for tick in range(config.steps + 1):
+        if tick > 0:
+            heads = {c.head for c in clusters.clusters}
+            energies = {
+                nid: max(0.0, e - (config.drain_head if nid in heads else config.drain_member))
+                for nid, e in energies.items()
+            }
+            clusters, changes = ref_rotate_heads(clusters, energies, threshold, comparator, tick)
+            for c in changes:
+                cells = (c.cluster_id, c.old_head, c.new_head)
+                events.append((tick, "head_change", *cells, None, None, None, None, None))
+        if tick % config.validation_interval == 0 and len(clusters.clusters) > 1:
+            index = ref_dunn_index(clusters, positions)  # one cluster has none
+            report = classify(index, config.dunn_recluster_threshold)
+            validation.append((tick, *astuple(report)))
+            if tick > 0 and report.recommend_recluster:
+                old_count = len(clusters.clusters)
+                clusters = elect(tick)
+                counts = (index, old_count, len(clusters.clusters))
+                events.append((tick, "recluster", None, None, None, *counts, None, None))
+                addresses = address(clusters, tick)
+        cluster_of = {m: c for c in clusters.clusters for m in c.members}
+        for nid in node_ids:
+            cluster = cluster_of[nid]
+            timeline.append(
+                (
+                    tick, nid, cluster.cluster_id, nid == cluster.head,
+                    nid in cluster.threshold_exempt, energies[nid], addresses[nid],
+                )
+            )
+    return {
+        "timeline": timeline,
+        "events": events,
+        "validation": validation,
+        "addresses": [(nid, cluster_of[nid].cluster_id, addresses[nid]) for nid in node_ids],
+        "messages": messages,
+    }
 
 
 def inter_cluster_distance(a, b, positions):

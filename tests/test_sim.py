@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 from ipaddress import IPv6Address
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from clusterbench import (
     Cluster,
+    ClusterBenchError,
     ClusterSet,
     ConfigError,
     HeadChange,
@@ -22,7 +24,28 @@ from clusterbench import (
 from clusterbench import addressing, cli, sim, validation
 from clusterbench.model import COMPARATORS, MAX_NODE_TICKS
 from clusterbench.sim import AddressEvent
-from reference import ref_dunn_index, ref_expac_cluster, ref_rotate_heads
+from clusterbench.tables import (
+    ADDRESSES_TABLE,
+    EVENTS_TABLE,
+    MESSAGES_TABLE,
+    NODES_TABLE,
+    TIMELINE_TABLE,
+    VALIDATION_TABLE,
+    event_row,
+    nodes_rows,
+    simulation_tables,
+    write_table,
+)
+from reference import (
+    DEFAULT_PREFIX48,
+    ref_csv_text,
+    ref_dunn_index,
+    ref_expac_cluster,
+    ref_json_text,
+    ref_rotate_heads,
+    ref_simulate,
+    ref_timeline_rows,
+)
 
 
 def line_nodes(xs, energies):
@@ -395,28 +418,18 @@ def test_run_holds_under_10_mb_on_the_steady_workload():
 
 
 def assert_matches_full_reelection(cfg, nodes=None):
-    """Run the scenario and check every tick against a full drain of every
-    node and a full re-election of every cluster by ``ref_rotate_heads``:
-    the energies bit for bit (so -0.0 is told from 0.0), the clusters and the
-    events."""
+    """Run the scenario and check every tick against ``ref_simulate``, a full
+    drain of every node and a full re-election of every cluster: each node's
+    cluster, head and exempt flags, its energy bit for bit (so -0.0 is told
+    from 0.0, which a tuple == would not do) and the events."""
     snaps = run_simulation(cfg, nodes)
-    for prev, cur in zip(snaps, snaps[1:]):
-        heads = {c.head for c in prev.clusters.clusters}
-        drained = {
-            nid: max(0.0, e - (cfg.drain_head if nid in heads else cfg.drain_member))
-            for nid, e in prev.energies.items()
-        }
-        assert [(k, repr(e)) for k, e in cur.energies.items()] == [
-            (k, repr(e)) for k, e in drained.items()
-        ]
-        fresh, changes = ref_rotate_heads(
-            prev.clusters, cur.energies, cfg.energy_threshold, cfg.comparator, cur.at_tick
-        )
-        assert cur.clusters == fresh
-        assert cur.events[: len(changes)] == tuple(changes)
-        recluster = cur.report is not None and cur.report.recommend_recluster
-        rest = [type(e) for e in cur.events[len(changes) :]]
-        assert rest == ([ReclusterEvent, AddressEvent] if recluster else [])
+    expected = ref_simulate(cfg, nodes)
+
+    def bitwise(rows):
+        return [(*row[:5], repr(row[5]), row[6]) for row in rows]
+
+    assert bitwise(ref_timeline_rows(snaps)) == bitwise(expected["timeline"])
+    assert [event_row(e) for snap in snaps for e in snap.events] == expected["events"]
     return snaps
 
 
@@ -525,3 +538,88 @@ def settled_scenarios(draw):
 def test_run_matches_full_reelection_every_tick(scenario):
     cfg, nodes = scenario
     assert_matches_full_reelection(cfg, nodes)
+
+
+# --- the whole run against its oracle ---------------------------------------
+
+
+@st.composite
+def whole_runs(draw):
+    """A run of up to 40 nodes over up to 12 ticks, seeded or hand-built
+    (with energies of -0.0, 0.0 and +inf), under either comparator, validated
+    every 1 to 3 ticks. A Dunn threshold of 100 re-clusters at each
+    validation, and a range of 200 m makes one cluster, which has no index.
+    A member drain of 0.0 is drawn half the time: -0.0 minus 0.0 is -0.0,
+    which the drain must clamp to 0.0."""
+    drain_member = draw(st.sampled_from([0.0, 0.0, 1.0, 5.0]))
+    base = dict(
+        area=(60.0, 60.0),
+        tx_range=draw(st.sampled_from([5.0, 20.0, 200.0])),
+        comparator=draw(st.sampled_from(COMPARATORS)),
+        energy_threshold=draw(st.sampled_from([0.0, 10.0, 30.0, 500.0])),
+        drain_member=drain_member,
+        drain_head=drain_member + draw(st.sampled_from([0.0, 2.0, 20.0])),
+        execution_time=float(draw(st.integers(0, 12))),
+        validation_interval=draw(st.integers(1, 3)),
+        dunn_recluster_threshold=draw(st.sampled_from([0.0, 0.5, 100.0])),
+    )
+    if draw(st.booleans()):
+        low = draw(st.sampled_from([0.0, 5.0]))
+        high = low + draw(st.sampled_from([0.0, 40.0, 100.0]))
+        node_count = draw(st.integers(1, 40))
+        seed = draw(st.integers(0, 2**16))
+        return ScenarioConfig(node_count, seed=seed, initial_energy=(low, high), **base), None
+    spots = draw(
+        st.lists(st.tuples(st.integers(0, 60), st.integers(0, 60)), min_size=1, max_size=40,
+                 unique=True)
+    )
+    nodes = [
+        Node(i, Position(float(x), float(y)), draw(HAND_ENERGY)) for i, (x, y) in enumerate(spots)
+    ]
+    return ScenarioConfig(len(nodes), **base), nodes
+
+
+SIMULATE_TABLES = {
+    "timeline": TIMELINE_TABLE, "events": EVENTS_TABLE, "validation": VALIDATION_TABLE,
+    "addresses": ADDRESSES_TABLE, "messages": MESSAGES_TABLE,
+}
+
+
+@pytest.fixture(scope="module")
+def scratch(tmp_path_factory):
+    return tmp_path_factory.mktemp("sim")
+
+
+@settings(max_examples=200, deadline=None)
+@given(run=whole_runs(), prefix48=st.sampled_from([DEFAULT_PREFIX48, 0, 2**48 - 1]))
+def test_simulate_writes_what_the_whole_run_oracle_derives(scratch, run, prefix48):
+    # Differential testing: every byte of the five simulate files, in both
+    # formats, against ref_simulate's rows rendered through csv.writer and
+    # json.dumps. The command's node reader refuses +inf, so a run holding
+    # one is written as the command writes its tables.
+    cfg, nodes = run
+    try:
+        expected = ref_simulate(cfg, nodes, prefix48)
+    except ClusterBenchError as err:
+        with pytest.raises(type(err)):
+            run_simulation(cfg, nodes, prefix48)
+        return
+    out = scratch / "out"
+    config, nodes_csv = scratch / "config.json", scratch / "nodes.csv"
+    config.write_text(json.dumps(cfg.to_dict()))
+    for fmt, render in (("csv", ref_csv_text), ("json", ref_json_text)):
+        if nodes is not None and not all(math.isfinite(n.energy) for n in nodes):
+            out.mkdir(exist_ok=True)
+            snapshots = run_simulation(cfg, nodes, prefix48)
+            for stem, (table, rows) in simulation_tables(snapshots).items():
+                write_table(out / f"{stem}.{fmt}", table, rows, fmt)
+        else:
+            argv = ["simulate", "--config", str(config), "--out", str(out), "--format", fmt,
+                    "--prefix", str(IPv6Address(prefix48 << 80))]
+            if nodes is not None:
+                write_table(nodes_csv, NODES_TABLE, nodes_rows(nodes), "csv")
+                argv += ["--nodes", str(nodes_csv)]
+            assert cli.main(argv) == 0
+        for stem, table in SIMULATE_TABLES.items():
+            got = (out / f"{stem}.{fmt}").read_bytes().decode("utf-8")
+            assert got == render(table.columns, expected[stem]), (stem, fmt)

@@ -1,6 +1,5 @@
 import csv
 import importlib
-import io
 import json
 import math
 import pkgutil
@@ -62,8 +61,8 @@ from reference import (
     DEFAULT_PREFIX48,
     MESSAGES_COLUMNS,
     TIMELINE_COLUMNS,
-    ref_csv_cell,
-    ref_json_cell,
+    ref_csv_text,
+    ref_json_text,
     ref_message_rows,
     ref_timeline_rows,
 )
@@ -191,20 +190,6 @@ def declared_rows(table):
     return st.tuples(rows, repeats).map(lambda r: r[0] * r[1])
 
 
-def reference_csv(columns, rows):
-    expected = io.StringIO()
-    writer = csv.writer(expected, lineterminator="\n")
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow([ref_csv_cell(v) for v in row])
-    return expected.getvalue()
-
-
-def reference_json(columns, rows):
-    payload = [dict(zip(columns, map(ref_json_cell, row))) for row in rows]
-    return json.dumps(payload, indent=2) + "\n"
-
-
 def assert_same_text(got, expected, name):
     # Names the first differing line: a diff of two whole files is slow to make.
     if got != expected:
@@ -234,7 +219,7 @@ def test_csv_matches_reference_rendering(scratch, data):
         path = scratch / f"{name}.csv"
         write_table(path, table, rows, "csv")
         got = path.read_bytes().decode("utf-8")
-        assert_same_text(got, reference_csv(table.columns, rows), name)
+        assert_same_text(got, ref_csv_text(table.columns, rows), name)
 
 
 @settings(max_examples=100, deadline=None)
@@ -245,7 +230,7 @@ def test_json_matches_reference_rendering(scratch, data):
         path = scratch / f"{name}.json"
         write_table(path, table, rows, "json")
         got = path.read_bytes().decode("utf-8")
-        assert_same_text(got, reference_json(table.columns, rows), name)
+        assert_same_text(got, ref_json_text(table.columns, rows), name)
 
 
 # Energies a library-built node may hold: any float >= 0 including inf, and
@@ -288,7 +273,7 @@ def assert_written_as(path, table, rows, expected_rows):
     """``rows`` written by write_table as CSV and as JSON equal the reference
     tuples rendered by csv.writer and json.dumps with the reference cells."""
     assert len(rows) == len(expected_rows)
-    for fmt, reference in (("csv", reference_csv), ("json", reference_json)):
+    for fmt, reference in (("csv", ref_csv_text), ("json", ref_json_text)):
         write_table(path.with_suffix(f".{fmt}"), table, rows, fmt)
         got = path.with_suffix(f".{fmt}").read_bytes().decode("utf-8")
         assert_same_text(got, reference(table.columns, expected_rows), fmt)
@@ -435,7 +420,7 @@ def test_csv_cells_are_stable(tmp_path):
     texts = ("a,b", 'say "hi"', "two\nlines", " ", "plain")
     table = Table({"n": INT, "text": Kind("text", vocabulary=texts)})
     write_table(path, table, [(i, t) for i, t in enumerate(texts)], "csv")
-    assert path.read_bytes().decode("utf-8") == reference_csv(table.columns, enumerate(texts))
+    assert path.read_bytes().decode("utf-8") == ref_csv_text(table.columns, enumerate(texts))
 
 
 def test_json_table(tmp_path):
