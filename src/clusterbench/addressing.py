@@ -15,6 +15,7 @@ from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from enum import Enum
 from ipaddress import AddressValueError, IPv6Address, IPv6Network
+from operator import attrgetter
 
 from .errors import CapacityError, InputError
 from .model import Cluster, ClusterSet, NodeId
@@ -82,21 +83,18 @@ def node_address(prefix48: int, cluster_id: int, node_id: NodeId) -> IPv6Address
 class Handshake:
     """The Hello/Reply/Assign trace of one ``assign_addresses`` call.
 
-    It holds one block per served cluster (one with a member besides its
-    head): ``(first seq, cluster id, head, non-head members)``, clusters by
-    id and members ascending. Each member's three messages, numbered from
-    the block's first seq, are Hello (head to member), Reply (member to head)
-    and Assign (head to member, carrying the member's address in the call's
-    map). ``len`` is 3 × the non-heads.
+    It holds the call's served clusters, those with a member besides their
+    head, by id: the call's own ``Cluster`` objects. Each non-head member,
+    ascending, costs three messages, numbered on from 0 across the trace:
+    Hello (head to member), Reply (member to head) and Assign (head to
+    member, carrying the member's address in the call's map). ``len`` is 3 ×
+    the non-heads.
     """
 
-    blocks: tuple[tuple[int, int, NodeId, tuple[NodeId, ...]], ...]
+    clusters: tuple[Cluster, ...]
 
     def __len__(self) -> int:
-        if not self.blocks:
-            return 0
-        first, _, _, members = self.blocks[-1]
-        return first + 3 * len(members)
+        return 3 * (sum(map(len, map(attrgetter("members"), self.clusters))) - len(self.clusters))
 
 
 class AddressMap(Mapping[NodeId, IPv6Address]):
@@ -139,9 +137,10 @@ def assign_addresses(
 ) -> tuple[AddressMap, Handshake]:
     """Run the assignment handshake over every cluster.
 
-    Returns the address map and the message trace. Clusters are served in
-    cluster-id order; within each, the head self-assigns silently, then each
-    member in ascending id order costs three messages (Hello, Reply, Assign).
+    Returns the address map and the message trace, which holds the served
+    clusters themselves. Clusters are served in cluster-id order; within
+    each, the head self-assigns silently, then each member in ascending id
+    order costs three messages (Hello, Reply, Assign).
     The capacity check runs here, once per cluster on its id and the ends of
     its sorted members, so a ``CapacityError`` is raised by this call, for
     the first cluster by id and the first node in serving order that does
@@ -149,15 +148,10 @@ def assign_addresses(
     """
     prefix48 = parse_prefix(prefix)
     ordered = sorted(clusters.clusters, key=lambda c: c.cluster_id)
-    blocks = []
-    seq = 0
     for cluster in ordered:
         cluster_id, head, members = cluster.cluster_id, cluster.head, cluster.members
         if not (0 <= cluster_id < 2**16 and members[0] >= 0 and members[-1] < 2**64 - 1):
             for node_id in (head, *members):  # raises as a node-by-node pass would
                 node_address(prefix48, cluster_id, node_id)
-        if len(members) > 1:
-            others = tuple(m for m in members if m != head)
-            blocks.append((seq, cluster_id, head, others))
-            seq += 3 * len(others)
-    return AddressMap(prefix48, ordered, clusters.node_universe), Handshake(tuple(blocks))
+    served = tuple(c for c in ordered if len(c.members) > 1)
+    return AddressMap(prefix48, ordered, clusters.node_universe), Handshake(served)

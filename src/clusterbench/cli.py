@@ -255,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="energy membership test (default: below)",
     )
     common.add_argument(
-        "--threads", type=int, default=1, help="accepted for compatibility; has no effect"
+        "--threads", type=_integer, default=1, help="accepted for compatibility; has no effect"
     )
 
     sub = parser.add_subparsers(dest="command", required=True)

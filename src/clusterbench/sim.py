@@ -10,10 +10,10 @@ report recommends it — re-clusters and re-addresses. Positions are static
 and energies only ever decrease. The partition depends on positions alone,
 so a re-cluster reproduces the tick-0 partition, index and addresses; only
 the Hello/Reply/Assign trace, which follows the current heads, is rebuilt,
-as a ``Handshake`` of blocks. Each ``assign_addresses`` call checks capacity
-when it is made, but its address map is built on first read: the run keeps
-the tick-0 map, and a re-cluster's map is never read, so never built. Tick 0
-never re-clusters.
+as a ``Handshake`` of the served clusters. Each ``assign_addresses`` call
+checks capacity when it is made, but its address map is built on first
+read: the run keeps the tick-0 map, and a re-cluster's map is never read,
+so never built. Tick 0 never re-clusters.
 """
 
 from __future__ import annotations

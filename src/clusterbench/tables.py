@@ -18,11 +18,11 @@ import math
 import os
 import time
 from collections import defaultdict
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import Enum
-from functools import partial
+from functools import cache, partial
 from ipaddress import IPv6Address
 from itertools import compress
 from pathlib import Path
@@ -277,15 +277,6 @@ def event_row(event) -> tuple:
     return (event.at_tick, "address", None, None, None, None, None, None, *sizes)
 
 
-class AddressTexts(dict):
-    """Each address's text, by address, made the first time it is asked for
-    (``str`` of an ``IPv6Address`` costs about 10 µs)."""
-
-    def __missing__(self, address: IPv6Address) -> str:
-        text = self[address] = str(address)
-        return text
-
-
 @dataclass
 class TimelineRows:
     """The simulate timeline, rendered tick by tick as ``write_table`` writes
@@ -294,11 +285,11 @@ class TimelineRows:
     is_head and exempt text is looked up again only when its ``Cluster``
     object changes (each distinct cluster state is one frozen object per
     run), and rendered once per write for each of the node's variants; its
-    address text once per address map, from ``texts``. Per record only the
-    tick's shared prefix and the energy are new text."""
+    address text once per address map, through ``texts``. Per record only
+    the tick's shared prefix and the energy are new text."""
 
     snapshots: list[SimSnapshot]
-    texts: AddressTexts
+    texts: Callable[[IPv6Address], str]
 
     def __len__(self) -> int:
         return len(self.snapshots) * self.snapshots[0].clusters.node_universe
@@ -322,7 +313,7 @@ class TimelineRows:
             if snap.addresses is not address_map:
                 address_map = snap.addresses
                 addresses = [
-                    address_text.format(address_cell(self.texts[address_map[i]])) for i in node_ids
+                    address_text.format(address_cell(self.texts(address_map[i]))) for i in node_ids
                 ]
             for cluster in snap.clusters.clusters:
                 # After each tick every node shows the cluster that held it.
@@ -355,13 +346,14 @@ class MessageRows:
     ``write_table`` writes it: ``len`` is its record count, and
     ``chunks(fmt)`` yields each address event's records as one text. Each
     Assign payload is its member's address in the event's ``assigned`` map.
-    Per map, a ``Handshake`` block's records, all but their tick cell, are
-    rendered once per write for each distinct block, and each member's
-    payload cell once, from ``texts``; per event only the tick's shared
+    Per map, a served cluster's records, all but their tick cell, are
+    rendered once per write for each distinct (first seq, head, members),
+    which is all they hold besides the map's addresses, and each member's
+    payload cell once, through ``texts``; per event only the tick's shared
     prefix is new."""
 
     events: list[AddressEvent]
-    texts: AddressTexts
+    texts: Callable[[IPv6Address], str]
 
     def __len__(self) -> int:
         return sum(len(event.messages) for event in self.events)
@@ -373,14 +365,15 @@ class MessageRows:
         no_payload = layout.cell(5, None)
         assigned = None
 
-        # A block's records are kept joined by NUL, which no record holds; per
-        # event, each NUL becomes the separator and the tick's prefix.
-        def render(block):
-            seq, _, head, members = block
+        # A cluster's records are kept joined by NUL, which no record holds;
+        # per event, each NUL becomes the separator and the tick's prefix.
+        def render(seq, head, members):
             records = []
             for member in members:
+                if member == head:
+                    continue
                 if member not in payloads:
-                    payloads[member] = layout.cell(5, self.texts[assigned[member]])
+                    payloads[member] = layout.cell(5, self.texts(assigned[member]))
                 records += (
                     record_text.format(seq, head, member, hello, no_payload),
                     record_text.format(seq + 1, member, head, reply, no_payload),
@@ -390,14 +383,19 @@ class MessageRows:
             return "\0".join(records)
 
         for event in self.events:
-            if not event.messages.blocks:
+            if not event.messages.clusters:
                 continue
-            if event.assigned is not assigned:  # payload cells by member, records by block
+            if event.assigned is not assigned:  # payload cells by member, records by key
                 assigned, payloads, rendered = event.assigned, {}, {}
-            for block in event.messages.blocks:
-                if block not in rendered:
-                    rendered[block] = render(block)
-            records = "\0".join(map(rendered.__getitem__, event.messages.blocks))
+            seq, parts = 0, []
+            for cluster in event.messages.clusters:
+                key = (seq, cluster.head, cluster.members)
+                part = rendered.get(key)
+                if part is None:
+                    part = rendered[key] = render(*key)
+                parts.append(part)
+                seq += 3 * len(cluster.members) - 3
+            records = "\0".join(parts)
             prefix = tick_text.format(event.at_tick)
             yield prefix + records.replace("\0", layout.sep + prefix)
 
@@ -406,8 +404,9 @@ def simulation_tables(snapshots: list[SimSnapshot]) -> dict[str, tuple[Table, ob
     """The simulate command's tables, by file stem: (table, rows). The
     timeline's rows are a ``TimelineRows`` and the messages' a
     ``MessageRows``; every other table's are tuples. The three tables that
-    hold addresses share their texts, so each address is made text once."""
-    texts = AddressTexts()
+    hold addresses share one cache of their texts, so each address is made
+    text once (``str`` of an ``IPv6Address`` costs about 10 µs)."""
+    texts = cache(str)
     events, validation, address_events = [], [], []
     for snap in snapshots:
         for event in snap.events:
@@ -418,7 +417,7 @@ def simulation_tables(snapshots: list[SimSnapshot]) -> dict[str, tuple[Table, ob
             validation.append(report_row(snap.at_tick, snap.report))
     final = snapshots[-1]
     addresses = [
-        (node_id, cluster.cluster_id, texts[final.addresses[node_id]])
+        (node_id, cluster.cluster_id, texts(final.addresses[node_id]))
         for node_id, cluster in enumerate(final.clusters.by_node())
     ]
     return {

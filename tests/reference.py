@@ -13,7 +13,7 @@ reproduce, and ``ref_timeline_rows`` is the simulate timeline as plain
 tuples, each cell looked up afresh from the snapshots. ``ref_handshake`` is
 the addressing trace as a plain list of ``Message`` objects, each address
 put together from its bit fields, and ``handshake_messages`` expands the
-library's ``Handshake`` blocks into the same objects, each Assign payload
+library's ``Handshake`` clusters into the same objects, each Assign payload
 read from the address map of the same ``assign_addresses`` call.
 ``ref_message_rows`` is the simulate messages table as tuples, each event's
 trace rebuilt by ``ref_handshake``. ``ref_addresses`` is the address map as an eager dict,
@@ -203,18 +203,20 @@ class Message:
 
 
 def handshake_messages(handshake, addresses):
-    """A ``Handshake``'s messages, block by block: per member, Hello, Reply
-    and Assign, numbered on from the block's first seq. Each Assign carries
-    the member's address in ``addresses``, the map of the same call."""
+    """A ``Handshake``'s messages, cluster by cluster: per non-head member,
+    ascending, Hello, Reply and Assign, numbered on from 0. Each Assign
+    carries the member's address in ``addresses``, the map of the same call."""
     messages = []
-    for seq, _cluster_id, head, members in handshake.blocks:
-        for member in members:
-            messages += (
-                Message(seq, head, member, MessageKind.HELLO),
-                Message(seq + 1, member, head, MessageKind.REPLY),
-                Message(seq + 2, head, member, MessageKind.ASSIGN, addresses[member]),
-            )
-            seq += 3
+    for cluster in handshake.clusters:
+        head = cluster.head
+        for member in cluster.members:
+            if member != head:
+                seq = len(messages)
+                messages += (
+                    Message(seq, head, member, MessageKind.HELLO),
+                    Message(seq + 1, member, head, MessageKind.REPLY),
+                    Message(seq + 2, head, member, MessageKind.ASSIGN, addresses[member]),
+                )
     return tuple(messages)
 
 
@@ -281,9 +283,9 @@ def ref_simulate(config, nodes, prefix48=DEFAULT_PREFIX48):
     ``ref_rotate_heads``; every tick drains every node through a dict,
     ``max(0.0, e - rate)``, and elects every cluster; a scheduled report is
     ``classify`` of ``ref_dunn_index`` on the tick's partition; a re-cluster
-    clusters and elects from scratch and re-runs ``ref_handshake``, whose
-    payloads' bit fields also give the addresses. A domain error is raised
-    as it is, without its tick."""
+    clusters and elects from scratch and re-runs ``ref_handshake``. Every
+    address is put together from its bit fields by ``ref_address``. A domain
+    error is raised as it is, without its tick."""
     if nodes is None:
         nodes = generate_scenario(config)
     positions = {n.node_id: n.pos for n in nodes}

@@ -59,7 +59,8 @@ def head_rotations(draw, clusters):
 @st.composite
 def member_moves(draw, clusters):
     """The partition with one non-head member moved to another cluster. The
-    clusters between the two keep their blocks but shift their message seqs."""
+    clusters between the two keep their heads and members but shift their
+    message seqs."""
     movable = [(c, m) for c in clusters.clusters for m in c.members if m != c.head]
     if not movable or len(clusters.clusters) < 2:
         return clusters

@@ -169,12 +169,16 @@ PREFIXES = [0, DEFAULT_PREFIX48, 2**48 - 1]
     data=st.data(),
 )
 def test_trace_matches_reference(partition, prefix48, data):
-    # The handshake's blocks expand to the reference's messages, in order and
-    # numbered from 0, and its len is their count.
+    # The handshake holds the call's own served clusters, by id; they expand
+    # to the reference's messages, in order and numbered from 0, and its len
+    # is their count, 3 for each non-head.
     clusters = data.draw(head_rotations(partition[0]))
     addresses, trace = assign_addresses(clusters, prefix48)
+    by_id = sorted(clusters.clusters, key=lambda c: c.cluster_id)
+    served = [c for c in by_id if len(c.members) > 1]
+    assert list(map(id, trace.clusters)) == list(map(id, served))
     expected = ref_handshake(clusters, prefix48)
-    assert len(trace) == len(expected)
+    assert len(trace) == len(expected) == 3 * (clusters.node_universe - len(clusters.clusters))
     # The payloads come from the map and the reference's from its bit fields.
     assert handshake_messages(trace, addresses) == tuple(expected)
     for msg in expected:

@@ -113,6 +113,8 @@ def test_bad_env_seed_is_config_error(tmp_path, monkeypatch, capsys):
         ("--sizes", ["sweep", "--sizes", "25,\u0665", "--seeds", "1"]),
         ("--seeds", ["sweep", "--sizes", "25", "--seeds", "1_0"]),
         ("--seeds", ["sweep", "--sizes", "25", "--seeds", "\u0661"]),
+        ("--threads", ["generate", "--threads", "1_0"]),
+        ("--threads", ["generate", "--threads", "\u0661"]),
     ],
 )
 def test_bad_integer_flag_is_config_error(tmp_path, capsys, flag, argv):

@@ -300,12 +300,16 @@ def test_messages_match_reference_rendering(scratch, snapshots):
 def test_messages_follow_each_address_event(scratch, partition, data):
     # Up to five address events over one node set. Between two events each
     # head may move, a member may move to another cluster (which shifts the
-    # seqs of the clusters in between) and the prefix may change, so a block
-    # rendered for one event is reused only where it is the same block.
+    # seqs of the clusters in between) and the prefix may change. An event
+    # may keep the previous event's map, as a run keeps its tick-0 map, so a
+    # cluster's records rendered for one event are reused only where its
+    # first seq, head and members are the same. Each Assign payload is the
+    # member's address in its own event's map.
     clusters, _ = partition
     n = clusters.node_universe
+    energies = dict.fromkeys(range(n), 0.0)
     gaps = data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=5))
-    snapshots, prefixes = [], []
+    snapshots, expected, addresses = [], [], None
     for tick in accumulate(gaps):
         clusters = data.draw(
             st.one_of(
@@ -315,13 +319,19 @@ def test_messages_follow_each_address_event(scratch, partition, data):
             )
         )
         prefix48 = data.draw(st.sampled_from([DEFAULT_PREFIX48, 0, 2**48 - 1]))
-        addresses, trace = assign_addresses(clusters, prefix48)
-        event = AddressEvent(tick, addresses, trace)
-        energies = dict.fromkeys(range(n), 0.0)
-        snapshots.append(SimSnapshot(tick, clusters, energies, None, (event,), addresses))
-        prefixes.append(prefix48)
+        fresh, trace = assign_addresses(clusters, prefix48)
+        if addresses is None or not data.draw(st.booleans(), label="keeps the map"):
+            addresses = fresh
+        snapshot = SimSnapshot(
+            tick, clusters, energies, None, (AddressEvent(tick, addresses, trace),), addresses
+        )
+        snapshots.append(snapshot)
+        expected += [
+            (*row[:5], None if row[5] is None else str(addresses[row[3]]))
+            for row in ref_message_rows([snapshot], prefix48)
+        ]
     table, rows = simulation_tables(snapshots)["messages"]
-    assert_written_as(scratch / "events", table, rows, ref_message_rows(snapshots, prefixes))
+    assert_written_as(scratch / "events", table, rows, expected)
 
 
 def test_timeline_is_written_without_a_row_list(tmp_path):
@@ -361,9 +371,9 @@ def test_messages_are_written_without_a_row_list(tmp_path):
     # 26 times one event's CSV text. Rendered event by event, the messages
     # table and its write take a small multiple of one event's text beyond
     # what the same write of no rows takes: the per-address texts, the
-    # blocks rendered so far (about two events' worth here) and one event's
-    # text in flight. The run's address map is built on its first read, so it
-    # is read here, before the trace: the write takes it as it is.
+    # clusters' records rendered so far (about two events' worth here) and
+    # one event's text in flight. The run's address map is built on its first
+    # read, so it is read here, before the trace: the write takes it as it is.
     _, snapshots = reclustering_run()
     dict(snapshots[0].addresses)
     for fmt in ("csv", "json"):
