@@ -38,6 +38,7 @@ from .sim import run_simulation
 from .tables import (
     CLUSTERS_TABLE,
     ENERGY_DAT_COLUMNS,
+    FORMATS,
     MEDIAN_DAT_COLUMNS,
     NODES_TABLE,
     SWEEP_TABLE,
@@ -68,9 +69,18 @@ def resolve_config(args: argparse.Namespace) -> ScenarioConfig:
     """Merge config file, flags, and environment into a validated config.
 
     Seed precedence: --seed, then the config file, then CLUSTERBENCH_SEED,
-    then the default of 0.
+    then the default of 0. An unset --format or --prefix is filled in from
+    the replayed manifest, else csv and ``DEFAULT_PREFIX``, so a replay
+    writes what the run wrote; a bad manifest format is a ``ConfigError``, as
+    the flag's is, and a bad prefix fails where the flag's does.
     """
-    raw = read_config_file(args.config) if args.config else {}
+    raw, manifest = read_config_file(args.config) if args.config else ({}, {})
+    if args.format is None:
+        args.format = manifest.get("format", "csv")
+        if args.format not in FORMATS:
+            raise ConfigError(f"manifest format must be one of {FORMATS}, got {args.format!r}")
+    if getattr(args, "prefix", DEFAULT_PREFIX) is None:
+        args.prefix = manifest.get("prefix", DEFAULT_PREFIX)
     if args.seed is not None:
         raw["seed"] = args.seed
     elif "seed" not in raw:
@@ -248,7 +258,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--out", help="output directory (default: out; validate writes files only when given)"
     )
-    common.add_argument("--format", choices=["csv", "json"], default="csv")
+    common.add_argument(
+        "--format", choices=FORMATS, help="table format (default: a replayed manifest's, else csv)"
+    )
     common.add_argument(
         "--comparator",
         choices=["below", "at-or-above", "at_or_above"],
@@ -277,7 +289,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", parents=[common], help="run the tick simulation")
     p.add_argument("--nodes", help="node table CSV (generated from config when omitted)")
     p.add_argument(
-        "--prefix", default=DEFAULT_PREFIX, help=f"48-bit address prefix (default {DEFAULT_PREFIX})"
+        "--prefix",
+        help=f"48-bit address prefix (default: a replayed manifest's, else {DEFAULT_PREFIX})",
     )
     p.set_defaults(func=cmd_simulate)
 

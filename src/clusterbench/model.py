@@ -283,9 +283,10 @@ def config_from_dict(data: dict) -> ScenarioConfig:
     return ScenarioConfig(**kwargs)
 
 
-def read_config_file(path: str) -> dict:
-    """The raw mapping in a JSON config file; a run manifest yields its
-    embedded ``config``, so a manifest replays the run."""
+def read_config_file(path: str) -> tuple[dict, dict]:
+    """The raw config mapping in a JSON config file, and the run manifest
+    that holds it: a manifest yields its embedded ``config`` and itself, so
+    a manifest replays the run; a plain config file yields itself and {}."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -299,14 +300,14 @@ def read_config_file(path: str) -> dict:
     if not isinstance(data, dict):
         raise ConfigError(f"config {path} must hold a JSON object")
     if isinstance(data.get("config"), dict):
-        return data["config"]
-    return data
+        return data["config"], data
+    return data, {}
 
 
 def load_config(path: str) -> ScenarioConfig:
     """Read a JSON config file or run manifest (all keys optional, unknown
     keys rejected)."""
-    return config_from_dict(read_config_file(path))
+    return config_from_dict(read_config_file(path)[0])
 
 
 def generate_scenario(config: ScenarioConfig) -> list[Node]:

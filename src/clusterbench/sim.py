@@ -2,8 +2,8 @@
 
 Tick 0 sets the network up: place nodes, cluster by range, elect heads by
 energy, hand out addresses, and validate the partition. Every later tick
-drains the energy of the nodes not yet drained to zero (heads pay the
-higher rate), re-elects the heads of the clusters whose election can still
+drains the clusters with a reading still above zero (heads pay the higher
+rate), re-elects the heads of the clusters whose election can still
 change (not singletons, nor clusters drained to zero; see
 ``run_simulation``), reports the validation on schedule, and — when the
 report recommends it — re-clusters and re-addresses. Positions are static
@@ -24,7 +24,7 @@ from ipaddress import IPv6Address
 
 from .addressing import DEFAULT_PREFIX, Handshake, assign_addresses, parse_prefix
 from .clustering import expac_cluster
-from .errors import ClusterBenchError, ConfigError, UndefinedIndexError
+from .errors import ClusterBenchError, ConfigError, ConsistencyError, UndefinedIndexError
 from .head_election import HeadChange, cluster_states, psopac_rebuild, rotate_heads
 from .model import (
     MAX_NODE_TICKS,
@@ -81,25 +81,36 @@ class SimSnapshot:
 
 def drain(
     energies: dict[NodeId, EnergyLevel],
-    alive: set[NodeId],
-    heads: set[NodeId],
+    clusters: ClusterSet,
+    dead: set[int],
     config: ScenarioConfig,
-) -> tuple[dict[NodeId, EnergyLevel], list[NodeId]]:
-    """One tick of energy loss: the ``alive`` nodes in ``heads`` pay
-    drain_head, the other ``alive`` nodes drain_member, clamped at zero.
-    Returns the drained energies and the nodes whose drained energy is 0.0.
-    Any other node keeps its reading: once drained to 0.0, a node stays
-    there, as ``max(0.0, 0.0 - r)`` is 0.0 for every rate r >= 0."""
+) -> tuple[dict[NodeId, EnergyLevel], list[int]]:
+    """One tick of energy loss: in each cluster whose id is not in ``dead``
+    the head pays drain_head, the other members drain_member, clamped at
+    zero. Returns the drained energies and the ids of those clusters left
+    with no reading above 0.0; a member with no reading is a
+    ``ConsistencyError``. A ``dead`` cluster keeps its readings."""
     drained = energies.copy()
     died = []
-    for nid in alive:
-        # max(0.0, e - rate) in one test: e - rate if above 0.0, else 0.0
-        energy = drained[nid] - (config.drain_head if nid in heads else config.drain_member)
-        if energy > 0.0:
-            drained[nid] = energy
-        else:
-            drained[nid] = 0.0
-            died.append(nid)
+    drain_head, drain_member = config.drain_head, config.drain_member
+    for cluster in clusters.clusters:
+        if cluster.cluster_id in dead:
+            continue
+        head, live = cluster.head, False
+        for nid in cluster.members:
+            try:
+                energy = drained[nid]
+            except KeyError:
+                raise ConsistencyError(f"no energy reading for node {nid}") from None
+            # max(0.0, e - rate) in one test: e - rate if above 0.0, else 0.0
+            energy -= drain_head if nid == head else drain_member
+            if energy > 0.0:
+                drained[nid] = energy
+                live = True
+            else:
+                drained[nid] = 0.0
+        if not live:
+            died.append(cluster.cluster_id)
     return drained, died
 
 
@@ -160,31 +171,24 @@ def run_simulation(
     # - a singleton, from tick 1 on: its one member is its head, and its
     #   exempt set, which never holds the head, is empty. Its reading is a
     #   drain result, >= +0.0 and never NaN, so it can always be elected.
-    # - a cluster every member of which has drained to 0.0, from the tick
-    #   after: max(0.0, 0.0 - r) is 0.0 for every r >= 0 (ScenarioConfig
-    #   holds drain_head >= drain_member >= 0), so its readings, and with
-    #   them the election, never change again. Only a drain result counts:
-    #   a tick-0 reading of -0.0 is drained to 0.0 at tick 1.
+    # - a ``dead`` cluster, one that ``drain`` left with no reading above
+    #   0.0, from the tick after: max(0.0, 0.0 - r) is 0.0 for every r >= 0
+    #   (ScenarioConfig holds drain_head >= drain_member >= 0), so ``drain``
+    #   passes it by and its election never changes again. ``dead`` starts
+    #   empty: a tick-0 reading of -0.0 is drained to 0.0 at tick 1.
     count = len(clusters.clusters)
     states = cluster_states(clusters)
     settled = {c.cluster_id for c in clusters.clusters if len(c.members) == 1}
-    alive = set(energies)
-    heads = {c.head for c in clusters.clusters}
-    by_node = clusters.by_node()  # ids and members: rotation keeps both
+    dead: set[int] = set()
     for t in range(1, config.steps + 1):
         try:
-            energies, died = drain(energies, alive, heads, config)
+            energies, died = drain(energies, clusters, dead, config)
             clusters, changes = rotate_heads(
                 clusters, energies, config.energy_threshold, config.comparator, t, states,
                 settled,
             )
-            alive.difference_update(died)
-            for nid in died:
-                if alive.isdisjoint(by_node[nid].members):
-                    settled.add(by_node[nid].cluster_id)
-            for change in changes:
-                heads.remove(change.old_head)
-                heads.add(change.new_head)
+            dead.update(died)
+            settled.update(died)
             events = list(changes)
             scheduled = report if t % config.validation_interval == 0 else None
             if scheduled is not None and scheduled.recommend_recluster:

@@ -409,23 +409,61 @@ def test_validate_report_csv_matches_json(tmp_path):
 # --- simulate ---------------------------------------------------------------
 
 
-def test_simulate_outputs_and_replay(tmp_path):
+def check_simulate_and_replay(tmp_path, flags):
     a = tmp_path / "a"
     b = tmp_path / "b"
     c = tmp_path / "c"
-    assert run("simulate", "--seed", "11", "--out", str(a)) == 0
+    fmt = "json" if "json" in flags else "csv"
+    assert run("simulate", "--seed", "11", "--out", str(a), *flags) == 0
 
-    timeline = (a / "timeline.csv").read_text().splitlines()
-    assert timeline[0] == "tick,node_id,cluster_id,is_head,exempt,energy,address"
-    assert len(timeline) == 1 + 6 * 25
+    if fmt == "csv":
+        timeline = (a / "timeline.csv").read_text().splitlines()
+        assert timeline[0] == "tick,node_id,cluster_id,is_head,exempt,energy,address"
+        assert len(timeline) == 1 + 6 * 25
+    else:
+        assert len(json.loads((a / "timeline.json").read_text())) == 6 * 25
+    addresses = (a / f"addresses.{fmt}").read_text()
+    assert ("2001:db8:1:" in addresses) == ("--prefix" in flags)
+    assert ("fd00:" in addresses) != ("--prefix" in flags)
 
-    for name in ("events.csv", "validation.csv", "addresses.csv", "messages.csv", "manifest.json"):
-        assert (a / name).exists()
+    for name in ("events", "validation", "addresses", "messages"):
+        assert (a / f"{name}.{fmt}").exists()
+    assert (a / "manifest.json").exists()
 
-    # identical rerun, then a replay from the manifest, all byte-for-byte
-    assert run("simulate", "--seed", "11", "--out", str(b)) == 0
+    # identical rerun, then a replay from the manifest alone (its format and
+    # prefix included), all byte-for-byte
+    assert run("simulate", "--seed", "11", "--out", str(b), *flags) == 0
     assert run("simulate", "--config", str(a / "manifest.json"), "--out", str(c)) == 0
     assert read_bytes_map(a) == read_bytes_map(b) == read_bytes_map(c)
+
+
+def test_simulate_outputs_and_replay(tmp_path):
+    check_simulate_and_replay(tmp_path, ())
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ("--format", "json"),
+        ("--prefix", "2001:db8:1::/48"),
+        ("--format", "json", "--prefix", "2001:db8:1::"),
+    ],
+    ids=["json", "prefix", "json-prefix"],
+)
+def test_replay_keeps_the_manifest_format_and_prefix(tmp_path, flags):
+    check_simulate_and_replay(tmp_path, flags)
+
+
+def test_replay_flags_override_the_manifest(tmp_path):
+    a = tmp_path / "a"
+    b = tmp_path / "b"
+    c = tmp_path / "c"
+    recorded = ("--format", "json", "--prefix", "2001:db8:1::/48")
+    assert run("simulate", "--seed", "4", "--out", str(a), *recorded) == 0
+    assert run("simulate", "--seed", "4", "--out", str(b)) == 0
+    defaults = ("--format", "csv", "--prefix", "fd00::/48")
+    assert run("simulate", "--config", str(a / "manifest.json"), "--out", str(c), *defaults) == 0
+    assert read_bytes_map(b) == read_bytes_map(c)
 
 
 def test_simulate_threads_do_not_change_output(tmp_path):

@@ -193,6 +193,27 @@ def test_bad_prefix_exits_3_before_placement(tmp_path, monkeypatch):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "key,value,code",
+    [
+        ("format", "xml", 2),
+        ("format", None, 2),
+        ("format", ["csv"], 2),
+        ("prefix", "fd00::/64", 3),
+        ("prefix", True, 3),
+        ("prefix", {}, 3),
+    ],
+)
+def test_bad_manifest_format_or_prefix_exits_as_its_flag_would(tmp_path, key, value, code):
+    manifest = {"command": "simulate", "config": BASE, "format": "csv", key: value}
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest))
+    out = tmp_path / "out"
+    got, err = run_main("simulate", "--config", path, "--out", out)
+    assert got == code, err
+    assert not out.exists()
+
+
 # --- sweep bounds -------------------------------------------------------------
 
 

@@ -12,6 +12,7 @@ from clusterbench import (
     ClusterBenchError,
     ClusterSet,
     ConfigError,
+    ConsistencyError,
     HeadChange,
     InputError,
     Node,
@@ -63,29 +64,55 @@ def recluster_events(snapshots):
 # --- drain ------------------------------------------------------------------
 
 
+def clusters_of(*clusters):
+    """A ``ClusterSet`` of ``(cluster_id, head, members)`` triples."""
+    built = tuple(Cluster(cid, head, tuple(members)) for cid, head, members in clusters)
+    return ClusterSet(built, sum(len(c.members) for c in built))
+
+
 def test_drain_rates_and_clamp():
-    cfg = ScenarioConfig(node_count=3)
-    out, died = drain({0: 500.0, 1: 5.0, 2: 20.0}, {0, 1, 2}, {0}, cfg)
-    assert out == {0: 450.0, 1: 0.0, 2: 10.0}
-    assert died == [1]
+    # Heads pay drain_head (50), other members drain_member (10), clamped at
+    # 0.0; a head is not always its cluster's lowest id. A cluster dies when
+    # no member is left above 0.0, not when its head is: cluster 1 outlives
+    # its head 4, while cluster 2 dies at tick 2, not at tick 1 with node 5.
+    cfg = ScenarioConfig(node_count=7)
+    clusters = clusters_of((0, 0, (0, 1, 2)), (1, 4, (3, 4)), (2, 5, (5, 6)))
+    before = {0: 500.0, 1: 5.0, 2: 20.0, 3: 30.0, 4: 60.0, 5: 50.0, 6: 15.0}
+    out, died = drain(before, clusters, set(), cfg)
+    assert out == {0: 450.0, 1: 0.0, 2: 10.0, 3: 20.0, 4: 10.0, 5: 0.0, 6: 5.0}
+    assert died == []
+    out, died = drain(out, clusters, set(), cfg)
+    assert out == {0: 400.0, 1: 0.0, 2: 0.0, 3: 10.0, 4: 0.0, 5: 0.0, 6: 0.0}
+    assert died == [2]
 
 
 def test_drain_zero_rates_identity():
     cfg = ScenarioConfig(node_count=2, drain_member=0.0, drain_head=0.0)
     before = {0: 42.0, 1: 7.0}
-    out, died = drain(before, {0, 1}, {0}, cfg)
+    out, died = drain(before, clusters_of((0, 0, (0, 1))), set(), cfg)
     assert out == before and out is not before
     assert died == []
 
 
 def test_drain_skips_dead_nodes_and_reports_each_death_once():
-    # Node 1 is already dead, so it keeps its reading; a tick-0 reading of
-    # -0.0 or 0.0 counts as dead only once drained, as 0.0.
-    cfg = ScenarioConfig(node_count=4, drain_member=0.0, drain_head=0.0)
-    out, died = drain({0: 42.0, 1: 0.0, 2: -0.0, 3: 0.0}, {0, 2, 3}, {0}, cfg)
-    assert out == {0: 42.0, 1: 0.0, 2: 0.0, 3: 0.0}
+    # Cluster 1 is already dead, so it keeps its readings (even a -0.0) and is
+    # not reported again; cluster 2's tick-0 readings of -0.0 and 0.0 count
+    # as dead only once drained, to +0.0. Cluster 0 stays live at zero rates.
+    cfg = ScenarioConfig(node_count=5, drain_member=0.0, drain_head=0.0)
+    clusters = clusters_of((0, 0, (0,)), (1, 1, (1, 4)), (2, 3, (2, 3)))
+    before = {0: 42.0, 1: 0.0, 2: -0.0, 3: 0.0, 4: -0.0}
+    out, died = drain(before, clusters, {1}, cfg)
+    assert out == before
     assert math.copysign(1.0, out[2]) == 1.0
-    assert sorted(died) == [2, 3]
+    assert math.copysign(1.0, out[4]) == -1.0
+    assert died == [2]
+    assert drain(out, clusters, {1, 2}, cfg)[1] == []
+
+
+def test_drain_member_without_reading_is_consistency_error():
+    clusters = clusters_of((0, 0, (0,)), (1, 2, (1, 2)))
+    with pytest.raises(ConsistencyError, match="no energy reading for node 1"):
+        drain({0: 5.0, 2: 5.0}, clusters, set(), ScenarioConfig(node_count=3))
 
 
 # --- timeline shape ---------------------------------------------------------
