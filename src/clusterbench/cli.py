@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Subcommands: generate | cluster | validate | simulate | sweep. Every output
-directory gets a run manifest holding the fully-resolved config, the seed,
-the RNG and placement names, and the comparator mode — feeding the manifest
-back through --config replays the run byte-for-byte.
+directory gets a run manifest (``tables.write_manifest``); feeding it back
+through --config replays the run byte-for-byte, given the same --nodes table
+if the run read one.
 
 Exit codes: 0 success, 2 config error, 3 input-data error, 4 domain error.
 """
@@ -44,13 +44,13 @@ from .tables import (
     SWEEP_TABLE,
     VALIDATION_TABLE,
     clusters_rows,
-    energy_dat_rows,
-    manifest_data,
+    energy_dats,
     manifest_timestamp,
     nodes_rows,
     parse_int,
     read_clusters_csv,
     read_nodes_csv,
+    replay_settings,
     report_row,
     sha256_file,
     simulation_tables,
@@ -69,18 +69,15 @@ def resolve_config(args: argparse.Namespace) -> ScenarioConfig:
     """Merge config file, flags, and environment into a validated config.
 
     Seed precedence: --seed, then the config file, then CLUSTERBENCH_SEED,
-    then the default of 0. An unset --format or --prefix is filled in from
-    the replayed manifest, else csv and ``DEFAULT_PREFIX``, so a replay
-    writes what the run wrote; a bad manifest format is a ``ConfigError``, as
-    the flag's is, and a bad prefix fails where the flag's does.
+    then the default of 0. ``args.format``, ``args.prefix`` and
+    ``args.replayed_nodes_sha256`` are set as ``replay_settings`` reads them
+    from the replayed manifest and the flags, so a replay writes what the run
+    wrote.
     """
     raw, manifest = read_config_file(args.config) if args.config else ({}, {})
-    if args.format is None:
-        args.format = manifest.get("format", "csv")
-        if args.format not in FORMATS:
-            raise ConfigError(f"manifest format must be one of {FORMATS}, got {args.format!r}")
-    if getattr(args, "prefix", DEFAULT_PREFIX) is None:
-        args.prefix = manifest.get("prefix", DEFAULT_PREFIX)
+    args.format, args.prefix, args.replayed_nodes_sha256 = replay_settings(
+        manifest, args.format, getattr(args, "prefix", None)
+    )
     if args.seed is not None:
         raw["seed"] = args.seed
     elif "seed" not in raw:
@@ -89,10 +86,8 @@ def resolve_config(args: argparse.Namespace) -> ScenarioConfig:
             try:
                 raw["seed"] = parse_int(env_seed)
             except ValueError:
-                raise ConfigError(
-                    f"{SEED_ENV_VAR} must be an integer, got {env_seed!r}"
-                ) from None
-    if getattr(args, "comparator", None):
+                raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {env_seed!r}") from None
+    if args.comparator:
         raw["comparator"] = args.comparator
     return config_from_dict(raw)
 
@@ -104,12 +99,17 @@ def _out_dir(args: argparse.Namespace) -> Path:
 
 
 def _load_nodes(args: argparse.Namespace, config: ScenarioConfig):
-    if getattr(args, "nodes", None):
-        nodes = read_nodes_csv(args.nodes)
-        if len(nodes) != config.node_count:
-            config = replace(config, node_count=len(nodes))
-        return nodes, config, sha256_file(args.nodes)
-    return generate_scenario(config), config, None
+    """The --nodes table, the config sized to it and the table's sha256; or,
+    without --nodes, None, the config and None, for a seeded population."""
+    if not args.nodes:
+        if args.replayed_nodes_sha256 is not None:
+            recorded = args.replayed_nodes_sha256
+            raise ConfigError(f"the run read a node table of sha256 {recorded}; give it --nodes")
+        return None, config, None
+    nodes = read_nodes_csv(args.nodes)
+    if len(nodes) != config.node_count:
+        config = replace(config, node_count=len(nodes))
+    return nodes, config, sha256_file(args.nodes)
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
@@ -118,7 +118,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     out = _out_dir(args)
     table = out / f"nodes.{args.format}"
     write_table(table, NODES_TABLE, nodes_rows(nodes), args.format)
-    write_manifest(out / "manifest.json", manifest_data("generate", config, args.format))
+    write_manifest(out, "generate", config, args.format)
     print(f"wrote {len(nodes)} nodes to {table}")
     return 0
 
@@ -126,19 +126,18 @@ def cmd_generate(args: argparse.Namespace) -> int:
 def cmd_cluster(args: argparse.Namespace) -> int:
     config = resolve_config(args)
     nodes, config, input_hash = _load_nodes(args, config)
+    if nodes is None:
+        nodes = generate_scenario(config)
     clusters = expac_cluster(nodes, config.tx_range)
     energies = {n.node_id: n.energy for n in nodes}
     clusters = psopac_rebuild(clusters, energies, config.energy_threshold, config.comparator)
     out = _out_dir(args)
     table = out / f"clusters.{args.format}"
-    write_table(table, CLUSTERS_TABLE, clusters_rows(clusters, nodes), args.format)
-    for cluster_id, rows in energy_dat_rows(clusters, nodes):
-        write_dat(out / f"cluster_{cluster_id:03d}_energy.dat", ENERGY_DAT_COLUMNS, rows)
-
-    manifest = manifest_data("cluster", config, args.format)
-    if input_hash:
-        manifest["input_nodes_sha256"] = input_hash
-    write_manifest(out / "manifest.json", manifest)
+    rows = clusters_rows(clusters, nodes)
+    write_table(table, CLUSTERS_TABLE, rows, args.format)
+    for cluster_id, dat_rows in energy_dats(rows):
+        write_dat(out / f"cluster_{cluster_id:03d}_energy.dat", ENERGY_DAT_COLUMNS, dat_rows)
+    write_manifest(out, "cluster", config, args.format, input_nodes_sha256=input_hash)
     print(f"wrote {len(clusters.clusters)} clusters to {table}")
     return 0
 
@@ -164,29 +163,21 @@ def cmd_validate(args: argparse.Namespace) -> int:
         out = _out_dir(args)
         rows = [report_row(0, report)]
         write_table(out / f"report.{args.format}", VALIDATION_TABLE, rows, args.format)
-        manifest = manifest_data("validate", config, args.format)
-        manifest["input_clusters_sha256"] = sha256_file(args.clusters)
-        write_manifest(out / "manifest.json", manifest)
+        clusters_sha256 = sha256_file(args.clusters)
+        write_manifest(out, "validate", config, args.format, input_clusters_sha256=clusters_sha256)
     return 0
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     config = resolve_config(args)
-    nodes, input_hash = None, None
-    if args.nodes:
-        nodes, config, input_hash = _load_nodes(args, config)
-    # A generated population is placed by run_simulation, after it checks the run's size.
+    nodes, config, input_hash = _load_nodes(args, config)
+    # A seeded population is placed by run_simulation, after it checks the run's size.
     snapshots = run_simulation(config, nodes, prefix=args.prefix)
     out = _out_dir(args)
     fmt = args.format
     for stem, (table, rows) in simulation_tables(snapshots).items():
         write_table(out / f"{stem}.{fmt}", table, rows, fmt)
-    manifest = manifest_data("simulate", config, fmt)
-    if input_hash:
-        manifest["input_nodes_sha256"] = input_hash
-    if args.prefix != DEFAULT_PREFIX:
-        manifest["prefix"] = args.prefix
-    write_manifest(out / "manifest.json", manifest)
+    write_manifest(out, "simulate", config, fmt, prefix=args.prefix, input_nodes_sha256=input_hash)
     print(f"simulated {len(snapshots)} ticks into {out}")
     return 0
 
@@ -230,7 +221,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     out = _out_dir(args)
     write_table(out / f"sweep.{args.format}", SWEEP_TABLE, results, args.format)
     write_dat(out / "median_index.dat", MEDIAN_DAT_COLUMNS, medians)
-    write_manifest(out / "manifest.json", manifest_data("sweep", config, args.format))
+    write_manifest(out, "sweep", config, args.format)
     for size, median in medians:
         print(f"node_count={size} median_index={median}")
     return 0
@@ -275,9 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", parents=[common], help="write a seeded node table")
     p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser(
-        "cluster", parents=[common], help="cluster nodes and elect heads"
-    )
+    p = sub.add_parser("cluster", parents=[common], help="cluster nodes and elect heads")
     p.add_argument("--nodes", help="node table CSV (generated from config when omitted)")
     p.set_defaults(func=cmd_cluster)
 
@@ -294,9 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser(
-        "sweep", parents=[common], help="median index across populations and seeds"
-    )
+    p = sub.add_parser("sweep", parents=[common], help="median index across populations and seeds")
     p.add_argument("--sizes", default="25,50,300", help="comma-separated node counts")
     p.add_argument(
         "--seeds",

@@ -2,11 +2,12 @@
 
 Every output file's columns, rows and cells are decided here: the CSV/JSON
 tables, the ``.dat`` plot files and the run manifest, plus the readers that
-load node and cluster tables back. Each CSV/JSON table is declared once, as
-a ``Table`` of column names and cell ``Kind``s, and every byte of its records
-comes from the ``Layout`` derived from that declaration. The node and cluster
-tables are read back through the same declarations, each column by its
-kind's ``parse``; a header that names a column twice is refused.
+load node and cluster tables back and a replayed manifest's settings. Each
+CSV/JSON table is declared once, as a ``Table`` of column names and cell
+``Kind``s, and every byte of its records comes from the ``Layout`` derived
+from that declaration. The node and cluster tables are read back through the
+same declarations, each column by its kind's ``parse``; a header that names a
+column twice is refused.
 """
 
 from __future__ import annotations
@@ -24,11 +25,12 @@ from datetime import datetime, timezone
 from enum import Enum
 from functools import cache, partial
 from ipaddress import IPv6Address
-from itertools import compress
+from itertools import compress, groupby
+from operator import itemgetter
 from pathlib import Path
 
 from . import __version__
-from .addressing import MessageKind
+from .addressing import DEFAULT_PREFIX, MessageKind
 from .errors import ClusterBenchError, ConfigError, InputError, InvariantViolation
 from .head_election import HeadChange
 from .model import (
@@ -238,19 +240,18 @@ def nodes_rows(nodes: list[Node]) -> list[tuple]:
 
 
 def clusters_rows(clusters: ClusterSet, nodes: list[Node]) -> list[tuple]:
-    by_id = {n.node_id: n for n in nodes}
+    """The cluster table's rows, by cluster id; ``nodes`` is in dense id order."""
     return [
         (c.cluster_id, m, m == c.head, node.energy, node.pos.x, node.pos.y, m in c.threshold_exempt)
         for c in sorted(clusters.clusters, key=lambda c: c.cluster_id)
-        for m, node in zip(c.members, map(by_id.__getitem__, c.members))
+        for m, node in zip(c.members, map(nodes.__getitem__, c.members))
     ]
 
 
-def energy_dat_rows(clusters: ClusterSet, nodes: list[Node]) -> Iterator[tuple[int, list[tuple]]]:
-    """Per cluster, its id and the rows of its ``cluster_NNN_energy.dat`` file."""
-    by_id = {n.node_id: n for n in nodes}
-    for c in clusters.clusters:
-        yield c.cluster_id, [(m, by_id[m].energy, int(m == c.head)) for m in c.members]
+def energy_dats(rows: list[tuple]) -> Iterator[tuple[int, list[tuple]]]:
+    """Per cluster, its id and its ``.dat`` rows, taken from its ``clusters_rows``."""
+    for cluster_id, group in groupby(rows, itemgetter(0)):
+        yield cluster_id, [(m, energy, int(head)) for _, m, head, energy, *_ in group]
 
 
 def report_row(at_tick: int, report: ValidationReport) -> tuple:
@@ -538,26 +539,34 @@ def manifest_timestamp() -> str:
         ) from None
 
 
-def manifest_data(command: str, config: ScenarioConfig, fmt: str) -> dict:
-    """The manifest fields every command records; feeding the manifest back
-    through --config replays the run."""
-    return {
-        "command": command,
-        "tool": "clusterbench",
-        "tool_version": __version__,
-        "rng": RNG_NAME,
-        "placement": PLACEMENT_MODEL,
-        "comparator": config.comparator,
-        "seed": config.seed,
-        "config": config.to_dict(),
-        "format": fmt,
+def write_manifest(
+    out: str | Path, command: str, config: ScenarioConfig, fmt: str, *, prefix: str | None = None,
+    input_nodes_sha256: str | None = None, input_clusters_sha256: str | None = None,
+) -> None:
+    """Write the run record, ``out/manifest.json``, as stable, sorted JSON,
+    leaving out each field that is None and a prefix that is the default;
+    fed back through --config, it replays the run (``replay_settings``)."""
+    data = {
+        "command": command, "tool": "clusterbench", "tool_version": __version__, "rng": RNG_NAME,
+        "placement": PLACEMENT_MODEL, "comparator": config.comparator, "seed": config.seed,
+        "config": config.to_dict(), "format": fmt,
+        "prefix": None if prefix == DEFAULT_PREFIX else prefix,
+        "input_nodes_sha256": input_nodes_sha256, "input_clusters_sha256": input_clusters_sha256,
+        "timestamp": manifest_timestamp(),
     }
-
-
-def write_manifest(path: str | Path, data: dict) -> None:
-    """Write a run manifest as stable, sorted JSON (timestamp added here)."""
-    payload = dict(data)
-    payload.setdefault("timestamp", manifest_timestamp())
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+    with open(Path(out) / "manifest.json", "w", encoding="utf-8", newline="") as fh:
+        json.dump({k: v for k, v in data.items() if v is not None}, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def replay_settings(manifest: dict, fmt: str | None, prefix: str | None) -> tuple:
+    """A replayed ``manifest``'s format, prefix and node-table sha256 ({} and
+    None for no replay): a given flag wins, else the recorded value, else the
+    default. A recorded value is checked only where its flag's would be."""
+    if fmt is None:
+        fmt = manifest.get("format", "csv")
+        if fmt not in FORMATS:
+            raise ConfigError(f"manifest format must be one of {FORMATS}, got {fmt!r}")
+    if prefix is None:
+        prefix = manifest.get("prefix", DEFAULT_PREFIX)
+    return fmt, prefix, manifest.get("input_nodes_sha256")

@@ -466,6 +466,19 @@ def test_replay_flags_override_the_manifest(tmp_path):
     assert read_bytes_map(b) == read_bytes_map(c)
 
 
+@pytest.mark.parametrize("command", ["cluster", "simulate"])
+def test_replay_with_the_node_table_is_byte_identical(tmp_path, command):
+    # The manifest's config keeps seed 0, so a replay that placed a seeded
+    # population instead of reading the seed-5 table would differ.
+    gen, a, b = tmp_path / "g", tmp_path / "a", tmp_path / "b"
+    assert run("generate", "--seed", "5", "--out", str(gen)) == 0
+    nodes = str(gen / "nodes.csv")
+    assert run(command, "--nodes", nodes, "--out", str(a)) == 0
+    replay = ("--config", str(a / "manifest.json"), "--nodes", nodes, "--out", str(b))
+    assert run(command, *replay) == 0
+    assert read_bytes_map(a) == read_bytes_map(b)
+
+
 def test_simulate_threads_do_not_change_output(tmp_path):
     a = tmp_path / "a"
     b = tmp_path / "b"

@@ -202,6 +202,7 @@ def test_bad_prefix_exits_3_before_placement(tmp_path, monkeypatch):
         ("prefix", "fd00::/64", 3),
         ("prefix", True, 3),
         ("prefix", {}, 3),
+        ("input_nodes_sha256", "ab" * 32, 2),
     ],
 )
 def test_bad_manifest_format_or_prefix_exits_as_its_flag_would(tmp_path, key, value, code):
@@ -211,6 +212,18 @@ def test_bad_manifest_format_or_prefix_exits_as_its_flag_would(tmp_path, key, va
     out = tmp_path / "out"
     got, err = run_main("simulate", "--config", path, "--out", out)
     assert got == code, err
+    assert not out.exists()
+
+
+def test_cluster_replay_of_a_node_table_run_needs_nodes(tmp_path):
+    recorded = "ab" * 32
+    manifest = {"command": "cluster", "config": BASE, "input_nodes_sha256": recorded}
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest))
+    out = tmp_path / "out"
+    code, err = run_main("cluster", "--config", path, "--out", out)
+    assert code == 2, err
+    assert err.startswith("config error: ") and "--nodes" in err and recorded in err
     assert not out.exists()
 
 

@@ -45,7 +45,7 @@ from clusterbench.tables import (
     Kind,
     Table,
     clusters_rows,
-    energy_dat_rows,
+    energy_dats,
     manifest_timestamp,
     nodes_rows,
     read_clusters_csv,
@@ -120,7 +120,8 @@ def test_every_row_has_one_cell_per_column():
         (CLUSTERS_TABLE.columns, clusters_rows(clusters, nodes)),
         (VALIDATION_TABLE.columns, [report_row(0, snapshots[0].report)]),
     ]
-    rows_by_columns += [(ENERGY_DAT_COLUMNS, rows) for _, rows in energy_dat_rows(clusters, nodes)]
+    dats = energy_dats(clusters_rows(clusters, nodes))
+    rows_by_columns += [(ENERGY_DAT_COLUMNS, rows) for _, rows in dats]
     rows_by_columns += [
         (table.columns, rows)
         for stem, (table, rows) in simulation_tables(snapshots).items()
@@ -686,10 +687,12 @@ def test_a_bad_cell_names_its_row_and_column(tmp_path, table, column, text, spel
 def test_manifest_honors_source_date_epoch(tmp_path, monkeypatch):
     monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
     assert manifest_timestamp() == "2023-11-14T22:13:20Z"
-    path = tmp_path / "manifest.json"
-    write_manifest(path, {"seed": 1})
-    data = json.loads(path.read_text())
-    assert data == {"seed": 1, "timestamp": "2023-11-14T22:13:20Z"}
+    write_manifest(tmp_path, "cluster", config_from_dict({"seed": 1}), "csv", prefix=None)
+    text = (tmp_path / "manifest.json").read_text()
+    data = json.loads(text)
+    assert data["timestamp"] == "2023-11-14T22:13:20Z"
+    assert text == json.dumps(data, indent=2, sort_keys=True) + "\n"
+    assert "prefix" not in data
 
 
 def test_sha256_is_stable(tmp_path):
