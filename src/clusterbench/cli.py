@@ -41,6 +41,8 @@ from .tables import (
     FORMATS,
     MEDIAN_DAT_COLUMNS,
     NODES_TABLE,
+    SWEEP_SEEDS,
+    SWEEP_SIZES,
     SWEEP_TABLE,
     VALIDATION_TABLE,
     clusters_rows,
@@ -69,14 +71,15 @@ def resolve_config(args: argparse.Namespace) -> ScenarioConfig:
     """Merge config file, flags, and environment into a validated config.
 
     Seed precedence: --seed, then the config file, then CLUSTERBENCH_SEED,
-    then the default of 0. ``args.format``, ``args.prefix`` and
-    ``args.replayed_nodes_sha256`` are set as ``replay_settings`` reads them
-    from the replayed manifest and the flags, so a replay writes what the run
-    wrote.
+    then the default of 0. ``args.format``, ``args.prefix``, ``args.sizes``,
+    ``args.seeds`` and ``args.replayed_nodes_sha256`` are set as
+    ``replay_settings`` reads them from the replayed manifest and the flags,
+    so a replay writes what the run wrote.
     """
     raw, manifest = read_config_file(args.config) if args.config else ({}, {})
-    args.format, args.prefix, args.replayed_nodes_sha256 = replay_settings(
-        manifest, args.format, getattr(args, "prefix", None)
+    args.format, args.prefix, args.sizes, args.seeds, args.replayed_nodes_sha256 = replay_settings(
+        manifest, args.format, getattr(args, "prefix", None), getattr(args, "sizes", None),
+        getattr(args, "seeds", None),
     )
     if args.seed is not None:
         raw["seed"] = args.seed
@@ -129,7 +132,7 @@ def cmd_cluster(args: argparse.Namespace) -> int:
     if nodes is None:
         nodes = generate_scenario(config)
     clusters = expac_cluster(nodes, config.tx_range)
-    energies = {n.node_id: n.energy for n in nodes}
+    energies = [n.energy for n in nodes]  # both sources give nodes in id order
     clusters = psopac_rebuild(clusters, energies, config.energy_threshold, config.comparator)
     out = _out_dir(args)
     table = out / f"clusters.{args.format}"
@@ -184,24 +187,21 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     config = resolve_config(args)
-    try:
-        sizes = [parse_int(s) for s in args.sizes.split(",") if s.strip()]
-    except ValueError:
-        raise ConfigError(f"--sizes must be comma-separated integers, got {args.sizes!r}") from None
-    if not sizes or any(not 1 <= n <= MAX_NODES for n in sizes):
-        raise ConfigError(f"--sizes must name populations in 1..{MAX_NODES}, got {args.sizes!r}")
-    if not 1 <= args.seeds <= MAX_SWEEP_SEEDS:
-        raise ConfigError(f"--seeds must be in 1..{MAX_SWEEP_SEEDS}, got {args.seeds}")
-    if config.seed + args.seeds > 2**64:  # seeds are below 2^64
+    sizes, seeds = args.sizes, args.seeds  # a replayed manifest's may hold anything
+    if not (isinstance(sizes, list) and sizes and all(_count(n, MAX_NODES) for n in sizes)):
+        raise ConfigError(f"--sizes must name populations in 1..{MAX_NODES}, got {sizes!r}")
+    if not _count(seeds, MAX_SWEEP_SEEDS):
+        raise ConfigError(f"--seeds must be in 1..{MAX_SWEEP_SEEDS}, got {seeds!r}")
+    if config.seed + seeds > 2**64:  # seeds are below 2^64
         raise ConfigError(
-            f"--seeds {args.seeds} from seed {config.seed} runs past the largest seed 2^64 - 1"
+            f"--seeds {seeds} from seed {config.seed} runs past the largest seed 2^64 - 1"
         )
 
     results = []
     medians: list[tuple[int, float]] = []
     for size in sizes:
         indices = []
-        for offset in range(args.seeds):
+        for offset in range(seeds):
             run_config = replace(config, node_count=size, seed=config.seed + offset)
             nodes = generate_scenario(run_config)
             # The index reads only membership and positions, so no heads are elected.
@@ -221,10 +221,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     out = _out_dir(args)
     write_table(out / f"sweep.{args.format}", SWEEP_TABLE, results, args.format)
     write_dat(out / "median_index.dat", MEDIAN_DAT_COLUMNS, medians)
-    write_manifest(out, "sweep", config, args.format)
+    write_manifest(out, "sweep", config, args.format, sizes=sizes, seeds=seeds)
     for size, median in medians:
         print(f"node_count={size} median_index={median}")
     return 0
+
+
+def _count(value, top: int) -> bool:
+    """Whether ``value`` is an int (not a bool) in 1..top."""
+    return type(value) is int and 1 <= value <= top
 
 
 def _integer(text: str) -> int:
@@ -233,6 +238,15 @@ def _integer(text: str) -> int:
         return parse_int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
+
+
+def _integers(text: str) -> list[int]:
+    """A comma-separated integer flag's values, each read as a table's int cell is."""
+    try:
+        return [parse_int(s) for s in text.split(",") if s.strip()]
+    except ValueError:
+        message = f"must be comma-separated integers, got {text!r}"
+        raise argparse.ArgumentTypeError(message) from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -284,12 +298,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("sweep", parents=[common], help="median index across populations and seeds")
-    p.add_argument("--sizes", default="25,50,300", help="comma-separated node counts")
+    sizes = ",".join(map(str, SWEEP_SIZES))
+    p.add_argument(
+        "--sizes",
+        type=_integers,
+        help=f"comma-separated node counts (default: a replayed manifest's, else {sizes})",
+    )
     p.add_argument(
         "--seeds",
         type=_integer,
-        default=20,
-        help=f"seeds per population, at most {MAX_SWEEP_SEEDS} (default: 20)",
+        help=f"seeds per population, at most {MAX_SWEEP_SEEDS} "
+        f"(default: a replayed manifest's, else {SWEEP_SEEDS})",
     )
     p.set_defaults(func=cmd_sweep)
 

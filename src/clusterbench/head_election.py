@@ -31,11 +31,12 @@ class HeadChange:
 
 def psopac_rebuild(
     clusters: ClusterSet,
-    energies: dict[NodeId, EnergyLevel],
+    energies: list[EnergyLevel],
     threshold: EnergyLevel,
     comparator: str = COMPARATOR_BELOW,
 ) -> ClusterSet:
-    """Re-elect heads and recompute exempt flags for every cluster.
+    """Re-elect heads and recompute exempt flags for every cluster from
+    ``energies``, one reading per node indexed by node id (``rotate_heads``).
 
     Membership is preserved exactly; only the head and the exempt set change.
     """
@@ -49,7 +50,7 @@ def cluster_states(clusters: ClusterSet) -> dict[tuple, Cluster]:
 
 def rotate_heads(
     clusters: ClusterSet,
-    energies: dict[NodeId, EnergyLevel],
+    energies: list[EnergyLevel],
     threshold: EnergyLevel,
     comparator: str = COMPARATOR_BELOW,
     at_tick: int = 0,
@@ -57,8 +58,9 @@ def rotate_heads(
     settled: set[int] | frozenset[int] = frozenset(),
 ) -> tuple[ClusterSet, list[HeadChange]]:
     """Recompute the head and exempt set of every cluster not in ``settled``
-    from current energies, reporting the head changes, each stamped
-    ``at_tick``. A cluster whose head and exempt set are unchanged is
+    from ``energies``, one current reading per node indexed by node id (any
+    other length is a ``ConsistencyError``), reporting the head changes, each
+    stamped ``at_tick``. A cluster whose head and exempt set are unchanged is
     returned as is: it was checked with exactly these members and flags.
 
     ``states`` interns cluster states across calls: it maps each state, the
@@ -76,6 +78,8 @@ def rotate_heads(
         raise InputError("cluster set is empty")
     if comparator not in COMPARATORS:
         raise ConfigError(f"comparator must be one of {COMPARATORS}, got {comparator!r}")
+    if len(energies) != clusters.node_universe:
+        raise ConsistencyError(f"{len(energies)} energies for {clusters.node_universe} nodes")
     # "below" keeps the published behaviour: a member passes while its energy
     # is under the threshold. "at_or_above" is the conventional reading.
     below = comparator == COMPARATOR_BELOW
@@ -93,10 +97,7 @@ def rotate_heads(
         best = float("-inf")
         failed = set()
         for member in cluster.members:  # ascending, so a tie keeps the lower id
-            try:
-                energy = energies[member]
-            except KeyError:
-                raise ConsistencyError(f"no energy reading for node {member}") from None
+            energy = energies[member]
             if energy > best:
                 head, best = member, energy
             if not (energy < threshold if below else energy >= threshold):

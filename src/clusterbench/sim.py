@@ -69,27 +69,31 @@ class SimSnapshot:
     (``assign_addresses`` checked its capacity at tick 0). Likewise each
     distinct cluster state (id, head, members and exempt set) is one
     ``Cluster`` object per run, shared by every snapshot that holds it.
+    ``energies`` holds each node's reading at the end of the tick, indexed by
+    node id; a tick's ``drain`` returns a new list, so none is changed later.
     """
 
     at_tick: int
     clusters: ClusterSet
-    energies: dict[NodeId, EnergyLevel]
+    energies: list[EnergyLevel]
     report: ValidationReport | None
     events: tuple[Event, ...]
     addresses: Mapping[NodeId, IPv6Address]
 
 
 def drain(
-    energies: dict[NodeId, EnergyLevel],
+    energies: list[EnergyLevel],
     clusters: ClusterSet,
     dead: set[int],
     config: ScenarioConfig,
-) -> tuple[dict[NodeId, EnergyLevel], list[int]]:
+) -> tuple[list[EnergyLevel], list[int]]:
     """One tick of energy loss: in each cluster whose id is not in ``dead``
     the head pays drain_head, the other members drain_member, clamped at
-    zero. Returns the drained energies and the ids of those clusters left
-    with no reading above 0.0; a member with no reading is a
-    ``ConsistencyError``. A ``dead`` cluster keeps its readings."""
+    zero. Returns a drained copy of ``energies``, one reading per node id
+    (any other length is a ``ConsistencyError``), and the ids of those
+    clusters left with no reading above 0.0. A ``dead`` cluster keeps its readings."""
+    if len(energies) != clusters.node_universe:
+        raise ConsistencyError(f"{len(energies)} energies for {clusters.node_universe} nodes")
     drained = energies.copy()
     died = []
     drain_head, drain_member = config.drain_head, config.drain_member
@@ -98,12 +102,8 @@ def drain(
             continue
         head, live = cluster.head, False
         for nid in cluster.members:
-            try:
-                energy = drained[nid]
-            except KeyError:
-                raise ConsistencyError(f"no energy reading for node {nid}") from None
             # max(0.0, e - rate) in one test: e - rate if above 0.0, else 0.0
-            energy -= drain_head if nid == head else drain_member
+            energy = drained[nid] - (drain_head if nid == head else drain_member)
             if energy > 0.0:
                 drained[nid] = energy
                 live = True
@@ -139,8 +139,9 @@ def run_simulation(
         nodes = generate_scenario(config)
 
     try:
-        energies = {n.node_id: n.energy for n in nodes}
         clusters = expac_cluster(nodes, config.tx_range)
+        # By id, not input order: expac_cluster has checked the ids are 0..N-1.
+        energies = [n.energy for n in sorted(nodes, key=lambda n: n.node_id)]
         clusters = psopac_rebuild(
             clusters, energies, config.energy_threshold, config.comparator
         )

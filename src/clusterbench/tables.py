@@ -204,6 +204,10 @@ MESSAGES_TABLE = Table({
     "kind": Kind("text", vocabulary=tuple(MessageKind)), "payload": Kind("address", optional=True),
 })
 SWEEP_TABLE = Table({"node_count": INT, "seed": INT, "dunn_index": OPTIONAL_NUMBER})
+#: ``sweep``'s populations and its seeds per population, when neither a flag
+#: nor a replayed manifest gives them.
+SWEEP_SIZES = [25, 50, 300]
+SWEEP_SEEDS = 20
 ENERGY_DAT_COLUMNS = ["node_id", "energy", "is_head"]
 MEDIAN_DAT_COLUMNS = ["node_count", "median_dunn_index"]
 
@@ -332,7 +336,7 @@ class TimelineRows:
                             node_id, cluster_id, flag(variant[2]), flag(variant[3])
                         )
                     nodes[node_id] = text
-            energies = list(map(snap.energies.__getitem__, node_ids))
+            energies = snap.energies  # by node id, as nodes and addresses are
             # str gives the text of the column's "{}" format, in C.
             energies = map(str, energies if energy_texts is None else energy_texts(energies))
             prefix = tick_text.format(snap.at_tick)
@@ -542,6 +546,7 @@ def manifest_timestamp() -> str:
 def write_manifest(
     out: str | Path, command: str, config: ScenarioConfig, fmt: str, *, prefix: str | None = None,
     input_nodes_sha256: str | None = None, input_clusters_sha256: str | None = None,
+    sizes: list[int] | None = None, seeds: int | None = None,
 ) -> None:
     """Write the run record, ``out/manifest.json``, as stable, sorted JSON,
     leaving out each field that is None and a prefix that is the default;
@@ -552,21 +557,29 @@ def write_manifest(
         "config": config.to_dict(), "format": fmt,
         "prefix": None if prefix == DEFAULT_PREFIX else prefix,
         "input_nodes_sha256": input_nodes_sha256, "input_clusters_sha256": input_clusters_sha256,
-        "timestamp": manifest_timestamp(),
+        "sizes": sizes, "seeds": seeds, "timestamp": manifest_timestamp(),
     }
     with open(Path(out) / "manifest.json", "w", encoding="utf-8", newline="") as fh:
         json.dump({k: v for k, v in data.items() if v is not None}, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-def replay_settings(manifest: dict, fmt: str | None, prefix: str | None) -> tuple:
-    """A replayed ``manifest``'s format, prefix and node-table sha256 ({} and
-    None for no replay): a given flag wins, else the recorded value, else the
-    default. A recorded value is checked only where its flag's would be."""
+def replay_settings(
+    manifest: dict, fmt: str | None, prefix: str | None, sizes: list[int] | None,
+    seeds: int | None,
+) -> tuple:
+    """A replayed ``manifest``'s format, prefix, sweep sizes, sweep seed count
+    and node-table sha256 ({} and None for no replay): a given flag wins,
+    else the recorded value, else the default. A recorded value is checked
+    only where its flag's would be."""
     if fmt is None:
         fmt = manifest.get("format", "csv")
         if fmt not in FORMATS:
             raise ConfigError(f"manifest format must be one of {FORMATS}, got {fmt!r}")
     if prefix is None:
         prefix = manifest.get("prefix", DEFAULT_PREFIX)
-    return fmt, prefix, manifest.get("input_nodes_sha256")
+    if sizes is None:
+        sizes = manifest.get("sizes", SWEEP_SIZES)
+    if seeds is None:
+        seeds = manifest.get("seeds", SWEEP_SEEDS)
+    return fmt, prefix, sizes, seeds, manifest.get("input_nodes_sha256")

@@ -632,6 +632,47 @@ def test_sweep_rejects_sizes_above_limit(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_sweep_replay_is_byte_identical(tmp_path, fmt):
+    # Sizes and a seed count other than the defaults: a replay that fell back
+    # to 25,50,300 and 20 seeds would write other tables.
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert run("sweep", "--sizes", "25,60", "--seeds", "3", "--format", fmt, "--out", str(a)) == 0
+    manifest = json.loads((a / "manifest.json").read_text())
+    assert (manifest["sizes"], manifest["seeds"]) == ([25, 60], 3)
+    assert run("sweep", "--config", str(a / "manifest.json"), "--out", str(b)) == 0
+    assert read_bytes_map(a) == read_bytes_map(b)
+
+
+def test_sweep_replay_flags_override_the_manifest(tmp_path):
+    a, b, c = tmp_path / "a", tmp_path / "b", tmp_path / "c"
+    assert run("sweep", "--sizes", "25,60", "--seeds", "3", "--out", str(a)) == 0
+    assert run("sweep", "--sizes", "9", "--seeds", "2", "--out", str(b)) == 0
+    replay = ("--config", str(a / "manifest.json"), "--out", str(c))
+    assert run("sweep", *replay, "--sizes", "9", "--seeds", "2") == 0
+    assert read_bytes_map(b) == read_bytes_map(c)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("sizes", [25, 0]), ("sizes", "25"), ("sizes", [25.0]), ("sizes", []), ("seeds", 0),
+     ("seeds", "3"), ("seeds", True)],
+)
+def test_sweep_replay_of_a_bad_recorded_value_exits_2(tmp_path, capsys, field, value):
+    # A recorded value is checked as its flag's is, and only where it is used.
+    a = tmp_path / "a"
+    assert run("sweep", "--sizes", "6", "--seeds", "1", "--out", str(a)) == 0
+    manifest = json.loads((a / "manifest.json").read_text())
+    manifest[field] = value
+    (a / "manifest.json").write_text(json.dumps(manifest))
+    capsys.readouterr()
+    out = tmp_path / "b"
+    assert run("sweep", "--config", str(a / "manifest.json"), "--out", str(out)) == 2
+    assert capsys.readouterr().err.startswith(f"config error: --{field} ")
+    assert not out.exists()
+    assert run("generate", "--config", str(a / "manifest.json"), "--out", str(tmp_path / "g")) == 0
+
+
 # --- misc -------------------------------------------------------------------
 
 

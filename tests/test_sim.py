@@ -1,5 +1,6 @@
 import json
 import math
+import random
 import tracemalloc
 from ipaddress import IPv6Address
 
@@ -20,6 +21,7 @@ from clusterbench import (
     ReclusterEvent,
     ScenarioConfig,
     drain,
+    generate_scenario,
     run_simulation,
 )
 from clusterbench import addressing, cli, sim, validation
@@ -100,7 +102,7 @@ def test_drain_skips_dead_nodes_and_reports_each_death_once():
     # as dead only once drained, to +0.0. Cluster 0 stays live at zero rates.
     cfg = ScenarioConfig(node_count=5, drain_member=0.0, drain_head=0.0)
     clusters = clusters_of((0, 0, (0,)), (1, 1, (1, 4)), (2, 3, (2, 3)))
-    before = {0: 42.0, 1: 0.0, 2: -0.0, 3: 0.0, 4: -0.0}
+    before = [42.0, 0.0, -0.0, 0.0, -0.0]
     out, died = drain(before, clusters, {1}, cfg)
     assert out == before
     assert math.copysign(1.0, out[2]) == 1.0
@@ -110,9 +112,10 @@ def test_drain_skips_dead_nodes_and_reports_each_death_once():
 
 
 def test_drain_member_without_reading_is_consistency_error():
+    # node 2, a member of cluster 1, has no reading in a list of two
     clusters = clusters_of((0, 0, (0,)), (1, 2, (1, 2)))
-    with pytest.raises(ConsistencyError, match="no energy reading for node 1"):
-        drain({0: 5.0, 2: 5.0}, clusters, set(), ScenarioConfig(node_count=3))
+    with pytest.raises(ConsistencyError, match="^2 energies for 3 nodes$"):
+        drain([5.0, 5.0], clusters, set(), ScenarioConfig(node_count=3))
 
 
 # --- timeline shape ---------------------------------------------------------
@@ -150,7 +153,8 @@ def test_energies_never_increase_and_membership_total():
     for seed in (0, 1, 2):
         snaps = run_simulation(ScenarioConfig(seed=seed))
         for earlier, later in zip(snaps, snaps[1:]):
-            for node_id, energy in later.energies.items():
+            assert len(later.energies) == 25
+            for node_id, energy in enumerate(later.energies):
                 assert energy <= earlier.energies[node_id]
         for snap in snaps:
             members = [m for c in snap.clusters.clusters for m in c.members]
@@ -175,7 +179,7 @@ def test_head_crossover_at_computed_tick():
     assert (first.cluster_id, first.old_head, first.new_head, first.at_tick) == (0, 0, 1, 3)
     assert all(c.at_tick >= 3 for c in changes)
     # energies at the crossover: 500-150 vs 410-30
-    assert snaps[3].energies == {0: 350.0, 1: 380.0}
+    assert snaps[3].energies == [350.0, 380.0]
     assert snaps[3].clusters.clusters[0].head == 1
 
 
@@ -229,6 +233,28 @@ def test_errors_carry_tick_number():
     with pytest.raises(InputError) as err:
         run_simulation(ScenarioConfig(node_count=2), nodes=bad)
     assert str(err.value).startswith("tick 0:")
+
+
+def test_input_order_of_nodes_does_not_matter():
+    # The energies are indexed by node id: a list built in input order would
+    # hand the shuffled run's readings to the wrong nodes.
+    cfg = ScenarioConfig(node_count=60, execution_time=10.0, validation_interval=2, seed=4)
+    nodes = generate_scenario(cfg)
+    shuffled = nodes[:]
+    random.Random(1).shuffle(shuffled)
+    assert shuffled != nodes
+    for ours, theirs in zip(run_simulation(cfg, nodes=shuffled), run_simulation(cfg, nodes=nodes)):
+        assert ours.energies == theirs.energies
+        assert ours.clusters == theirs.clusters
+        assert ours.report == theirs.report
+        assert list(map(event_row, ours.events)) == list(map(event_row, theirs.events))
+    assert head_changes(run_simulation(cfg, nodes=shuffled))
+
+
+def test_shuffled_nodes_with_an_id_out_of_range_fail_at_tick_0():
+    nodes = [Node(2, Position(1, 1), 1.0), Node(0, Position(0, 0), 1.0), Node(3, Position(2, 2), 1.0)]
+    with pytest.raises(InputError, match=r"^tick 0: node ids must be the dense range 0\.\.N-1"):
+        run_simulation(ScenarioConfig(node_count=3), nodes=nodes)
 
 
 def test_run_size_bound_admits_exactly_max_node_ticks(monkeypatch):
@@ -359,8 +385,9 @@ def test_unchanged_clusters_carry_over_between_ticks():
     snaps = run_simulation(cfg)
     kinds = {"kept": 0, "head": 0, "exempt": 0}
     for prev, cur in zip(snaps, snaps[1:]):
+        # the oracle reads a node id -> energy mapping
         fresh, _ = ref_rotate_heads(
-            prev.clusters, cur.energies, cfg.energy_threshold, cfg.comparator
+            prev.clusters, dict(enumerate(cur.energies)), cfg.energy_threshold, cfg.comparator
         )
         assert cur.clusters == fresh
         for old, new, built in zip(prev.clusters.clusters, cur.clusters.clusters, fresh.clusters):
@@ -425,11 +452,13 @@ def test_each_cluster_state_is_built_once_per_run(monkeypatch):
     assert len(objects) == len(seen)
 
 
-def test_run_holds_under_10_mb_on_the_steady_workload():
-    # 100 500 node-ticks. Each tick's snapshot keeps its energies dict and
-    # partition; every cluster state is shared, so the run holds about 8.0 MB,
-    # against 13.1 MB when each head change built a new Cluster. tracemalloc
-    # counts Python's allocations, so the figure does not depend on the host.
+def test_run_holds_under_6_5_mb_on_the_steady_workload():
+    # 100 500 node-ticks. Each tick's snapshot keeps its partition and its
+    # energies as one list indexed by node id; every cluster state is shared,
+    # so the run holds about 5.1 MB, against 8.0 MB when each snapshot kept a
+    # node id -> energy dict and 13.1 MB when each head change built a new
+    # Cluster. tracemalloc counts Python's allocations, so the figure does
+    # not depend on the host.
     config = steady_config()
     tracemalloc.start()
     try:
@@ -438,7 +467,7 @@ def test_run_holds_under_10_mb_on_the_steady_workload():
     finally:
         tracemalloc.stop()
     assert len(snaps) == 201
-    assert held < 10e6, held
+    assert held < 6.5e6, held
 
 
 # --- settled clusters: carried over, never elected again ---------------------
@@ -522,7 +551,7 @@ def test_settled_runs_match_full_reelection(case):
     if case == "drain-member-0":
         # only heads drain: a node never elected keeps its tick-0 reading
         heads = {c.head for snap in snaps for c in snap.clusters.clusters}
-        kept = [n for n in last.energies if n not in heads]
+        kept = [n for n in range(len(last.energies)) if n not in heads]
         assert kept and all(last.energies[n] == snaps[0].energies[n] for n in kept)
     assert dead_clusters(last), "expected a cluster drained to 0.0"
 
