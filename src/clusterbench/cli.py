@@ -2,8 +2,9 @@
 
 Subcommands: generate | cluster | validate | simulate | sweep. Every output
 directory gets a run manifest (``tables.write_manifest``); feeding it back
-through --config replays the run byte-for-byte, given the same --nodes table
-if the run read one.
+through --config replays the run byte-for-byte, given the same input table
+if the run read one. The flags it records and restores are declared once, in
+``tables``; each command hands its parsed flags over and names none of them.
 
 Exit codes: 0 success, 2 config error, 3 input-data error, 4 domain error.
 """
@@ -18,7 +19,6 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
-from .addressing import DEFAULT_PREFIX
 from .clustering import expac_cluster
 from .errors import (
     ClusterBenchError,
@@ -41,8 +41,7 @@ from .tables import (
     FORMATS,
     MEDIAN_DAT_COLUMNS,
     NODES_TABLE,
-    SWEEP_SEEDS,
-    SWEEP_SIZES,
+    RECORDED_FLAGS,
     SWEEP_TABLE,
     VALIDATION_TABLE,
     clusters_rows,
@@ -54,7 +53,6 @@ from .tables import (
     read_nodes_csv,
     replay_settings,
     report_row,
-    sha256_file,
     simulation_tables,
     write_dat,
     write_manifest,
@@ -71,16 +69,12 @@ def resolve_config(args: argparse.Namespace) -> ScenarioConfig:
     """Merge config file, flags, and environment into a validated config.
 
     Seed precedence: --seed, then the config file, then CLUSTERBENCH_SEED,
-    then the default of 0. ``args.format``, ``args.prefix``, ``args.sizes``,
-    ``args.seeds`` and ``args.replayed_nodes_sha256`` are set as
-    ``replay_settings`` reads them from the replayed manifest and the flags,
+    then the default of 0. Each recorded flag the command has is set as
+    ``replay_settings`` settles it from the flag and the replayed manifest,
     so a replay writes what the run wrote.
     """
     raw, manifest = read_config_file(args.config) if args.config else ({}, {})
-    args.format, args.prefix, args.sizes, args.seeds, args.replayed_nodes_sha256 = replay_settings(
-        manifest, args.format, getattr(args, "prefix", None), getattr(args, "sizes", None),
-        getattr(args, "seeds", None),
-    )
+    vars(args).update(replay_settings(manifest, vars(args)))
     if args.seed is not None:
         raw["seed"] = args.seed
     elif "seed" not in raw:
@@ -102,17 +96,14 @@ def _out_dir(args: argparse.Namespace) -> Path:
 
 
 def _load_nodes(args: argparse.Namespace, config: ScenarioConfig):
-    """The --nodes table, the config sized to it and the table's sha256; or,
-    without --nodes, None, the config and None, for a seeded population."""
+    """The --nodes table and the config sized to it; or, without --nodes,
+    None and the config, for a seeded population."""
     if not args.nodes:
-        if args.replayed_nodes_sha256 is not None:
-            recorded = args.replayed_nodes_sha256
-            raise ConfigError(f"the run read a node table of sha256 {recorded}; give it --nodes")
-        return None, config, None
+        return None, config
     nodes = read_nodes_csv(args.nodes)
     if len(nodes) != config.node_count:
         config = replace(config, node_count=len(nodes))
-    return nodes, config, sha256_file(args.nodes)
+    return nodes, config
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
@@ -121,14 +112,14 @@ def cmd_generate(args: argparse.Namespace) -> int:
     out = _out_dir(args)
     table = out / f"nodes.{args.format}"
     write_table(table, NODES_TABLE, nodes_rows(nodes), args.format)
-    write_manifest(out, "generate", config, args.format)
+    write_manifest(out, "generate", config, vars(args))
     print(f"wrote {len(nodes)} nodes to {table}")
     return 0
 
 
 def cmd_cluster(args: argparse.Namespace) -> int:
     config = resolve_config(args)
-    nodes, config, input_hash = _load_nodes(args, config)
+    nodes, config = _load_nodes(args, config)
     if nodes is None:
         nodes = generate_scenario(config)
     clusters = expac_cluster(nodes, config.tx_range)
@@ -140,7 +131,7 @@ def cmd_cluster(args: argparse.Namespace) -> int:
     write_table(table, CLUSTERS_TABLE, rows, args.format)
     for cluster_id, dat_rows in energy_dats(rows):
         write_dat(out / f"cluster_{cluster_id:03d}_energy.dat", ENERGY_DAT_COLUMNS, dat_rows)
-    write_manifest(out, "cluster", config, args.format, input_nodes_sha256=input_hash)
+    write_manifest(out, "cluster", config, vars(args))
     print(f"wrote {len(clusters.clusters)} clusters to {table}")
     return 0
 
@@ -166,21 +157,19 @@ def cmd_validate(args: argparse.Namespace) -> int:
         out = _out_dir(args)
         rows = [report_row(0, report)]
         write_table(out / f"report.{args.format}", VALIDATION_TABLE, rows, args.format)
-        clusters_sha256 = sha256_file(args.clusters)
-        write_manifest(out, "validate", config, args.format, input_clusters_sha256=clusters_sha256)
+        write_manifest(out, "validate", config, vars(args))
     return 0
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     config = resolve_config(args)
-    nodes, config, input_hash = _load_nodes(args, config)
+    nodes, config = _load_nodes(args, config)
     # A seeded population is placed by run_simulation, after it checks the run's size.
     snapshots = run_simulation(config, nodes, prefix=args.prefix)
     out = _out_dir(args)
-    fmt = args.format
     for stem, (table, rows) in simulation_tables(snapshots).items():
-        write_table(out / f"{stem}.{fmt}", table, rows, fmt)
-    write_manifest(out, "simulate", config, fmt, prefix=args.prefix, input_nodes_sha256=input_hash)
+        write_table(out / f"{stem}.{args.format}", table, rows, args.format)
+    write_manifest(out, "simulate", config, vars(args))
     print(f"simulated {len(snapshots)} ticks into {out}")
     return 0
 
@@ -221,7 +210,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     out = _out_dir(args)
     write_table(out / f"sweep.{args.format}", SWEEP_TABLE, results, args.format)
     write_dat(out / "median_index.dat", MEDIAN_DAT_COLUMNS, medians)
-    write_manifest(out, "sweep", config, args.format, sizes=sizes, seeds=seeds)
+    write_manifest(out, "sweep", config, vars(args))
     for size, median in medians:
         print(f"node_count={size} median_index={median}")
     return 0
@@ -249,6 +238,13 @@ def _integers(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(message) from None
 
 
+def _replayed(what: str, name: str) -> str:
+    """The help of recorded flag ``name``: ``what`` it gives, and its default."""
+    default = RECORDED_FLAGS[name]
+    default = ",".join(map(str, default)) if isinstance(default, list) else default
+    return f"{what} (default: a replayed manifest's, else {default})"
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="clusterbench",
@@ -263,9 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--out", help="output directory (default: out; validate writes files only when given)"
     )
-    common.add_argument(
-        "--format", choices=FORMATS, help="table format (default: a replayed manifest's, else csv)"
-    )
+    common.add_argument("--format", choices=FORMATS, help=_replayed("table format", "format"))
     common.add_argument(
         "--comparator",
         choices=["below", "at-or-above", "at_or_above"],
@@ -291,25 +285,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", parents=[common], help="run the tick simulation")
     p.add_argument("--nodes", help="node table CSV (generated from config when omitted)")
-    p.add_argument(
-        "--prefix",
-        help=f"48-bit address prefix (default: a replayed manifest's, else {DEFAULT_PREFIX})",
-    )
+    p.add_argument("--prefix", help=_replayed("48-bit address prefix", "prefix"))
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("sweep", parents=[common], help="median index across populations and seeds")
-    sizes = ",".join(map(str, SWEEP_SIZES))
-    p.add_argument(
-        "--sizes",
-        type=_integers,
-        help=f"comma-separated node counts (default: a replayed manifest's, else {sizes})",
-    )
-    p.add_argument(
-        "--seeds",
-        type=_integer,
-        help=f"seeds per population, at most {MAX_SWEEP_SEEDS} "
-        f"(default: a replayed manifest's, else {SWEEP_SEEDS})",
-    )
+    sizes = "comma-separated node counts"
+    p.add_argument("--sizes", type=_integers, help=_replayed(sizes, "sizes"))
+    seeds = f"seeds per population, at most {MAX_SWEEP_SEEDS}"
+    p.add_argument("--seeds", type=_integer, help=_replayed(seeds, "seeds"))
     p.set_defaults(func=cmd_sweep)
 
     return parser

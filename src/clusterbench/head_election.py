@@ -58,8 +58,8 @@ def rotate_heads(
     settled: set[int] | frozenset[int] = frozenset(),
 ) -> tuple[ClusterSet, list[HeadChange]]:
     """Recompute the head and exempt set of every cluster not in ``settled``
-    from ``energies``, one current reading per node indexed by node id (any
-    other length is a ``ConsistencyError``), reporting the head changes, each
+    from ``energies``, a list or tuple of one reading per node id (anything
+    else is a ``ConsistencyError``), reporting the head changes, each
     stamped ``at_tick``. A cluster whose head and exempt set are unchanged is
     returned as is: it was checked with exactly these members and flags.
 
@@ -78,6 +78,8 @@ def rotate_heads(
         raise InputError("cluster set is empty")
     if comparator not in COMPARATORS:
         raise ConfigError(f"comparator must be one of {COMPARATORS}, got {comparator!r}")
+    if not isinstance(energies, (list, tuple)):
+        raise ConsistencyError(f"energies must be a list or tuple, got {type(energies).__name__}")
     if len(energies) != clusters.node_universe:
         raise ConsistencyError(f"{len(energies)} energies for {clusters.node_universe} nodes")
     # "below" keeps the published behaviour: a member passes while its energy

@@ -89,12 +89,14 @@ def drain(
 ) -> tuple[list[EnergyLevel], list[int]]:
     """One tick of energy loss: in each cluster whose id is not in ``dead``
     the head pays drain_head, the other members drain_member, clamped at
-    zero. Returns a drained copy of ``energies``, one reading per node id
-    (any other length is a ``ConsistencyError``), and the ids of those
-    clusters left with no reading above 0.0. A ``dead`` cluster keeps its readings."""
+    zero. Returns a drained list copy of ``energies``, a list or tuple of
+    one reading per node id (else a ``ConsistencyError``), and the ids of
+    those clusters left with no reading above 0.0. A ``dead`` cluster keeps its readings."""
+    if not isinstance(energies, (list, tuple)):
+        raise ConsistencyError(f"energies must be a list or tuple, got {type(energies).__name__}")
     if len(energies) != clusters.node_universe:
         raise ConsistencyError(f"{len(energies)} energies for {clusters.node_universe} nodes")
-    drained = energies.copy()
+    drained = list(energies)
     died = []
     drain_head, drain_member = config.drain_head, config.drain_member
     for cluster in clusters.clusters:

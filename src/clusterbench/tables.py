@@ -204,10 +204,6 @@ MESSAGES_TABLE = Table({
     "kind": Kind("text", vocabulary=tuple(MessageKind)), "payload": Kind("address", optional=True),
 })
 SWEEP_TABLE = Table({"node_count": INT, "seed": INT, "dunn_index": OPTIONAL_NUMBER})
-#: ``sweep``'s populations and its seeds per population, when neither a flag
-#: nor a replayed manifest gives them.
-SWEEP_SIZES = [25, 50, 300]
-SWEEP_SEEDS = 20
 ENERGY_DAT_COLUMNS = ["node_id", "energy", "is_head"]
 MEDIAN_DAT_COLUMNS = ["node_count", "median_dunn_index"]
 
@@ -543,43 +539,50 @@ def manifest_timestamp() -> str:
         ) from None
 
 
-def write_manifest(
-    out: str | Path, command: str, config: ScenarioConfig, fmt: str, *, prefix: str | None = None,
-    input_nodes_sha256: str | None = None, input_clusters_sha256: str | None = None,
-    sizes: list[int] | None = None, seeds: int | None = None,
-) -> None:
-    """Write the run record, ``out/manifest.json``, as stable, sorted JSON,
-    leaving out each field that is None and a prefix that is the default;
-    fed back through --config, it replays the run (``replay_settings``)."""
+#: The flags a run manifest records by value, each with the value a run takes
+#: when neither its flag nor a replayed manifest gives one, and those of them
+#: that a manifest leaves out at that value.
+RECORDED_FLAGS = {"format": "csv", "prefix": DEFAULT_PREFIX, "sizes": [25, 50, 300], "seeds": 20}
+LEFT_OUT_AT_DEFAULT = {"prefix"}
+#: The input-table flags a run manifest records by sha256, in the named field.
+HASHED_FLAGS = {"nodes": "input_nodes_sha256", "clusters": "input_clusters_sha256"}
+
+
+def write_manifest(out: str | Path, command: str, config: ScenarioConfig, flags: dict) -> None:
+    """Write the run record, ``out/manifest.json``, as stable, sorted JSON:
+    the config and, of ``flags`` (the command's, as ``replay_settings``
+    settled them), each RECORDED_FLAGS value and given HASHED_FLAGS table's
+    sha256. Fed back through --config, it replays the run."""
     data = {
         "command": command, "tool": "clusterbench", "tool_version": __version__, "rng": RNG_NAME,
         "placement": PLACEMENT_MODEL, "comparator": config.comparator, "seed": config.seed,
-        "config": config.to_dict(), "format": fmt,
-        "prefix": None if prefix == DEFAULT_PREFIX else prefix,
-        "input_nodes_sha256": input_nodes_sha256, "input_clusters_sha256": input_clusters_sha256,
-        "sizes": sizes, "seeds": seeds, "timestamp": manifest_timestamp(),
+        "config": config.to_dict(), "timestamp": manifest_timestamp(),
     }
+    for name, default in RECORDED_FLAGS.items():
+        if name in flags and not (name in LEFT_OUT_AT_DEFAULT and flags[name] == default):
+            data[name] = flags[name]
+    for name, field in HASHED_FLAGS.items():
+        if flags.get(name):
+            data[field] = sha256_file(flags[name])
     with open(Path(out) / "manifest.json", "w", encoding="utf-8", newline="") as fh:
-        json.dump({k: v for k, v in data.items() if v is not None}, fh, indent=2, sort_keys=True)
+        json.dump(data, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-def replay_settings(
-    manifest: dict, fmt: str | None, prefix: str | None, sizes: list[int] | None,
-    seeds: int | None,
-) -> tuple:
-    """A replayed ``manifest``'s format, prefix, sweep sizes, sweep seed count
-    and node-table sha256 ({} and None for no replay): a given flag wins,
-    else the recorded value, else the default. A recorded value is checked
-    only where its flag's would be."""
-    if fmt is None:
-        fmt = manifest.get("format", "csv")
-        if fmt not in FORMATS:
-            raise ConfigError(f"manifest format must be one of {FORMATS}, got {fmt!r}")
-    if prefix is None:
-        prefix = manifest.get("prefix", DEFAULT_PREFIX)
-    if sizes is None:
-        sizes = manifest.get("sizes", SWEEP_SIZES)
-    if seeds is None:
-        seeds = manifest.get("seeds", SWEEP_SEEDS)
-    return fmt, prefix, sizes, seeds, manifest.get("input_nodes_sha256")
+def replay_settings(manifest: dict, flags: dict) -> dict:
+    """Each RECORDED_FLAGS value of ``flags``, a command's parsed flags: the
+    flag's own, else the replayed ``manifest``'s ({} for no replay), else the
+    default. A recorded value is checked only where its flag's would be, and
+    a run that read a HASHED_FLAGS table replays only with it given again."""
+    for name, field in HASHED_FLAGS.items():
+        if manifest.get(field) is not None and name in flags and not flags[name]:
+            table = f"{name.removesuffix('s')} table of sha256 {manifest[field]}"
+            raise ConfigError(f"the run read a {table}; give it --{name}")
+    settings = {
+        name: manifest.get(name, default) if flags[name] is None else flags[name]
+        for name, default in RECORDED_FLAGS.items()
+        if name in flags
+    }
+    if settings["format"] not in FORMATS:  # argparse checks a --format flag
+        raise ConfigError(f"manifest format must be one of {FORMATS}, got {settings['format']!r}")
+    return settings

@@ -105,10 +105,11 @@ def ref_rotate_heads(clusters, energies, threshold, comparator=COMPARATOR_BELOW,
     rebuilt = []
     for cluster in clusters.clusters:
         readings = []
-        for m in cluster.members:
-            if m not in energies:
-                raise ConsistencyError(f"no energy reading for node {m}")
-            readings.append((energies[m], m))
+        for m in cluster.members:  # energies map or list node ids to readings
+            try:
+                readings.append((energies[m], m))
+            except (KeyError, IndexError):
+                raise ConsistencyError(f"no energy reading for node {m}") from None
         # The highest reading; among equal readings the lowest id. NaN and
         # -inf can never be the head.
         candidates = [(e, m) for e, m in readings if e > -math.inf]

@@ -78,13 +78,11 @@ def member_moves(draw, clusters):
 
 @st.composite
 def partitions_with_energies(draw, max_nodes=20, max_energy=1000):
-    """A partition plus an integer energy per node (heads not yet elected)."""
+    """A partition plus a list of one integer energy per node id (heads not
+    yet elected)."""
     clusters, positions = draw(partitions(max_nodes=max_nodes))
     n = clusters.node_universe
-    energies = {
-        i: float(draw(st.integers(0, max_energy)))
-        for i in range(n)
-    }
+    energies = [float(draw(st.integers(0, max_energy))) for _ in range(n)]
     return clusters, positions, energies
 
 

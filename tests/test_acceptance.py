@@ -283,7 +283,7 @@ def test_c9_large_population_pipeline_time():
     cfg = ScenarioConfig(node_count=300)
     nodes = generate_scenario(cfg)
     positions = {n.node_id: n.pos for n in nodes}
-    energies = {n.node_id: n.energy for n in nodes}
+    energies = [n.energy for n in nodes]
     start = time.perf_counter()
     clusters = expac_cluster(nodes, cfg.tx_range)
     clusters = psopac_rebuild(clusters, energies, cfg.energy_threshold, cfg.comparator)
@@ -299,7 +299,7 @@ def test_c10_ten_thousand_node_pipeline_time():
     cfg = ScenarioConfig(node_count=10_000, area=(2000.0, 2000.0))
     nodes = generate_scenario(cfg)
     positions = {n.node_id: n.pos for n in nodes}
-    energies = {n.node_id: n.energy for n in nodes}
+    energies = [n.energy for n in nodes]
     start = time.perf_counter()
     clusters = expac_cluster(nodes, cfg.tx_range)
     clusters = psopac_rebuild(clusters, energies, cfg.energy_threshold, cfg.comparator)
@@ -320,7 +320,7 @@ def test_c11_ten_thousand_nodes_at_fixed_area_pipeline_time():
     cfg = ScenarioConfig(node_count=10_000)
     nodes = generate_scenario(cfg)
     positions = {n.node_id: n.pos for n in nodes}
-    energies = {n.node_id: n.energy for n in nodes}
+    energies = [n.energy for n in nodes]
     start = time.perf_counter()
     clusters = expac_cluster(nodes, cfg.tx_range)
     clusters = psopac_rebuild(clusters, energies, cfg.energy_threshold, cfg.comparator)

@@ -1,12 +1,22 @@
+import argparse
 import csv
+import dataclasses
 import inspect
 import json
 import math
 
 import pytest
 
-from clusterbench import Cluster, ClusterSet, cli, config_from_dict, run_simulation, sim
-from clusterbench.tables import write_table
+from clusterbench import (
+    Cluster,
+    ClusterSet,
+    ScenarioConfig,
+    cli,
+    config_from_dict,
+    run_simulation,
+    sim,
+)
+from clusterbench.tables import HASHED_FLAGS, RECORDED_FLAGS, write_table
 
 
 def run(*argv):
@@ -21,6 +31,17 @@ def _clean_env(monkeypatch):
 
 def read_bytes_map(directory):
     return {p.name: p.read_bytes() for p in sorted(directory.iterdir()) if p.is_file()}
+
+
+def check_replay(tmp_path, command, flags, tables=()):
+    """Run ``command`` with ``flags`` and the input ``tables`` flags into
+    ``a``, then replay it into ``b`` from a's manifest alone, the tables given
+    again: every byte, the manifest's included, must match. Returns ``a``."""
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert run(command, *flags, *tables, "--out", str(a)) == 0
+    assert run(command, "--config", str(a / "manifest.json"), *tables, "--out", str(b)) == 0
+    assert read_bytes_map(a) == read_bytes_map(b)
+    return a
 
 
 # --- generate ---------------------------------------------------------------
@@ -410,11 +431,8 @@ def test_validate_report_csv_matches_json(tmp_path):
 
 
 def check_simulate_and_replay(tmp_path, flags):
-    a = tmp_path / "a"
-    b = tmp_path / "b"
-    c = tmp_path / "c"
     fmt = "json" if "json" in flags else "csv"
-    assert run("simulate", "--seed", "11", "--out", str(a), *flags) == 0
+    a = check_replay(tmp_path, "simulate", ("--seed", "11", *flags))
 
     if fmt == "csv":
         timeline = (a / "timeline.csv").read_text().splitlines()
@@ -430,11 +448,10 @@ def check_simulate_and_replay(tmp_path, flags):
         assert (a / f"{name}.{fmt}").exists()
     assert (a / "manifest.json").exists()
 
-    # identical rerun, then a replay from the manifest alone (its format and
-    # prefix included), all byte-for-byte
-    assert run("simulate", "--seed", "11", "--out", str(b), *flags) == 0
-    assert run("simulate", "--config", str(a / "manifest.json"), "--out", str(c)) == 0
-    assert read_bytes_map(a) == read_bytes_map(b) == read_bytes_map(c)
+    # an identical rerun is byte-identical too
+    c = tmp_path / "c"
+    assert run("simulate", "--seed", "11", "--out", str(c), *flags) == 0
+    assert read_bytes_map(a) == read_bytes_map(c)
 
 
 def test_simulate_outputs_and_replay(tmp_path):
@@ -470,13 +487,21 @@ def test_replay_flags_override_the_manifest(tmp_path):
 def test_replay_with_the_node_table_is_byte_identical(tmp_path, command):
     # The manifest's config keeps seed 0, so a replay that placed a seeded
     # population instead of reading the seed-5 table would differ.
-    gen, a, b = tmp_path / "g", tmp_path / "a", tmp_path / "b"
+    gen = tmp_path / "g"
     assert run("generate", "--seed", "5", "--out", str(gen)) == 0
-    nodes = str(gen / "nodes.csv")
-    assert run(command, "--nodes", nodes, "--out", str(a)) == 0
-    replay = ("--config", str(a / "manifest.json"), "--nodes", nodes, "--out", str(b))
-    assert run(command, *replay) == 0
-    assert read_bytes_map(a) == read_bytes_map(b)
+    flags = ("--format", "json", "--comparator", "at_or_above")
+    check_replay(tmp_path, command, flags, ("--nodes", str(gen / "nodes.csv")))
+
+
+@pytest.mark.parametrize("command", ["generate", "cluster", "validate"])
+def test_generate_cluster_and_validate_replay_byte_for_byte(tmp_path, command):
+    # simulate and sweep replays, and those of --nodes runs, are checked beside
+    # their own outputs' tests.
+    gen = tmp_path / "g"
+    assert run("cluster", "--seed", "3", "--out", str(gen)) == 0
+    tables = ("--clusters", str(gen / "clusters.csv")) if command == "validate" else ()
+    flags = ("--seed", "8", "--format", "json", "--comparator", "at_or_above")
+    check_replay(tmp_path, command, flags, tables)
 
 
 def test_simulate_threads_do_not_change_output(tmp_path):
@@ -636,12 +661,9 @@ def test_sweep_rejects_sizes_above_limit(tmp_path, capsys):
 def test_sweep_replay_is_byte_identical(tmp_path, fmt):
     # Sizes and a seed count other than the defaults: a replay that fell back
     # to 25,50,300 and 20 seeds would write other tables.
-    a, b = tmp_path / "a", tmp_path / "b"
-    assert run("sweep", "--sizes", "25,60", "--seeds", "3", "--format", fmt, "--out", str(a)) == 0
+    a = check_replay(tmp_path, "sweep", ("--sizes", "25,60", "--seeds", "3", "--format", fmt))
     manifest = json.loads((a / "manifest.json").read_text())
     assert (manifest["sizes"], manifest["seeds"]) == ([25, 60], 3)
-    assert run("sweep", "--config", str(a / "manifest.json"), "--out", str(b)) == 0
-    assert read_bytes_map(a) == read_bytes_map(b)
 
 
 def test_sweep_replay_flags_override_the_manifest(tmp_path):
@@ -674,6 +696,36 @@ def test_sweep_replay_of_a_bad_recorded_value_exits_2(tmp_path, capsys, field, v
 
 
 # --- misc -------------------------------------------------------------------
+
+#: Flags whose value a manifest records inside its config, which a replay reads.
+FOLDED_INTO_CONFIG = {"seed", "comparator"}
+#: Flags a manifest does not record, each with the reason.
+NOT_RECORDED = {
+    "config": "it names the replayed file itself",
+    "out": "it says where the outputs go, not what they hold",
+    "threads": "it is accepted for compatibility and has no effect",
+    "strict": "it changes only validate's exit code on an undefined index",
+}
+
+
+def test_every_flag_is_replayed_folded_or_named_unrecorded():
+    # A flag outside these would be dropped by a replay, as --format, --nodes
+    # and sweep's --sizes and --seeds once were. A replayed flag defaults to
+    # None, so that a replay can tell that it was not given.
+    parser = cli.build_parser()
+    [commands] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    seen = set()
+    for command, subparser in commands.choices.items():
+        for action in subparser._actions:
+            name = action.dest
+            if name == "help":
+                continue
+            seen.add(name)
+            replayed = name in RECORDED_FLAGS or name in HASHED_FLAGS
+            assert replayed or name in FOLDED_INTO_CONFIG or name in NOT_RECORDED, (command, name)
+            assert action.default is None or not replayed, (command, name)
+    assert seen == {*RECORDED_FLAGS, *HASHED_FLAGS, *FOLDED_INTO_CONFIG, *NOT_RECORDED}
+    assert FOLDED_INTO_CONFIG <= {field.name for field in dataclasses.fields(ScenarioConfig)}
 
 
 def test_version_flag():

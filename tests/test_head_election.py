@@ -18,39 +18,49 @@ from strategies import partitions_with_energies
 
 
 def one_cluster(energies, head=None):
-    members = tuple(sorted(energies))
-    cs = ClusterSet((Cluster(0, head if head is not None else members[0], members),), len(members))
-    return cs, dict(energies)
+    """One cluster of nodes 0..len(energies)-1, headed by ``head`` or node 0,
+    and its energies as a list."""
+    members = tuple(range(len(energies)))
+    cs = ClusterSet((Cluster(0, head if head is not None else 0, members),), len(members))
+    return cs, list(energies)
 
 
 def test_max_energy_argmax():
-    cs, snap = one_cluster({0: 50.0, 1: 100.0, 2: 500.0, 3: 300.0})
-    # shift ids to match: members 0..3
+    cs, snap = one_cluster([50.0, 100.0, 500.0, 300.0])
     assert psopac_rebuild(cs, snap, 500.0).clusters[0].head == 2
 
 
 def test_max_energy_tie_takes_lower_id():
-    cs, snap = one_cluster({0: 10.0, 1: 500.0, 2: 500.0})
+    cs, snap = one_cluster([10.0, 500.0, 500.0])
     assert psopac_rebuild(cs, snap, 500.0).clusters[0].head == 1
 
 
 def test_max_energy_missing_reading():
     cs = ClusterSet((Cluster(0, 0, (0, 1)),), 2)
     with pytest.raises(ConsistencyError):
-        psopac_rebuild(cs, {0: 5.0}, 500.0)
+        psopac_rebuild(cs, [5.0], 500.0)
+
+
+def test_energies_that_are_not_a_list_or_tuple_are_refused():
+    # A dict of the right length passed the length check, then raised a bare
+    # KeyError for node 1.
+    cs = ClusterSet((Cluster(0, 0, (0, 1)),), 2)
+    with pytest.raises(ConsistencyError, match="^energies must be a list or tuple, got dict$"):
+        psopac_rebuild(cs, {0: 5.0, 7: 1.0}, 500.0)
+    assert psopac_rebuild(cs, (5.0, 1.0), 500.0).clusters[0].head == 0
 
 
 @pytest.mark.parametrize("reading", [float("nan"), float("-inf")])
 def test_rotate_rejects_cluster_without_reading_above_minus_inf(reading):
     # NaN and -inf never beat the running maximum, so no member can be head.
     cs = ClusterSet((Cluster(0, 0, (0,)), Cluster(1, 1, (1, 2))), 3)
-    snap = {0: 5.0, 1: reading, 2: reading}
+    snap = [5.0, reading, reading]
     with pytest.raises(InputError, match=r"^cluster 1: no energy reading is above -inf"):
         rotate_heads(cs, snap, threshold=500.0)
 
 
 def test_rebuild_elects_head_and_passes_low_energy_members():
-    cs, snap = one_cluster({0: 900.0, 1: 300.0, 2: 450.0})
+    cs, snap = one_cluster([900.0, 300.0, 450.0])
     out = psopac_rebuild(cs, snap, threshold=500.0)
     assert out.clusters[0].head == 0
     assert out.clusters[0].threshold_exempt == frozenset()
@@ -58,7 +68,7 @@ def test_rebuild_elects_head_and_passes_low_energy_members():
 
 def test_rebuild_flags_member_failing_literal_test():
     # literal mode passes only members with energy strictly under the threshold
-    cs, snap = one_cluster({0: 900.0, 1: 600.0})
+    cs, snap = one_cluster([900.0, 600.0])
     out = psopac_rebuild(cs, snap, threshold=500.0)
     assert out.clusters[0].head == 0
     assert out.clusters[0].threshold_exempt == frozenset({1})
@@ -66,14 +76,14 @@ def test_rebuild_flags_member_failing_literal_test():
 
 
 def test_rebuild_conventional_comparator():
-    cs, snap = one_cluster({0: 900.0, 1: 600.0, 2: 300.0})
+    cs, snap = one_cluster([900.0, 600.0, 300.0])
     out = psopac_rebuild(cs, snap, threshold=500.0, comparator="at_or_above")
     assert out.clusters[0].head == 0
     assert out.clusters[0].threshold_exempt == frozenset({2})
 
 
 def test_rebuild_singleton_without_membership_test():
-    cs, snap = one_cluster({0: 1.0})
+    cs, snap = one_cluster([1.0])
     out = psopac_rebuild(cs, snap, threshold=500.0)
     assert out.clusters[0].head == 0
     assert out.clusters[0].threshold_exempt == frozenset()
@@ -81,8 +91,8 @@ def test_rebuild_singleton_without_membership_test():
 
 def test_rebuild_rejects_empty_and_bad_comparator():
     with pytest.raises(InputError):
-        psopac_rebuild(ClusterSet((), 0), {}, 500.0)
-    cs, snap = one_cluster({0: 1.0})
+        psopac_rebuild(ClusterSet((), 0), [], 500.0)
+    cs, snap = one_cluster([1.0])
     with pytest.raises(ConfigError):
         psopac_rebuild(cs, snap, 500.0, comparator="between")
 
@@ -109,15 +119,15 @@ def test_scaling_energies_keeps_heads(data, k):
     clusters, _positions, energies = data
     threshold = 400.0
     base = psopac_rebuild(clusters, energies, threshold)
-    scaled = psopac_rebuild(clusters, {n: e * k for n, e in energies.items()}, threshold * k)
+    scaled = psopac_rebuild(clusters, [e * k for e in energies], threshold * k)
     assert [c.head for c in base.clusters] == [c.head for c in scaled.clusters]
 
 
 def test_rotate_reports_changes_and_is_idempotent():
-    cs, snap = one_cluster({0: 100.0, 1: 90.0})
+    cs, snap = one_cluster([100.0, 90.0])
     rotated, changes = rotate_heads(cs, snap, threshold=1000.0)
     assert changes == []  # argmax unchanged
-    drained = {0: 40.0, 1: 80.0}
+    drained = [40.0, 80.0]
     rotated, changes = rotate_heads(rotated, drained, threshold=1000.0, at_tick=1)
     assert len(changes) == 1
     change = changes[0]
@@ -129,10 +139,10 @@ def test_rotate_reports_changes_and_is_idempotent():
 
 def test_rotate_new_head_loses_exempt_flag():
     # a member above the literal threshold is exempt — until it becomes head
-    cs, snap = one_cluster({0: 700.0, 1: 600.0})
+    cs, snap = one_cluster([700.0, 600.0])
     built = psopac_rebuild(cs, snap, threshold=500.0)
     assert built.clusters[0].threshold_exempt == frozenset({1})
-    drained = {0: 550.0, 1: 590.0}
+    drained = [550.0, 590.0]
     rotated, changes = rotate_heads(built, drained, threshold=500.0, at_tick=3)
     assert changes[0].new_head == 1
     assert rotated.clusters[0].head == 1
@@ -153,10 +163,9 @@ def test_rotate_matches_reference(data, threshold, comparator, draw):
     # unchanged after the energies move.
     clusters, _positions, energies = data
     elected, _ = ref_rotate_heads(clusters, energies, threshold, comparator)
-    moved = {
-        n: float(draw.draw(st.integers(0, 8))) if draw.draw(st.booleans()) else e
-        for n, e in energies.items()
-    }
+    moved = [
+        float(draw.draw(st.integers(0, 8))) if draw.draw(st.booleans()) else e for e in energies
+    ]
     for start in (clusters, elected):
         rotated, changes = rotate_heads(start, moved, threshold, comparator, 1)
         assert (rotated, changes) == ref_rotate_heads(start, moved, threshold, comparator, 1)
@@ -166,22 +175,22 @@ def test_rotate_matches_reference(data, threshold, comparator, draw):
 
 
 def test_shared_states_return_a_state_seen_before_as_its_object():
-    cs, snap = one_cluster({0: 100.0, 1: 90.0})
+    cs, snap = one_cluster([100.0, 90.0])
     a, _ = rotate_heads(cs, snap, threshold=1000.0)
     states = cluster_states(a)
-    b, changes = rotate_heads(a, {0: 80.0, 1: 90.0}, 1000.0, at_tick=1, states=states)
+    b, changes = rotate_heads(a, [80.0, 90.0], 1000.0, at_tick=1, states=states)
     assert [(c.old_head, c.new_head) for c in changes] == [(0, 1)]
-    back, changes = rotate_heads(b, {0: 70.0, 1: 60.0}, 1000.0, at_tick=2, states=states)
+    back, changes = rotate_heads(b, [70.0, 60.0], 1000.0, at_tick=2, states=states)
     assert [(c.old_head, c.new_head) for c in changes] == [(1, 0)]
     assert back.clusters[0] is a.clusters[0]
     assert [id(c) for c in states.values()] == [id(a.clusters[0]), id(b.clusters[0])]
 
 
 def test_without_states_a_changed_cluster_is_built_afresh():
-    cs, snap = one_cluster({0: 100.0, 1: 90.0})
+    cs, snap = one_cluster([100.0, 90.0])
     a, _ = rotate_heads(cs, snap, threshold=1000.0)
-    b, _ = rotate_heads(a, {0: 80.0, 1: 90.0}, 1000.0, at_tick=1)
-    back, _ = rotate_heads(b, {0: 70.0, 1: 60.0}, 1000.0, at_tick=2)
+    b, _ = rotate_heads(a, [80.0, 90.0], 1000.0, at_tick=1)
+    back, _ = rotate_heads(b, [70.0, 60.0], 1000.0, at_tick=2)
     assert back.clusters[0] == a.clusters[0]
     assert back.clusters[0] is not a.clusters[0]
 
@@ -201,7 +210,7 @@ def test_rotate_with_shared_states_matches_reference(data, threshold, comparator
     states = cluster_states(current)
     seen = {id(c): c for c in current.clusters}
     for tick, moves in enumerate(ticks, 1):
-        energies = {n: float(moves.get(n, e)) for n, e in energies.items()}
+        energies = [float(moves.get(n, e)) for n, e in enumerate(energies)]
         expected = ref_rotate_heads(current, energies, threshold, comparator, tick)
         current, changes = rotate_heads(current, energies, threshold, comparator, tick, states)
         assert (current, changes) == expected
@@ -217,7 +226,7 @@ def test_settled_clusters_are_returned_unelected():
     # Cluster 0's readings would elect node 1, but it is settled, so it comes
     # back as the same object; cluster 1 is elected as usual.
     cs = ClusterSet((Cluster(0, 0, (0, 1)), Cluster(1, 2, (2, 3))), 4)
-    energies = {0: 5.0, 1: 9.0, 2: 1.0, 3: 7.0}
+    energies = [5.0, 9.0, 1.0, 7.0]
     rotated, changes = rotate_heads(cs, energies, 500.0, settled={0})
     assert rotated.clusters[0] is cs.clusters[0]
     assert rotated.clusters[1].head == 3
@@ -227,7 +236,7 @@ def test_settled_clusters_are_returned_unelected():
 
 def test_rotation_keeps_each_members_object():
     cs = ClusterSet((Cluster(0, 0, (0, 1, 2)), Cluster(1, 3, (3,))), 4)
-    rotated, _ = rotate_heads(cs, {0: 1.0, 1: 2.0, 2: 3.0, 3: 4.0}, 500.0)
+    rotated, _ = rotate_heads(cs, [1.0, 2.0, 3.0, 4.0], 500.0)
     assert rotated.clusters[0].head == 2
     for before, after in zip(cs.clusters, rotated.clusters):
         assert after.members is before.members

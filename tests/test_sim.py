@@ -79,18 +79,18 @@ def test_drain_rates_and_clamp():
     # its head 4, while cluster 2 dies at tick 2, not at tick 1 with node 5.
     cfg = ScenarioConfig(node_count=7)
     clusters = clusters_of((0, 0, (0, 1, 2)), (1, 4, (3, 4)), (2, 5, (5, 6)))
-    before = {0: 500.0, 1: 5.0, 2: 20.0, 3: 30.0, 4: 60.0, 5: 50.0, 6: 15.0}
+    before = [500.0, 5.0, 20.0, 30.0, 60.0, 50.0, 15.0]
     out, died = drain(before, clusters, set(), cfg)
-    assert out == {0: 450.0, 1: 0.0, 2: 10.0, 3: 20.0, 4: 10.0, 5: 0.0, 6: 5.0}
+    assert out == [450.0, 0.0, 10.0, 20.0, 10.0, 0.0, 5.0]
     assert died == []
     out, died = drain(out, clusters, set(), cfg)
-    assert out == {0: 400.0, 1: 0.0, 2: 0.0, 3: 10.0, 4: 0.0, 5: 0.0, 6: 0.0}
+    assert out == [400.0, 0.0, 0.0, 10.0, 0.0, 0.0, 0.0]
     assert died == [2]
 
 
 def test_drain_zero_rates_identity():
     cfg = ScenarioConfig(node_count=2, drain_member=0.0, drain_head=0.0)
-    before = {0: 42.0, 1: 7.0}
+    before = [42.0, 7.0]
     out, died = drain(before, clusters_of((0, 0, (0, 1))), set(), cfg)
     assert out == before and out is not before
     assert died == []
@@ -116,6 +116,15 @@ def test_drain_member_without_reading_is_consistency_error():
     clusters = clusters_of((0, 0, (0,)), (1, 2, (1, 2)))
     with pytest.raises(ConsistencyError, match="^2 energies for 3 nodes$"):
         drain([5.0, 5.0], clusters, set(), ScenarioConfig(node_count=3))
+
+
+def test_drain_refuses_energies_that_are_not_a_list_or_tuple():
+    # A dict of the right length passed the length check, then raised a bare
+    # KeyError for node 1; a tuple is drained into a list.
+    clusters, cfg = clusters_of((0, 0, (0, 1))), ScenarioConfig(node_count=2)
+    with pytest.raises(ConsistencyError, match="^energies must be a list or tuple, got dict$"):
+        drain({0: 5.0, 7: 1.0}, clusters, set(), cfg)
+    assert drain((500.0, 5.0), clusters, set(), cfg) == ([450.0, 0.0], [])
 
 
 # --- timeline shape ---------------------------------------------------------

@@ -21,6 +21,7 @@ from clusterbench import (
     Cluster,
     ClusterSet,
     Compactness,
+    DEFAULT_PREFIX,
     InputError,
     MessageKind,
     Node,
@@ -687,7 +688,8 @@ def test_a_bad_cell_names_its_row_and_column(tmp_path, table, column, text, spel
 def test_manifest_honors_source_date_epoch(tmp_path, monkeypatch):
     monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
     assert manifest_timestamp() == "2023-11-14T22:13:20Z"
-    write_manifest(tmp_path, "cluster", config_from_dict({"seed": 1}), "csv", prefix=None)
+    flags = {"format": "csv", "prefix": DEFAULT_PREFIX}
+    write_manifest(tmp_path, "simulate", config_from_dict({"seed": 1}), flags)
     text = (tmp_path / "manifest.json").read_text()
     data = json.loads(text)
     assert data["timestamp"] == "2023-11-14T22:13:20Z"
