@@ -21,7 +21,7 @@ from .model import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HeadChange:
     cluster_id: int
     old_head: NodeId

@@ -38,7 +38,7 @@ from .model import (
 from .validation import ValidationReport, validate_clusters
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReclusterEvent:
     at_tick: int
     trigger_index: float
@@ -46,7 +46,7 @@ class ReclusterEvent:
     new_cluster_count: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AddressEvent:
     """One run of the addressing handshake at ``at_tick``: the run's address
     map, whose addresses are built on its first read, and the ``Handshake``
@@ -60,7 +60,7 @@ class AddressEvent:
 Event = HeadChange | ReclusterEvent | AddressEvent
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SimSnapshot:
     """State at the end of one tick.
 

@@ -181,7 +181,7 @@ CLUSTERS_TABLE = Table({
     "cluster_id": INT, "node_id": INT, "is_head": FLAG, "energy": NUMBER, "x": NUMBER,
     "y": NUMBER, "exempt": FLAG,
 })
-# TimelineRows and MessageRows render their records by column position.
+# TimelineRows, EventRows and MessageRows render their records by column position.
 TIMELINE_TABLE = Table({
     "tick": INT, "node_id": INT, "cluster_id": INT, "is_head": FLAG, "exempt": FLAG,
     "energy": NUMBER, "address": ADDRESS,
@@ -211,8 +211,9 @@ MEDIAN_DAT_COLUMNS = ["node_count", "median_dunn_index"]
 def write_table(path: str | Path, table: Table, rows, fmt: str = "csv") -> None:
     """Write a table's records as CSV or JSON, one chunk at a time, with LF
     line endings. ``rows`` is a list of tuples in column order, or an object
-    whose ``chunks(fmt)`` renders its own records in the table's layout,
-    such as a ``TimelineRows``; either way ``len(rows)`` is the record count."""
+    whose ``chunks(fmt)`` yields its own records in the table's layout, some
+    records a chunk, such as a ``TimelineRows``; either way ``len(rows)`` is
+    the record count."""
     if fmt not in FORMATS:
         raise InputError(f"format must be one of {FORMATS}, got {fmt!r}")
     layout = table.layouts[fmt]
@@ -265,29 +266,15 @@ def report_row(at_tick: int, report: ValidationReport) -> tuple:
     )
 
 
-def event_row(event) -> tuple:
-    """One events-table row; each event kind leaves the other kinds' columns
-    empty. An AddressEvent gives the counts of its addresses and messages."""
-    if isinstance(event, HeadChange):
-        heads = (event.cluster_id, event.old_head, event.new_head)
-        return (event.at_tick, "head_change", *heads, None, None, None, None, None)
-    if isinstance(event, ReclusterEvent):
-        counts = (event.trigger_index, event.old_cluster_count, event.new_cluster_count)
-        return (event.at_tick, "recluster", None, None, None, *counts, None, None)
-    sizes = (len(event.assigned), len(event.messages))  # an AddressEvent
-    return (event.at_tick, "address", None, None, None, None, None, None, *sizes)
-
-
 @dataclass
 class TimelineRows:
-    """The simulate timeline, rendered tick by tick as ``write_table`` writes
-    it: ``len`` is its record count, ticks × nodes, and ``chunks(fmt)``
-    yields each tick's records as one text. A node's node_id, cluster_id,
-    is_head and exempt text is looked up again only when its ``Cluster``
-    object changes (each distinct cluster state is one frozen object per
-    run), and rendered once per write for each of the node's variants; its
-    address text once per address map, through ``texts``. Per record only
-    the tick's shared prefix and the energy are new text."""
+    """The simulate timeline for ``write_table``: ticks × nodes records, a
+    chunk per tick. A node's node_id, cluster_id, is_head and exempt text is
+    looked up again only when its ``Cluster`` object changes (each distinct
+    cluster state is one frozen object per run), and rendered once per write
+    for each of the node's variants; its address text once per address map,
+    through ``texts``. Per record only the tick's shared prefix and the
+    energy are new text."""
 
     snapshots: list[SimSnapshot]
     texts: Callable[[IPv6Address], str]
@@ -343,15 +330,13 @@ class TimelineRows:
 
 @dataclass
 class MessageRows:
-    """The simulate messages table, rendered event by event as
-    ``write_table`` writes it: ``len`` is its record count, and
-    ``chunks(fmt)`` yields each address event's records as one text. Each
-    Assign payload is its member's address in the event's ``assigned`` map.
-    Per map, a served cluster's records, all but their tick cell, are
-    rendered once per write for each distinct (first seq, head, members),
-    which is all they hold besides the map's addresses, and each member's
-    payload cell once, through ``texts``; per event only the tick's shared
-    prefix is new."""
+    """The simulate messages table for ``write_table``, a chunk per address
+    event. Each Assign payload is its member's address in the event's
+    ``assigned`` map. Per map, a served cluster's records, all but their
+    tick cell, are rendered once per write for each distinct (first seq,
+    head, members), which is all they hold besides the map's addresses, and
+    each member's payload cell once, through ``texts``; per event only the
+    tick's shared prefix is new."""
 
     events: list[AddressEvent]
     texts: Callable[[IPv6Address], str]
@@ -401,21 +386,52 @@ class MessageRows:
             yield prefix + records.replace("\0", layout.sep + prefix)
 
 
+@dataclass
+class EventRows:
+    """The simulate events table for ``write_table``, a chunk per snapshot
+    that has events. Each event kind's record is one template per write,
+    with its kind and empty cells filled in."""
+
+    snapshots: list[SimSnapshot]
+
+    def __len__(self) -> int:
+        return sum(len(snap.events) for snap in self.snapshots)
+
+    def chunks(self, fmt: str) -> Iterator[str]:
+        layout = EVENTS_TABLE.layouts[fmt]
+
+        def template(kind: str, *slots: int) -> str:
+            # "{}" in each of slots: the layout's braces are doubled, no filled cell holds one.
+            row = [kind if i == 1 else None for i in range(len(layout.before))]
+            cells = ["{}" if i in slots else layout.cell(i, v) for i, v in enumerate(row)]
+            return "".join(map(str.__add__, layout.before, cells)) + layout.end
+
+        heads = template("head_change", 0, 2, 3, 4)
+        recluster, address = template("recluster", 0, 5, 6, 7), template("address", 0, 8, 9)
+        for snap in self.snapshots:
+            records = []
+            for e in snap.events:
+                if type(e) is HeadChange:
+                    records.append(heads.format(e.at_tick, e.cluster_id, e.old_head, e.new_head))
+                elif type(e) is ReclusterEvent:
+                    index = layout.cell(5, e.trigger_index)
+                    counts = (e.old_cluster_count, e.new_cluster_count)
+                    records.append(recluster.format(e.at_tick, index, *counts))
+                else:  # an AddressEvent, by the counts of its addresses and messages
+                    records.append(address.format(e.at_tick, len(e.assigned), len(e.messages)))
+            if records:
+                yield layout.sep.join(records)
+
+
 def simulation_tables(snapshots: list[SimSnapshot]) -> dict[str, tuple[Table, object]]:
     """The simulate command's tables, by file stem: (table, rows). The
-    timeline's rows are a ``TimelineRows`` and the messages' a
-    ``MessageRows``; every other table's are tuples. The three tables that
-    hold addresses share one cache of their texts, so each address is made
-    text once (``str`` of an ``IPv6Address`` costs about 10 µs)."""
+    timeline's, events' and messages' rows render their own records; the
+    others' are tuples. The three tables that hold addresses share one cache
+    of their texts, so each address is made text once (``str`` of an
+    ``IPv6Address`` costs about 10 µs)."""
     texts = cache(str)
-    events, validation, address_events = [], [], []
-    for snap in snapshots:
-        for event in snap.events:
-            events.append(event_row(event))
-            if isinstance(event, AddressEvent):
-                address_events.append(event)
-        if snap.report is not None:
-            validation.append(report_row(snap.at_tick, snap.report))
+    validation = [report_row(s.at_tick, s.report) for s in snapshots if s.report is not None]
+    address_events = [e for s in snapshots for e in s.events if isinstance(e, AddressEvent)]
     final = snapshots[-1]
     addresses = [
         (node_id, cluster.cluster_id, texts(final.addresses[node_id]))
@@ -423,7 +439,7 @@ def simulation_tables(snapshots: list[SimSnapshot]) -> dict[str, tuple[Table, ob
     ]
     return {
         "timeline": (TIMELINE_TABLE, TimelineRows(snapshots, texts)),
-        "events": (EVENTS_TABLE, events),
+        "events": (EVENTS_TABLE, EventRows(snapshots)),
         "validation": (VALIDATION_TABLE, validation),
         "addresses": (ADDRESSES_TABLE, addresses),
         "messages": (MESSAGES_TABLE, MessageRows(address_events, texts)),

@@ -174,6 +174,44 @@ MUTANTS = (
         "a440769: re-elect only the clusters that can change",
         ("tests/test_head_election.py::test_settled_clusters_are_returned_unelected",),
     ),
+    Mutant(
+        "drain-gets-the-tick-0-clusters",
+        "clusterbench/sim.py",
+        "drain(energies, clusters, dead, config)",
+        "drain(energies, snapshots[0].clusters, dead, config)",
+        "0b60dce: drain reads the partition, so its heads must be the current ones",
+        (
+            "tests/test_sim.py::test_run_matches_full_reelection_every_tick",
+            "tests/test_sim.py::test_simulate_writes_what_the_whole_run_oracle_derives",
+        ),
+    ),
+    Mutant(
+        "a-head-change-swaps-its-heads",
+        "clusterbench/tables.py",
+        "e.cluster_id, e.old_head, e.new_head)",
+        "e.cluster_id, e.new_head, e.old_head)",
+        "the events table rendered from the snapshots, a template per event kind",
+        (
+            "tests/test_cli.py::test_simulate_events_fill_their_kind_columns",
+            "tests/test_tables.py::test_events_match_reference_rendering",
+        ),
+    ),
+    Mutant(
+        "an-eventless-snapshot-yields-an-empty-chunk",
+        "clusterbench/tables.py",
+        "            if records:\n                yield layout.sep.join(records)",
+        "            if True:\n                yield layout.sep.join(records)",
+        "the events table rendered from the snapshots, a chunk per snapshot with events",
+        ("tests/test_tables.py::test_events_match_reference_rendering",),
+    ),
+    Mutant(
+        "a-recluster-index-skips-its-cell-rule",
+        "clusterbench/tables.py",
+        "index = layout.cell(5, e.trigger_index)",
+        "index = e.trigger_index",
+        "the events table rendered from the snapshots; JSON writes an infinite index as \"inf\"",
+        ("tests/test_tables.py::test_a_recluster_index_is_written_by_its_column_rule",),
+    ),
 )
 
 

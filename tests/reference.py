@@ -16,9 +16,10 @@ put together from its bit fields, and ``handshake_messages`` expands the
 library's ``Handshake`` clusters into the same objects, each Assign payload
 read from the address map of the same ``assign_addresses`` call.
 ``ref_message_rows`` is the simulate messages table as tuples, each event's
-trace rebuilt by ``ref_handshake``. ``ref_addresses`` is the address map as an eager dict,
-each address built by ``node_address`` in serving order. ``ref_simulate`` is
-a whole simulate run from its config, all five tables as tuples, and
+trace rebuilt by ``ref_handshake``. ``ref_addresses`` is the address map as
+an eager dict, each address built by ``node_address`` in serving order.
+``event_row`` is one event as its events-table tuple. ``ref_simulate`` is a
+whole simulate run from its config, all five tables as tuples, and
 ``ref_csv_text`` and ``ref_json_text`` render rows as csv.writer and
 json.dumps write them.
 """
@@ -40,6 +41,7 @@ from clusterbench import (
     DegenerateGeometryError,
     InvariantViolation,
     MessageKind,
+    ReclusterEvent,
     UndefinedIndexError,
     classify,
     generate_scenario,
@@ -275,6 +277,19 @@ def ref_message_rows(snapshots, prefix48=DEFAULT_PREFIX48):
                     payload = None if msg.payload is None else str(msg.payload)
                     rows.append((event.at_tick, msg.seq, msg.sender, msg.receiver, msg.kind, payload))
     return rows
+
+
+def event_row(event) -> tuple:
+    """One events-table row; each event kind leaves the other kinds' columns
+    empty. An AddressEvent gives the counts of its addresses and messages."""
+    if isinstance(event, HeadChange):
+        heads = (event.cluster_id, event.old_head, event.new_head)
+        return (event.at_tick, "head_change", *heads, None, None, None, None, None)
+    if isinstance(event, ReclusterEvent):
+        counts = (event.trigger_index, event.old_cluster_count, event.new_cluster_count)
+        return (event.at_tick, "recluster", None, None, None, *counts, None, None)
+    sizes = (len(event.assigned), len(event.messages))  # an AddressEvent
+    return (event.at_tick, "address", None, None, None, None, None, None, *sizes)
 
 
 def ref_simulate(config, nodes, prefix48=DEFAULT_PREFIX48):

@@ -26,7 +26,7 @@ from clusterbench import (
 )
 from clusterbench import addressing, cli, sim, validation
 from clusterbench.model import COMPARATORS, MAX_NODE_TICKS
-from clusterbench.sim import AddressEvent
+from clusterbench.sim import AddressEvent, SimSnapshot
 from clusterbench.tables import (
     ADDRESSES_TABLE,
     EVENTS_TABLE,
@@ -34,13 +34,13 @@ from clusterbench.tables import (
     NODES_TABLE,
     TIMELINE_TABLE,
     VALIDATION_TABLE,
-    event_row,
     nodes_rows,
     simulation_tables,
     write_table,
 )
 from reference import (
     DEFAULT_PREFIX48,
+    event_row,
     ref_csv_text,
     ref_dunn_index,
     ref_expac_cluster,
@@ -464,10 +464,11 @@ def test_each_cluster_state_is_built_once_per_run(monkeypatch):
 def test_run_holds_under_6_5_mb_on_the_steady_workload():
     # 100 500 node-ticks. Each tick's snapshot keeps its partition and its
     # energies as one list indexed by node id; every cluster state is shared,
-    # so the run holds about 5.1 MB, against 8.0 MB when each snapshot kept a
-    # node id -> energy dict and 13.1 MB when each head change built a new
-    # Cluster. tracemalloc counts Python's allocations, so the figure does
-    # not depend on the host.
+    # and the records hold their fields in slots, so the run holds about
+    # 4.3 MB, against 5.0 MB with a __dict__ per record, 8.0 MB when each
+    # snapshot kept a node id -> energy dict and 13.1 MB when each head
+    # change built a new Cluster. tracemalloc counts Python's allocations, so
+    # the figure does not depend on the host.
     config = steady_config()
     tracemalloc.start()
     try:
@@ -477,6 +478,35 @@ def test_run_holds_under_6_5_mb_on_the_steady_workload():
         tracemalloc.stop()
     assert len(snaps) == 201
     assert held < 6.5e6, held
+
+
+def test_the_steady_workload_tables_allocate_under_0_5_mb():
+    # simulation_tables renders the events from the snapshots as they are
+    # written, as it does the timeline and the messages, so it allocates only
+    # the validation and addresses rows: about 0.19 MB at its peak, against
+    # 2.18 MB when it held a 10-cell row tuple for each event.
+    snaps = run_simulation(steady_config())
+    assert len(head_changes(snaps)) >= 10_000
+    tracemalloc.start()
+    try:
+        tables = simulation_tables(snaps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(tables["events"][1]) == sum(len(snap.events) for snap in snaps)
+    assert peak < 0.5e6, peak
+
+
+def test_event_and_snapshot_records_have_no_instance_dict():
+    # A run keeps every record to its end, 15 467 head changes on the steady
+    # workload, so each one holds its fields in slots: a HeadChange takes
+    # about 40 B less than with a __dict__.
+    records = [
+        HeadChange(3, 1, 2, 5), ReclusterEvent(5, 0.25, 4, 4), AddressEvent(0, {}, None),
+        SimSnapshot(0, None, [], None, (), {}),
+    ]
+    for record in records:
+        assert not hasattr(record, "__dict__"), type(record)
 
 
 # --- settled clusters: carried over, never elected again ---------------------

@@ -22,6 +22,7 @@ from clusterbench import (
     ClusterSet,
     Compactness,
     DEFAULT_PREFIX,
+    HeadChange,
     InputError,
     MessageKind,
     Node,
@@ -43,6 +44,7 @@ from clusterbench.tables import (
     NODES_TABLE,
     SWEEP_TABLE,
     VALIDATION_TABLE,
+    EventRows,
     Kind,
     Table,
     clusters_rows,
@@ -62,9 +64,11 @@ from reference import (
     DEFAULT_PREFIX48,
     MESSAGES_COLUMNS,
     TIMELINE_COLUMNS,
+    event_row,
     ref_csv_text,
     ref_json_text,
     ref_message_rows,
+    ref_simulate,
     ref_timeline_rows,
 )
 from strategies import head_rotations, member_moves, partitions
@@ -101,19 +105,25 @@ def test_clusters_roundtrip(tmp_path):
     assert positions == {n.node_id: n.pos for n in nodes}
 
 
-def reclustering_run():
-    """200 nodes at 25 nodes/ha that re-cluster on every tick: nodes, snapshots."""
+def reclustering_config():
+    """200 nodes at 25 nodes/ha that re-cluster on every tick."""
     side = 100.0 * math.sqrt(200 / 25)
-    config = config_from_dict(
+    return config_from_dict(
         {"node_count": 200, "area": [side, side], "dunn_recluster_threshold": 2.0}
     )
+
+
+def reclustering_run():
+    """``reclustering_config``'s run: nodes, snapshots."""
+    config = reclustering_config()
     nodes = generate_scenario(config)
     return nodes, run_simulation(config, nodes)
 
 
 def test_every_row_has_one_cell_per_column():
-    # The timeline and messages render their own records (see the reference
-    # tests below).
+    # The timeline, events and messages render their own records (see the
+    # reference tests below, and test_sim's whole-run oracle test, which
+    # pins every byte of them); the events' reference rows are checked here.
     nodes, snapshots = reclustering_run()
     clusters = snapshots[0].clusters
     rows_by_columns = [
@@ -126,8 +136,10 @@ def test_every_row_has_one_cell_per_column():
     rows_by_columns += [
         (table.columns, rows)
         for stem, (table, rows) in simulation_tables(snapshots).items()
-        if stem not in ("timeline", "messages")
+        if stem not in ("timeline", "events", "messages")
     ]
+    events = ref_simulate(reclustering_config(), nodes)["events"]
+    rows_by_columns.append((EVENTS_TABLE.columns, events))
     assert len(rows_by_columns) == 3 + len(clusters.clusters) + 3
     for columns, rows in rows_by_columns:
         assert rows
@@ -287,6 +299,24 @@ def test_timeline_matches_reference_rendering(scratch, snapshots):
     table, rows = simulation_tables(snapshots)["timeline"]
     assert table.columns == TIMELINE_COLUMNS
     assert_written_as(scratch / "timeline", table, rows, ref_timeline_rows(snapshots))
+
+
+@settings(max_examples=150, deadline=None)
+@given(snapshots=simulations())
+def test_events_match_reference_rendering(scratch, snapshots):
+    table, rows = simulation_tables(snapshots)["events"]
+    expected = [event_row(event) for snap in snapshots for event in snap.events]
+    assert_written_as(scratch / "events", table, rows, expected)
+
+
+@pytest.mark.parametrize("index", [math.inf, -math.inf, 0.1, -0.0])
+def test_a_recluster_index_is_written_by_its_column_rule(tmp_path, index):
+    # A run re-clusters only at an index below its finite threshold, never at
+    # an infinite one, so only a hand-built event shows that the index goes
+    # through the number column's rule: JSON's infinities are "inf"/"-inf".
+    events = (HeadChange(4, 0, 1, 2), ReclusterEvent(2, index, 3, 3), HeadChange(4, 1, 0, 2))
+    rows = EventRows([SimSnapshot(2, None, [], None, events, {})])
+    assert_written_as(tmp_path / "events", EVENTS_TABLE, rows, list(map(event_row, events)))
 
 
 @settings(max_examples=150, deadline=None)
