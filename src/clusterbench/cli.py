@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import os
-import statistics
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -175,6 +174,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    import statistics  # with fractions and decimal, only sweep needs it
+
     config = resolve_config(args)
     sizes, seeds = args.sizes, args.seeds  # a replayed manifest's may hold anything
     if not (isinstance(sizes, list) and sizes and all(_count(n, MAX_NODES) for n in sizes)):

@@ -13,7 +13,6 @@ column twice is refused.
 from __future__ import annotations
 
 import csv
-import hashlib
 import json
 import math
 import os
@@ -21,7 +20,6 @@ import time
 from collections import defaultdict
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
-from datetime import datetime, timezone
 from enum import Enum
 from functools import cache, partial
 from ipaddress import IPv6Address
@@ -131,9 +129,11 @@ class Layout:
     ``before[0]``, cell 0, ``before[1]``, cell 1 and so on, then ``end``; in
     JSON, one object of ``json.dump(indent=2)``'s layout. ``before`` and
     ``end`` are ``str.format`` texts, with each brace doubled, and
-    ``cell_texts`` holds each column's ``_cell_texts``."""
+    ``cell_texts`` holds each column's ``_cell_texts``. A None in a column
+    that is not optional is a ValueError that names the column."""
 
     def __init__(self, table: Table, fmt: str) -> None:
+        self.columns, self.required = table.columns, [not kind.optional for kind in table.kinds]
         if fmt == "csv":
             self.before = ["", *[","] * (len(table.columns) - 1)]
             self.end, self.sep, self.tail = "\n", "", ""
@@ -148,6 +148,8 @@ class Layout:
 
     def cell(self, i: int, value) -> str:
         """The text of ``value`` in column ``i`` (a KeyError outside a vocabulary)."""
+        if value is None and self.required[i]:
+            raise ValueError(f"column {self.columns[i]} is not optional, got None")
         texts = self.cell_texts[i]
         return str(value if texts is None else next(texts((value,))))
 
@@ -164,6 +166,9 @@ class Layout:
             columns = list(zip(*rows[start : start + CHUNK_ROWS], strict=True))
             if len(columns) != len(self.cell_texts):
                 raise ValueError(f"rows of {len(columns)} cells for {len(self.cell_texts)} columns")
+            for name, required, column in zip(self.columns, self.required, columns):
+                if required and None in column:  # one scan in C per chunk column
+                    raise ValueError(f"column {name} is not optional, got None")
             cells = [c if texts is None else texts(c) for texts, c in zip(self.cell_texts, columns)]
             yield self.sep.join(map(self.template.format, *cells))
 
@@ -535,6 +540,10 @@ def read_clusters_csv(path: str | Path) -> tuple[ClusterSet, dict[NodeId, Positi
 
 
 def sha256_file(path: str | Path) -> str:
+    """A file's sha256, in hex. hashlib loads OpenSSL, which only a run that
+    read a table needs, so it is imported here."""
+    import hashlib
+
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
         for block in iter(lambda: fh.read(1 << 16), b""):
@@ -543,16 +552,19 @@ def sha256_file(path: str | Path) -> str:
 
 
 def manifest_timestamp() -> str:
-    """UTC ISO-8601 stamp; honors SOURCE_DATE_EPOCH for reproducible output."""
+    """UTC ISO-8601 stamp; honors SOURCE_DATE_EPOCH for reproducible output.
+    A stamp is in years 1 to 9999, the range that ``datetime`` formats."""
     epoch = os.environ.get("SOURCE_DATE_EPOCH")
     try:
         moment = parse_int(epoch) if epoch else int(time.time())
-        return datetime.fromtimestamp(moment, tz=timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
-    except (ValueError, OverflowError, OSError):
+        if not -62135596800 <= moment <= 253402300799:
+            raise ValueError
+    except ValueError:
         raise ConfigError(
-            f"SOURCE_DATE_EPOCH must be an integer count of seconds in the "
-            f"datetime range, got {epoch!r}"
+            f"SOURCE_DATE_EPOCH must be an integer count of seconds in "
+            f"years 1 to 9999, got {epoch!r}"
         ) from None
+    return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime(moment))
 
 
 #: The flags a run manifest records by value, each with the value a run takes

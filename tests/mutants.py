@@ -11,7 +11,9 @@ The runner copies ``src/``, ``tests/`` and ``pyproject.toml`` to a temporary
 directory: run in the checkout, pyproject's ``pythonpath = ["src"]`` would
 put the unmutated ``src/`` first whatever ``PYTHONPATH`` says. It applies one
 mutant at a time and runs that mutant's tests in one pytest process, which
-stops at the first failure. Each mutant is reported as killed (a test
+stops at the first failure, under the Hypothesis profile ``mutants`` of
+``tests/conftest.py``: a failing example is not shrunk, since only the
+failure counts here. Each mutant is reported as killed (a test
 failed), survived (every test passed) or stale (its ``old`` text is not in
 its file exactly once, or pytest could not run its tests). A mutant that
 changes no behaviour a test can see gives the reason as ``equivalent`` and is
@@ -212,6 +214,41 @@ MUTANTS = (
         "the events table rendered from the snapshots; JSON writes an infinite index as \"inf\"",
         ("tests/test_tables.py::test_a_recluster_index_is_written_by_its_column_rule",),
     ),
+    Mutant(
+        "the-sweep-has-no-rounding-margin",
+        "clusterbench/validation.py",
+        "        w = best * 0.5 + delta\n",
+        "        w = best * 0.5\n",
+        "7000936: the closest-pair sweep widens its window by the rounding margin",
+        (
+            "tests/test_validation.py::test_index_in_the_subnormal_range",
+            "tests/test_validation.py::test_index_matches_reference_when_rounding_hides_the_closest_pair",
+        ),
+    ),
+    Mutant(
+        "the-margin-keeps-the-smallest-subnormal",
+        "clusterbench/clustering.py",
+        "2.0**-1072 if",
+        "2.0**-1074 if",
+        "7000936: halving rounds subnormals, so the margin's absolute term grew to 2**-1072",
+        ("tests/test_validation.py::test_index_in_the_subnormal_range",),
+    ),
+    Mutant(
+        "hashlib-is-imported-at-module-load",
+        "clusterbench/tables.py",
+        "import csv\nimport json\n",
+        "import csv\nimport hashlib\nimport json\n",
+        "the lazy imports: only a run that read a table loads OpenSSL",
+        ("tests/test_stdlib_only.py::test_a_command_loads_only_the_stdlib_it_runs",),
+    ),
+    Mutant(
+        "the-timestamp-range-admits-year-10000",
+        "clusterbench/tables.py",
+        "<= 253402300799:",
+        "<= 253402300800:",
+        "the timestamp without datetime: a stamp is in years 1 to 9999",
+        ("tests/test_cli.py::test_bad_source_date_epoch_is_config_error[253402300800]",),
+    ),
 )
 
 
@@ -232,7 +269,10 @@ def run_mutant(mutant: Mutant, work: Path) -> str:
     path.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     env["PYTHONDONTWRITEBYTECODE"] = "1"
-    command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *mutant.tests]
+    command = [
+        sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+        "--hypothesis-profile=mutants", *mutant.tests,
+    ]
     try:
         proc = subprocess.run(command, cwd=work, env=env, capture_output=True, text=True)
     finally:

@@ -146,7 +146,11 @@ def test_bad_integer_flag_is_config_error(tmp_path, capsys, flag, argv):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("value", ["abc", "-99999999999999", "1_700_000_000", "\u0661\u0667"])
+# A stamp is in years 1 to 9999: one second past either end is refused.
+@pytest.mark.parametrize(
+    "value",
+    ["abc", "-99999999999999", "1_700_000_000", "\u0661\u0667", "253402300800", "-62135596801"],
+)
 def test_bad_source_date_epoch_is_config_error(tmp_path, monkeypatch, capsys, value):
     monkeypatch.setenv("SOURCE_DATE_EPOCH", value)
     out = tmp_path / "s"

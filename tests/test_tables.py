@@ -491,6 +491,20 @@ def test_a_row_of_the_wrong_width_is_refused(tmp_path, fmt, rows):
         write_table(tmp_path / f"sweep.{fmt}", SWEEP_TABLE, rows, fmt)
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_none_in_a_column_that_is_not_optional_is_refused(tmp_path, fmt):
+    # Kept, it would be written as None, which is not even JSON.
+    rows = [(i, 1.0, 2.0, 3.0) for i in range(200)] + [(200, None, 2.0, 3.0)]  # in chunk 2
+    with pytest.raises(ValueError, match="^column x is not optional, got None$"):
+        write_table(tmp_path / f"nodes.{fmt}", NODES_TABLE, rows, fmt)
+    row = (0, 1, None, 2.0, 3.0, 4.0, False)  # a flag's None is not a KeyError either
+    with pytest.raises(ValueError, match="^column is_head is not optional, got None$"):
+        write_table(tmp_path / f"clusters.{fmt}", CLUSTERS_TABLE, [row], fmt)
+    with pytest.raises(ValueError, match="^column node_id is not optional, got None$"):
+        NODES_TABLE.layouts[fmt].cell(0, None)
+    assert SWEEP_TABLE.layouts[fmt].cell(2, None) == {"csv": "", "json": "null"}[fmt]
+
+
 def test_write_table_rejects_unknown_format(tmp_path):
     with pytest.raises(InputError):
         write_table(tmp_path / "t.xml", SWEEP_TABLE, [], "xml")
@@ -725,6 +739,16 @@ def test_manifest_honors_source_date_epoch(tmp_path, monkeypatch):
     assert data["timestamp"] == "2023-11-14T22:13:20Z"
     assert text == json.dumps(data, indent=2, sort_keys=True) + "\n"
     assert "prefix" not in data
+
+
+# The ends of years 1 to 9999; glibc's %Y does not pad year 1.
+@pytest.mark.parametrize(
+    "epoch, stamp",
+    [("253402300799", "9999-12-31T23:59:59Z"), ("-62135596800", "1-01-01T00:00:00Z")],
+)
+def test_source_date_epoch_stamps_the_ends_of_its_range(monkeypatch, epoch, stamp):
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", epoch)
+    assert manifest_timestamp() == stamp
 
 
 def test_sha256_is_stable(tmp_path):
