@@ -14,7 +14,8 @@ from __future__ import annotations
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from enum import Enum
-from ipaddress import AddressValueError, IPv6Address, IPv6Network
+from functools import cached_property
+from ipaddress import IPv6Address, IPv6Network
 from operator import attrgetter
 
 from .errors import CapacityError, InputError
@@ -32,8 +33,10 @@ class MessageKind(str, Enum):
 def parse_prefix(prefix: str | int) -> int:
     """Normalize a routing prefix to its 48-bit integer value.
 
-    Accepts an int (already the 48-bit value), or text like ``fd00::/48``,
-    ``fd00::`` — any IPv6 address whose low 80 bits are zero.
+    Accepts an int (already the 48-bit value), or the text of a bare /48
+    prefix: ``fd00::/48``, or without its length ``fd00::`` or the group
+    form ``fd00:0:0``. Host bits below the top 48, in any spelling, another
+    length and empty text are an ``InputError``.
     """
     if isinstance(prefix, int) and not isinstance(prefix, bool):
         if not 0 <= prefix < 2**48:
@@ -41,30 +44,16 @@ def parse_prefix(prefix: str | int) -> int:
         return prefix
     if not isinstance(prefix, str):
         raise InputError(f"prefix must be text or int, got {type(prefix).__name__}")
-    text = prefix.strip()
-    if "/" in text:
-        try:
-            net = IPv6Network(text, strict=False)
-        except (AddressValueError, ValueError) as err:
-            raise InputError(f"bad prefix {prefix!r}: {err}") from err
-        if net.prefixlen != 48:
-            raise InputError(f"prefix length must be 48, got /{net.prefixlen}")
-        base = int(net.network_address)
-    else:
-        try:
-            base = int(IPv6Address(text))
-        except (AddressValueError, ValueError) as err:
-            # a bare group form like "fd00:0:0" names just the leading bits
-            if "::" not in text:
-                try:
-                    base = int(IPv6Address(text + "::"))
-                except (AddressValueError, ValueError):
-                    raise InputError(f"bad prefix {prefix!r}: {err}") from err
-            else:
-                raise InputError(f"bad prefix {prefix!r}: {err}") from err
-    if base & ((1 << 80) - 1):
-        raise InputError(f"prefix {prefix!r} has bits set below the top 48")
-    return base >> 80
+    address, slash, length = prefix.strip().partition("/")
+    if address and "::" not in address and address.count(":") < 7:
+        address += "::"  # a bare group form like "fd00:0:0" names just the leading bits
+    try:
+        net = IPv6Network(f"{address}/{length if slash else 48}")
+    except ValueError as err:
+        raise InputError(f"bad prefix {prefix!r}: {err}") from err
+    if net.prefixlen != 48:
+        raise InputError(f"prefix length must be 48, got /{net.prefixlen}")
+    return int(net.network_address) >> 80
 
 
 def node_address(prefix48: int, cluster_id: int, node_id: NodeId) -> IPv6Address:
@@ -110,23 +99,21 @@ class AddressMap(Mapping[NodeId, IPv6Address]):
         self._prefix48 = prefix48
         self._ordered = ordered
         self._len = node_universe
-        self._built: dict[NodeId, IPv6Address] | None = None
 
+    @cached_property
     def _addresses(self) -> dict[NodeId, IPv6Address]:
-        if self._built is None:
-            built = {}
-            for cluster in self._ordered:
-                cluster_id, head = cluster.cluster_id, cluster.head
-                for node_id in (head, *(m for m in cluster.members if m != head)):
-                    built[node_id] = node_address(self._prefix48, cluster_id, node_id)
-            self._built = built
-        return self._built
+        addresses = {}
+        for cluster in self._ordered:
+            cluster_id, head = cluster.cluster_id, cluster.head
+            for node_id in (head, *(m for m in cluster.members if m != head)):
+                addresses[node_id] = node_address(self._prefix48, cluster_id, node_id)
+        return addresses
 
     def __getitem__(self, node_id: NodeId) -> IPv6Address:
-        return self._addresses()[node_id]
+        return self._addresses[node_id]
 
     def __iter__(self) -> Iterator[NodeId]:
-        return iter(self._addresses())
+        return iter(self._addresses)
 
     def __len__(self) -> int:
         return self._len

@@ -140,6 +140,7 @@ def run_simulation(
     if nodes is None:
         nodes = generate_scenario(config)
 
+    t = 0  # the tick a domain error is raised at
     try:
         clusters = expac_cluster(nodes, config.tx_range)
         # By id, not input order: expac_cluster has checked the ids are 0..N-1.
@@ -157,34 +158,30 @@ def run_simulation(
             report = None
         events: list[Event] = [AddressEvent(0, addresses, messages)]
         snapshots = [SimSnapshot(0, clusters, energies, report, tuple(events), addresses)]
-    except ClusterBenchError as err:
-        raise type(err)(f"tick 0: {err}") from err
-
-    # expac_cluster reads only the static positions and rotate_heads keeps
-    # membership, so every later partition, Dunn report and address map is
-    # the tick-0 one: a re-cluster keeps the cluster count and re-runs only
-    # the handshake, whose trace depends on the current heads; its own
-    # address map is never read, so never built. Each distinct cluster state
-    # is built and checked once per run: heads cycle among the same few
-    # members, so ``states`` hands back the object of a state seen before.
-    #
-    # Only a cluster whose election can still change is re-elected; the
-    # ``settled`` rest are carried over as they are, which is exact because
-    # an election reads nothing but its members' readings:
-    # - a singleton, from tick 1 on: its one member is its head, and its
-    #   exempt set, which never holds the head, is empty. Its reading is a
-    #   drain result, >= +0.0 and never NaN, so it can always be elected.
-    # - a ``dead`` cluster, one that ``drain`` left with no reading above
-    #   0.0, from the tick after: max(0.0, 0.0 - r) is 0.0 for every r >= 0
-    #   (ScenarioConfig holds drain_head >= drain_member >= 0), so ``drain``
-    #   passes it by and its election never changes again. ``dead`` starts
-    #   empty: a tick-0 reading of -0.0 is drained to 0.0 at tick 1.
-    count = len(clusters.clusters)
-    states = cluster_states(clusters)
-    settled = {c.cluster_id for c in clusters.clusters if len(c.members) == 1}
-    dead: set[int] = set()
-    for t in range(1, config.steps + 1):
-        try:
+        # expac_cluster reads only the static positions and rotate_heads keeps
+        # membership, so every later partition, Dunn report and address map is
+        # the tick-0 one: a re-cluster keeps the cluster count and re-runs only
+        # the handshake, whose trace depends on the current heads; its own
+        # address map is never read, so never built. Each distinct cluster state
+        # is built and checked once per run: heads cycle among the same few
+        # members, so ``states`` hands back the object of a state seen before.
+        #
+        # Only a cluster whose election can still change is re-elected; the
+        # ``settled`` rest are carried over as they are, which is exact because
+        # an election reads nothing but its members' readings:
+        # - a singleton, from tick 1 on: its one member is its head, and its
+        #   exempt set, which never holds the head, is empty. Its reading is a
+        #   drain result, >= +0.0 and never NaN, so it can always be elected.
+        # - a ``dead`` cluster, one that ``drain`` left with no reading above
+        #   0.0, from the tick after: max(0.0, 0.0 - r) is 0.0 for every r >= 0
+        #   (ScenarioConfig holds drain_head >= drain_member >= 0), so ``drain``
+        #   passes it by and its election never changes again. ``dead`` starts
+        #   empty: a tick-0 reading of -0.0 is drained to 0.0 at tick 1.
+        count = len(clusters.clusters)
+        states = cluster_states(clusters)
+        settled = {c.cluster_id for c in clusters.clusters if len(c.members) == 1}
+        dead: set[int] = set()
+        for t in range(1, config.steps + 1):
             energies, died = drain(energies, clusters, dead, config)
             clusters, changes = rotate_heads(
                 clusters, energies, config.energy_threshold, config.comparator, t, states,
@@ -201,7 +198,7 @@ def run_simulation(
             snapshots.append(
                 SimSnapshot(t, clusters, energies, scheduled, tuple(events), addresses)
             )
-        except ClusterBenchError as err:
-            raise type(err)(f"tick {t}: {err}") from err
+    except ClusterBenchError as err:
+        raise type(err)(f"tick {t}: {err}") from err
 
     return snapshots

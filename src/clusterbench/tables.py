@@ -218,18 +218,23 @@ def write_table(path: str | Path, table: Table, rows, fmt: str = "csv") -> None:
     line endings. ``rows`` is a list of tuples in column order, or an object
     whose ``chunks(fmt)`` yields its own records in the table's layout, some
     records a chunk, such as a ``TimelineRows``; either way ``len(rows)`` is
-    the record count."""
+    the record count. A write that raises once the file is open removes it."""
     if fmt not in FORMATS:
         raise InputError(f"format must be one of {FORMATS}, got {fmt!r}")
     layout = table.layouts[fmt]
     chunks = rows.chunks(fmt) if hasattr(rows, "chunks") else layout.records(rows)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        written = False
-        for chunk in chunks:
-            fh.write(layout.sep if written else layout.head)
-            fh.write(chunk)
-            written = True
-        fh.write(layout.tail if written else layout.empty)
+    fh = open(path, "w", encoding="utf-8", newline="")
+    try:
+        with fh:
+            written = False
+            for chunk in chunks:
+                fh.write(layout.sep if written else layout.head)
+                fh.write(chunk)
+                written = True
+            fh.write(layout.tail if written else layout.empty)
+    except BaseException:
+        Path(path).unlink(missing_ok=True)
+        raise
 
 
 def write_dat(path: str | Path, columns: list[str], rows: Iterable[tuple]) -> None:

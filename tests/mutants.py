@@ -9,7 +9,9 @@ models. Run from anywhere, with pytest and hypothesis installed:
 
 The runner copies ``src/``, ``tests/`` and ``pyproject.toml`` to a temporary
 directory: run in the checkout, pyproject's ``pythonpath = ["src"]`` would
-put the unmutated ``src/`` first whatever ``PYTHONPATH`` says. It applies one
+put the unmutated ``src/`` first whatever ``PYTHONPATH`` says. It first runs
+the chosen mutants' tests on the unmutated copy, in one pytest process, and
+stops with exit status 1, printing that run, if any fails. It then applies one
 mutant at a time and runs that mutant's tests in one pytest process, which
 stops at the first failure, under the Hypothesis profile ``mutants`` of
 ``tests/conftest.py``: a failing example is not shrunk, since only the
@@ -249,6 +251,64 @@ MUTANTS = (
         "the timestamp without datetime: a stamp is in years 1 to 9999",
         ("tests/test_cli.py::test_bad_source_date_epoch_is_config_error[253402300800]",),
     ),
+    Mutant(
+        "messages-are-cached-without-their-first-seq",
+        "clusterbench/tables.py",
+        "                part = rendered.get(key)\n"
+        "                if part is None:\n"
+        "                    part = rendered[key] = render(*key)",
+        "                part = rendered.get(key[1:])\n"
+        "                if part is None:\n"
+        "                    part = rendered[key[1:]] = render(*key)",
+        "bb0c694: a served cluster's records are cached under (first seq, head, members)",
+        ("tests/test_tables.py::test_messages_follow_each_address_event",),
+    ),
+    Mutant(
+        "messages-are-cached-without-their-members",
+        "clusterbench/tables.py",
+        "                part = rendered.get(key)\n"
+        "                if part is None:\n"
+        "                    part = rendered[key] = render(*key)",
+        "                part = rendered.get(key[:2])\n"
+        "                if part is None:\n"
+        "                    part = rendered[key[:2]] = render(*key)",
+        "bb0c694: a served cluster's records are cached under (first seq, head, members)",
+        ("tests/test_tables.py::test_messages_follow_each_address_event",),
+    ),
+    Mutant(
+        "a-node-text-is-cached-without-its-exempt-flag",
+        "clusterbench/tables.py",
+        "                    text = variants.get(variant)\n"
+        "                    if text is None:\n"
+        "                        text = variants[variant] = node_text.format(",
+        "                    text = variants.get(variant[:3])\n"
+        "                    if text is None:\n"
+        "                        text = variants[variant[:3]] = node_text.format(",
+        "6c8fbae: a timeline variant without the exempt flag",
+        (
+            "tests/test_tables.py::test_timeline_matches_reference_rendering",
+            "tests/test_golden.py::test_outputs_match_golden_digests",
+        ),
+    ),
+    Mutant(
+        "a-rotation-compares-members-by-equality",
+        "clusterbench/model.py",
+        "map(is_, map(_MEMBERS, clusters), map(_MEMBERS, before.clusters))",
+        "map(lambda a, b: a == b, map(_MEMBERS, clusters), map(_MEMBERS, before.clusters))",
+        "bb0c694: comparing members by == in ClusterSet._rotation changes no output",
+        ("tests/test_model.py::test_rotation_requires_each_predecessor_members_object",),
+    ),
+    Mutant(
+        "host-bits-in-a-prefix-are-masked",
+        "clusterbench/addressing.py",
+        '        net = IPv6Network(f"{address}/{length if slash else 48}")',
+        '        net = IPv6Network(f"{address}/{length if slash else 48}", strict=False)',
+        "the strict prefix parse: fd00::1/48 ran as fd00::/48",
+        (
+            "tests/test_addressing.py::test_host_bits_or_empty_text_are_refused",
+            "tests/test_exit_codes.py::test_host_bits_or_an_empty_prefix_exit_3_before_placement",
+        ),
+    ),
 )
 
 
@@ -259,6 +319,18 @@ def _copy_tree(work: Path) -> None:
     shutil.copy2(ROOT / "pyproject.toml", work / "pyproject.toml")
 
 
+def _pytest(work: Path, tests) -> subprocess.CompletedProcess:
+    """Run ``tests`` in the copy at ``work``, in one pytest process that stops
+    at the first failure."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    env["PYTHONDONTWRITEBYTECODE"] = "1"
+    command = [
+        sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+        "--hypothesis-profile=mutants", *tests,
+    ]
+    return subprocess.run(command, cwd=work, env=env, capture_output=True, text=True)
+
+
 def run_mutant(mutant: Mutant, work: Path) -> str:
     """Apply ``mutant`` in the copy at ``work``, run its tests, restore the
     file and say whether it was killed, survived or is stale."""
@@ -267,14 +339,8 @@ def run_mutant(mutant: Mutant, work: Path) -> str:
     if text.count(mutant.old) != 1:
         return f"stale: its old text occurs {text.count(mutant.old)} times"
     path.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
-    env["PYTHONDONTWRITEBYTECODE"] = "1"
-    command = [
-        sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-        "--hypothesis-profile=mutants", *mutant.tests,
-    ]
     try:
-        proc = subprocess.run(command, cwd=work, env=env, capture_output=True, text=True)
+        proc = _pytest(work, mutant.tests)
     finally:
         path.write_text(text, encoding="utf-8")
     stale = f"stale: pytest exited {proc.returncode}"
@@ -293,6 +359,14 @@ def main(names: list[str]) -> int:
     with tempfile.TemporaryDirectory(prefix="clusterbench-mutants-") as tmp:
         work = Path(tmp)
         _copy_tree(work)
+        # A test that fails unmutated would count every mutant it names as killed.
+        baseline = _pytest(work, dict.fromkeys(t for m in chosen for t in m.tests))
+        if baseline.returncode:
+            print(baseline.stdout + baseline.stderr, end="")
+            print(f"the unmutated copy fails its tests (pytest exited {baseline.returncode}); "
+                  "no mutant was run")
+            return 1
+        print(f"baseline  {time.perf_counter() - start:5.1f} s  every named test passes unmutated")
         for mutant in chosen:
             began = time.perf_counter()
             verdict = run_mutant(mutant, work)

@@ -51,6 +51,32 @@ def test_prefix_rejects_bad_values():
         parse_prefix(True)
 
 
+@pytest.mark.parametrize(
+    "prefix,value",
+    [
+        ("fd00::/48", 0xFD00_0000_0000),
+        ("fd00::", 0xFD00_0000_0000),
+        ("fd00:0:0", 0xFD00_0000_0000),
+        ("fd00:1:2::", 0xFD00_0001_0002),
+        (" fd00::/48 ", 0xFD00_0000_0000),
+        ("2001:db8:1::/48", 0x2001_0DB8_0001),
+        ("fd00:0:0:0:0:0:0:0", 0xFD00_0000_0000),
+        ("fd00::/048", 0xFD00_0000_0000),
+        (0xFD00_0000_0000, 0xFD00_0000_0000),
+    ],
+)
+def test_prefix_spellings_parse_to_their_48_bits(prefix, value):
+    assert parse_prefix(prefix) == value
+
+
+@pytest.mark.parametrize("prefix", ["fd00::1/48", "fd00:0:0:1::/48", ""])
+def test_host_bits_or_empty_text_are_refused(prefix):
+    # As "fd00::1" is: a length does not mask the bits below the top 48, and
+    # empty text names no prefix.
+    with pytest.raises(InputError, match=f"^bad prefix {prefix!r}: "):
+        parse_prefix(prefix)
+
+
 def test_head_only_cluster_has_no_traffic():
     clusters = ClusterSet((Cluster(0, 0, (0,)),), 1)
     addresses, trace = assign_addresses(clusters)

@@ -193,6 +193,31 @@ def test_bad_prefix_exits_3_before_placement(tmp_path, monkeypatch):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("prefix", ["fd00::1/48", "fd00:0:0:1::/48", ""])
+@pytest.mark.parametrize("replayed", [False, True], ids=["flag", "manifest"])
+def test_host_bits_or_an_empty_prefix_exit_3_before_placement(
+    tmp_path, monkeypatch, prefix, replayed
+):
+    # fd00::1/48 ran as fd00::/48, and an empty prefix as ::/48.
+    def refuse(config):
+        raise AssertionError("placed a population for a run with a bad prefix")
+
+    monkeypatch.setattr(cli, "generate_scenario", refuse)
+    monkeypatch.setattr(sim, "generate_scenario", refuse)
+    cfg = tmp_path / "cfg.json"
+    if replayed:
+        cfg.write_text(json.dumps({"command": "simulate", "config": BASE, "prefix": prefix}))
+        flags = ()
+    else:
+        cfg.write_text(json.dumps(BASE))
+        flags = ("--prefix", prefix)
+    out = tmp_path / "out"
+    code, err = run_main("simulate", "--config", cfg, "--out", out, *flags)
+    assert code == 3, err
+    assert err.startswith(f"input error: bad prefix {prefix!r}: ")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "key,value,code",
     [

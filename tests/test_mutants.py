@@ -2,8 +2,11 @@
 its file, the mutated file still compiles, and each test it names exists.
 No mutant is run here; ``python tests/mutants.py`` runs them."""
 
+import subprocess
+
 import pytest
 
+import mutants
 from mutants import MUTANTS, ROOT
 
 
@@ -22,3 +25,20 @@ def test_mutant_applies_once_and_names_existing_tests(mutant):
         path, _, name = node.partition("::")
         source = (ROOT / path).read_text(encoding="utf-8")
         assert not name or f"\ndef {name.split('[')[0]}(" in source, node
+
+
+def test_a_failing_baseline_runs_no_mutant(monkeypatch, capsys):
+    # Tests that fail on the unmutated copy would report every mutant they
+    # name as killed, so the runner prints that run and applies no mutant.
+    runs = []
+
+    def failing(command, **kwargs):
+        runs.append(command)
+        return subprocess.CompletedProcess(command, 1, "F\n1 failed in 0.1s\n", "")
+
+    monkeypatch.setattr(mutants.subprocess, "run", failing)
+    monkeypatch.setattr(mutants, "run_mutant", lambda *args: pytest.fail("a mutant was run"))
+    mutant = MUTANTS[0]
+    assert mutants.main([mutant.name]) == 1
+    assert len(runs) == 1 and runs[0][-len(mutant.tests):] == list(mutant.tests)
+    assert "1 failed in 0.1s" in capsys.readouterr().out

@@ -1,0 +1,14 @@
+"""README's library example runs as written."""
+
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_library_example_runs():
+    section = README.read_text(encoding="utf-8").split("\n## Library\n", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    scope = {}
+    exec(compile(code, "README.md, ## Library", "exec"), scope)
+    assert len(scope["snapshots"]) == scope["cfg"].steps + 1

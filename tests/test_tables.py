@@ -505,6 +505,17 @@ def test_a_none_in_a_column_that_is_not_optional_is_refused(tmp_path, fmt):
     assert SWEEP_TABLE.layouts[fmt].cell(2, None) == {"csv": "", "json": "null"}[fmt]
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_refused_row_leaves_no_partial_table(tmp_path, fmt):
+    # The file is open before the first chunk is rendered: a None x in row 201,
+    # the second chunk, is refused after the header and 128 records.
+    path = tmp_path / f"nodes.{fmt}"
+    rows = [(i, 1.0, 2.0, 3.0) for i in range(200)] + [(200, None, 2.0, 3.0)]
+    with pytest.raises(ValueError, match="^column x is not optional, got None$"):
+        write_table(path, NODES_TABLE, rows, fmt)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_write_table_rejects_unknown_format(tmp_path):
     with pytest.raises(InputError):
         write_table(tmp_path / "t.xml", SWEEP_TABLE, [], "xml")
