@@ -8,6 +8,8 @@ break the partition — but are flagged ``threshold_exempt``.
 
 from __future__ import annotations
 
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .errors import ConfigError, ConsistencyError, InputError
@@ -31,7 +33,7 @@ class HeadChange:
 
 def psopac_rebuild(
     clusters: ClusterSet,
-    energies: list[EnergyLevel],
+    energies: Sequence[EnergyLevel],
     threshold: EnergyLevel,
     comparator: str = COMPARATOR_BELOW,
 ) -> ClusterSet:
@@ -50,7 +52,7 @@ def cluster_states(clusters: ClusterSet) -> dict[tuple, Cluster]:
 
 def rotate_heads(
     clusters: ClusterSet,
-    energies: list[EnergyLevel],
+    energies: Sequence[EnergyLevel],
     threshold: EnergyLevel,
     comparator: str = COMPARATOR_BELOW,
     at_tick: int = 0,
@@ -58,9 +60,9 @@ def rotate_heads(
     settled: set[int] | frozenset[int] = frozenset(),
 ) -> tuple[ClusterSet, list[HeadChange]]:
     """Recompute the head and exempt set of every cluster not in ``settled``
-    from ``energies``, a list or tuple of one reading per node id (anything
-    else is a ``ConsistencyError``), reporting the head changes, each
-    stamped ``at_tick``. A cluster whose head and exempt set are unchanged is
+    from ``energies``, a list, tuple or array of one reading per node id
+    (anything else is a ``ConsistencyError``), reporting the head changes,
+    each stamped ``at_tick``. A cluster whose head and exempt set are unchanged is
     returned as is: it was checked with exactly these members and flags.
 
     ``states`` interns cluster states across calls: it maps each state, the
@@ -78,8 +80,10 @@ def rotate_heads(
         raise InputError("cluster set is empty")
     if comparator not in COMPARATORS:
         raise ConfigError(f"comparator must be one of {COMPARATORS}, got {comparator!r}")
-    if not isinstance(energies, (list, tuple)):
-        raise ConsistencyError(f"energies must be a list or tuple, got {type(energies).__name__}")
+    if not isinstance(energies, (list, tuple, array)):
+        raise ConsistencyError(
+            f"energies must be a list, tuple or array, got {type(energies).__name__}"
+        )
     if len(energies) != clusters.node_universe:
         raise ConsistencyError(f"{len(energies)} energies for {clusters.node_universe} nodes")
     # "below" keeps the published behaviour: a member passes while its energy

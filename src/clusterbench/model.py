@@ -28,10 +28,11 @@ COMPARATORS = (COMPARATOR_BELOW, COMPARATOR_AT_OR_ABOVE)
 MAX_TICKS = 100_000
 
 #: The most node-ticks a simulation may have: nodes × ticks, tick 0 included.
-#: Every snapshot is kept until the run is written, about 80 B a node-tick
-#: (each distinct cluster state is one object per run; tracemalloc holds
-#: 8.0 MB for the 100 500 node-ticks of the 500-node, 201-tick benchmark
-#: run), so the bound caps them near 400 MB. It is 50 times that
+#: Every snapshot is kept until the run is written, about 30 B a node-tick
+#: (each distinct cluster state is one object per run, and each tick's
+#: readings are packed 8 B each; tracemalloc holds 2.7 MB for the 100 500
+#: node-ticks of the 500-node, 201-tick benchmark run), so the bound caps
+#: them near 150 MB. It is 50 times that
 #: benchmark run and admits 25 nodes at MAX_TICKS; without it, MAX_NODES at
 #: MAX_TICKS would be 10**11 node-ticks.
 MAX_NODE_TICKS = 5_000_000
@@ -65,6 +66,13 @@ class Node:
             raise InvariantViolation(
                 f"node {self.node_id}: energy must be a number, got {self.energy!r}"
             )
+        try:
+            float(self.energy)  # drain packs every reading into a C double
+        except OverflowError:
+            raise InvariantViolation(
+                f"node {self.node_id}: energy must fit in a float, got an out-of-range "
+                f"{type(self.energy).__name__}"
+            ) from None
         if not self.energy >= 0:  # NaN fails this too
             raise InvariantViolation(
                 f"node {self.node_id}: energy must be >= 0, got {self.energy}"

@@ -18,7 +18,8 @@ so never built. Tick 0 never re-clusters.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from array import array
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from ipaddress import IPv6Address
 
@@ -70,33 +71,39 @@ class SimSnapshot:
     distinct cluster state (id, head, members and exempt set) is one
     ``Cluster`` object per run, shared by every snapshot that holds it.
     ``energies`` holds each node's reading at the end of the tick, indexed by
-    node id; a tick's ``drain`` returns a new list, so none is changed later.
+    node id: tick 0's is the list of the nodes' readings as given, and each
+    later tick's is the new ``array('d')`` its ``drain`` packed, 8 bytes a
+    reading, so none is changed later.
     """
 
     at_tick: int
     clusters: ClusterSet
-    energies: list[EnergyLevel]
+    energies: Sequence[EnergyLevel]
     report: ValidationReport | None
     events: tuple[Event, ...]
     addresses: Mapping[NodeId, IPv6Address]
 
 
 def drain(
-    energies: list[EnergyLevel],
+    energies: Sequence[EnergyLevel],
     clusters: ClusterSet,
     dead: set[int],
     config: ScenarioConfig,
-) -> tuple[list[EnergyLevel], list[int]]:
+) -> tuple[array, list[int]]:
     """One tick of energy loss: in each cluster whose id is not in ``dead``
     the head pays drain_head, the other members drain_member, clamped at
-    zero. Returns a drained list copy of ``energies``, a list or tuple of
-    one reading per node id (else a ``ConsistencyError``), and the ids of
-    those clusters left with no reading above 0.0. A ``dead`` cluster keeps its readings."""
-    if not isinstance(energies, (list, tuple)):
-        raise ConsistencyError(f"energies must be a list or tuple, got {type(energies).__name__}")
+    zero. Returns a drained copy of ``energies``, a list, tuple or array of
+    one reading per node id (else a ``ConsistencyError``), packed as an
+    ``array('d')``, so every reading comes back a float; and the ids of
+    those clusters left with no reading above 0.0. A ``dead`` cluster keeps
+    its readings."""
+    if not isinstance(energies, (list, tuple, array)):
+        raise ConsistencyError(
+            f"energies must be a list, tuple or array, got {type(energies).__name__}"
+        )
     if len(energies) != clusters.node_universe:
         raise ConsistencyError(f"{len(energies)} energies for {clusters.node_universe} nodes")
-    drained = list(energies)
+    drained = array("d", energies)
     died = []
     drain_head, drain_member = config.drain_head, config.drain_member
     for cluster in clusters.clusters:

@@ -112,7 +112,7 @@ MUTANTS = (
     Mutant(
         "rotate-heads-takes-a-dict-of-energies",
         "clusterbench/head_election.py",
-        "    if not isinstance(energies, (list, tuple)):",
+        "    if not isinstance(energies, (list, tuple, array)):",
         "    if False:",
         "8373ae3: a dict of energies raised a bare KeyError",
         ("tests/test_head_election.py::test_energies_that_are_not_a_list_or_tuple_are_refused",),
@@ -120,10 +120,26 @@ MUTANTS = (
     Mutant(
         "drain-takes-a-dict-of-energies",
         "clusterbench/sim.py",
-        "    if not isinstance(energies, (list, tuple)):",
+        "    if not isinstance(energies, (list, tuple, array)):",
         "    if False:",
         "8373ae3: a dict of energies raised a bare KeyError",
         ("tests/test_sim.py::test_drain_refuses_energies_that_are_not_a_list_or_tuple",),
+    ),
+    Mutant(
+        "drain-returns-a-list",
+        "clusterbench/sim.py",
+        '    drained = array("d", energies)',
+        "    drained = list(energies)",
+        "the packed energies: a list of float objects held 4.4 MB on the steady run",
+        ("tests/test_sim.py::test_run_holds_under_3_5_mb_on_the_steady_workload",),
+    ),
+    Mutant(
+        "a-node-takes-an-int-too-large-for-a-float",
+        "clusterbench/model.py",
+        "            float(self.energy)  # drain packs every reading into a C double",
+        "            pass",
+        "the packed energies: a 10**400 reading raised a bare OverflowError at tick 1",
+        ("tests/test_model.py::test_node_rejects_an_int_energy_too_large_for_a_float",),
     ),
     Mutant(
         "drain-ignores-dead",
@@ -225,6 +241,44 @@ MUTANTS = (
         (
             "tests/test_validation.py::test_index_in_the_subnormal_range",
             "tests/test_validation.py::test_index_matches_reference_when_rounding_hides_the_closest_pair",
+        ),
+    ),
+    Mutant(
+        "a-count-tie-takes-the-higher-head",
+        "clusterbench/clustering.py",
+        "    heap = [(-c.mask.bit_count(), c.temp_head) for c in candidates]\n"
+        "    heapq.heapify(heap)\n"
+        "    clustered = [False] * len(candidates)\n"
+        "\n"
+        "    clusters: list[Cluster] = []\n"
+        "    while heap:\n"
+        "        neg_count, head = heapq.heappop(heap)\n"
+        "        if clustered[head]:\n"
+        "            continue\n"
+        "        _head, offset, mask, _order = candidates[head]\n"
+        "        taken = mask & (unclustered >> offset)\n"
+        "        count = taken.bit_count()\n"
+        "        if count != -neg_count:\n"
+        "            heapq.heappush(heap, (-count, head))\n",
+        "    heap = [(-c.mask.bit_count(), -c.temp_head) for c in candidates]\n"
+        "    heapq.heapify(heap)\n"
+        "    clustered = [False] * len(candidates)\n"
+        "\n"
+        "    clusters: list[Cluster] = []\n"
+        "    while heap:\n"
+        "        neg_count, head = heapq.heappop(heap)\n"
+        "        head = -head\n"
+        "        if clustered[head]:\n"
+        "            continue\n"
+        "        _head, offset, mask, _order = candidates[head]\n"
+        "        taken = mask & (unclustered >> offset)\n"
+        "        count = taken.bit_count()\n"
+        "        if count != -neg_count:\n"
+        "            heapq.heappush(heap, (-count, -head))\n",
+        "the greedy's order: a heap key (-count, -head) breaks count ties toward the higher head",
+        (
+            "tests/test_clustering.py::test_expac_commits_clusters_by_size_then_head",
+            "tests/test_clustering.py::test_far_apart_scenes_cluster_as_the_merge_of_their_partitions",
         ),
     ),
     Mutant(

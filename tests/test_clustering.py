@@ -306,6 +306,46 @@ def test_dense_cells_far_from_origin_match_reference(tx_range):
     assert expac_cluster(nodes, tx_range) == ref_expac_cluster(nodes, tx_range)
 
 
+@settings(max_examples=300, deadline=None)
+@given(scene=st.one_of(edge_scenes(), far_scenes()))
+def test_expac_commits_clusters_by_size_then_head(scene):
+    # Uncovered counts only fall, so each round commits a cluster no larger
+    # than the last, and at an equal count a lower head would have been
+    # taken first. The singletons follow by node id.
+    tx_range, positions = scene
+    clusters = expac_cluster(_scene_nodes(positions), tx_range).clusters
+    sizes = [len(c.members) for c in clusters]
+    grouped = sum(size > 1 for size in sizes)
+    assert sizes[grouped:] == [1] * (len(clusters) - grouped)
+    keys = [(-size, c.head) for size, c in zip(sizes, clusters[:grouped])]
+    assert keys == sorted(keys)
+    singletons = [c.head for c in clusters[grouped:]]
+    assert singletons == sorted(singletons)
+
+
+@settings(max_examples=200, deadline=None)
+@given(left=edge_scenes(), right=edge_scenes())
+def test_far_apart_scenes_cluster_as_the_merge_of_their_partitions(left, right):
+    # No candidate reaches across the gap, so each scene's counts are its own
+    # and the greedy interleaves the two partitions by (-size, head), the
+    # singletons last by node id. Both scenes cluster at the left one's range.
+    tx_range, left = left
+    _, right = right
+    gap = max(abs(p.x) for p in left.values()) + max(abs(p.x) for p in right.values())
+    right = {i: Position(p.x + gap + 2 * tx_range, p.y) for i, p in right.items()}
+    shift = len(left)
+    own = [(c.head, c.members) for c in expac_cluster(_scene_nodes(left), tx_range).clusters]
+    own += [
+        (c.head + shift, tuple(m + shift for m in c.members))
+        for c in expac_cluster(_scene_nodes(right), tx_range).clusters
+    ]
+    grouped = sorted((c for c in own if len(c[1]) > 1), key=lambda c: (-len(c[1]), c[0]))
+    singletons = sorted(c for c in own if len(c[1]) == 1)
+    union = {**left, **{shift + i: p for i, p in right.items()}}
+    clusters = expac_cluster(_scene_nodes(union), tx_range).clusters
+    assert [(c.head, c.members) for c in clusters] == grouped + singletons
+
+
 #: Coordinates whose sums and differences overflow, and the origin.
 _HUGE = (sys.float_info.max, -sys.float_info.max, 1e308, -1e308, 5e307, 0.0)
 

@@ -1,3 +1,5 @@
+from array import array
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -45,9 +47,12 @@ def test_energies_that_are_not_a_list_or_tuple_are_refused():
     # A dict of the right length passed the length check, then raised a bare
     # KeyError for node 1.
     cs = ClusterSet((Cluster(0, 0, (0, 1)),), 2)
-    with pytest.raises(ConsistencyError, match="^energies must be a list or tuple, got dict$"):
+    with pytest.raises(
+        ConsistencyError, match="^energies must be a list, tuple or array, got dict$"
+    ):
         psopac_rebuild(cs, {0: 5.0, 7: 1.0}, 500.0)
     assert psopac_rebuild(cs, (5.0, 1.0), 500.0).clusters[0].head == 0
+    assert psopac_rebuild(cs, array("d", [1.0, 5.0]), 500.0).clusters[0].head == 1
 
 
 @pytest.mark.parametrize("reading", [float("nan"), float("-inf")])

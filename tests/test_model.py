@@ -1,4 +1,5 @@
 import json
+import math
 from dataclasses import fields, replace
 
 import pytest
@@ -215,6 +216,20 @@ def test_node_rejects_bool_energy(energy):
     with pytest.raises(InvariantViolation, match="energy must be a number"):
         Node(0, Position(0.0, 0.0), energy)
     assert Node(0, Position(0.0, 0.0), 1).energy == 1
+
+
+@pytest.mark.parametrize("energy", [10**400, -(10**5000)], ids=["10**400", "-10**5000"])
+def test_node_rejects_an_int_energy_too_large_for_a_float(energy):
+    # 10**400 passed the >= 0 test, then drain's float conversion raised a
+    # bare OverflowError at tick 1: no tick prefix, no ClusterBenchError.
+    # -10**5000 failed that test, but its message raised a bare ValueError:
+    # an int of over 4300 digits has no str.
+    with pytest.raises(
+        InvariantViolation, match="^node 0: energy must fit in a float, got an out-of-range int$"
+    ):
+        Node(0, Position(0.0, 0.0), energy)
+    assert Node(0, Position(0.0, 0.0), 2**1023).energy == 2**1023
+    assert Node(0, Position(0.0, 0.0), math.inf).energy == math.inf
 
 
 def test_config_dict_has_every_field():
