@@ -8,7 +8,7 @@ break the partition — but are flagged ``threshold_exempt``.
 
 from __future__ import annotations
 
-from array import array
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -50,6 +50,14 @@ def cluster_states(clusters: ClusterSet) -> dict[tuple, Cluster]:
     return {(c.cluster_id, c.head, c.members, c.threshold_exempt): c for c in clusters.clusters}
 
 
+def energy_types() -> tuple[type, ...]:
+    """The types a list of readings may have: list, tuple and, once its module
+    is loaded, ``array.array``. An array instance means that module is loaded,
+    so only a run that packs readings (``sim.drain``) ever loads it."""
+    arrays = sys.modules.get("array")
+    return (list, tuple) if arrays is None else (list, tuple, arrays.array)
+
+
 def rotate_heads(
     clusters: ClusterSet,
     energies: Sequence[EnergyLevel],
@@ -80,7 +88,7 @@ def rotate_heads(
         raise InputError("cluster set is empty")
     if comparator not in COMPARATORS:
         raise ConfigError(f"comparator must be one of {COMPARATORS}, got {comparator!r}")
-    if not isinstance(energies, (list, tuple, array)):
+    if not isinstance(energies, energy_types()):
         raise ConsistencyError(
             f"energies must be a list, tuple or array, got {type(energies).__name__}"
         )

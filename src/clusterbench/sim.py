@@ -18,7 +18,6 @@ so never built. Tick 0 never re-clusters.
 
 from __future__ import annotations
 
-from array import array
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from ipaddress import IPv6Address
@@ -26,7 +25,7 @@ from ipaddress import IPv6Address
 from .addressing import DEFAULT_PREFIX, Handshake, assign_addresses, parse_prefix
 from .clustering import expac_cluster
 from .errors import ClusterBenchError, ConfigError, ConsistencyError, UndefinedIndexError
-from .head_election import HeadChange, cluster_states, psopac_rebuild, rotate_heads
+from .head_election import HeadChange, cluster_states, energy_types, psopac_rebuild, rotate_heads
 from .model import (
     MAX_NODE_TICKS,
     ClusterSet,
@@ -89,7 +88,7 @@ def drain(
     clusters: ClusterSet,
     dead: set[int],
     config: ScenarioConfig,
-) -> tuple[array, list[int]]:
+) -> tuple[Sequence[EnergyLevel], list[int]]:
     """One tick of energy loss: in each cluster whose id is not in ``dead``
     the head pays drain_head, the other members drain_member, clamped at
     zero. Returns a drained copy of ``energies``, a list, tuple or array of
@@ -97,12 +96,14 @@ def drain(
     ``array('d')``, so every reading comes back a float; and the ids of
     those clusters left with no reading above 0.0. A ``dead`` cluster keeps
     its readings."""
-    if not isinstance(energies, (list, tuple, array)):
+    if not isinstance(energies, energy_types()):
         raise ConsistencyError(
             f"energies must be a list, tuple or array, got {type(energies).__name__}"
         )
     if len(energies) != clusters.node_universe:
         raise ConsistencyError(f"{len(energies)} energies for {clusters.node_universe} nodes")
+    from array import array  # only a run that drains loads it
+
     drained = array("d", energies)
     died = []
     drain_head, drain_member = config.drain_head, config.drain_member

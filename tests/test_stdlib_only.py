@@ -47,19 +47,33 @@ def loaded_after(code: str, cwd: Path) -> list[set[str]]:
 
 
 def test_a_command_loads_only_the_stdlib_it_runs(tmp_path):
-    # hashlib loads OpenSSL; statistics loads fractions and decimal. Counted
+    # hashlib loads OpenSSL and _blake2, statistics loads fractions and
+    # decimal, and only simulate packs readings into an array. Counted
     # against a bare interpreter, so a site hook that loads one is forgiven.
     [bare] = loaded_after("MODULES", tmp_path)
     code = (
         "from clusterbench.cli import main\n"
-        "assert main(['generate', '--out', 'g']) == main(['simulate', '--out', 's']) == 0\n"
+        "assert main(['generate', '--out', 'g']) == 0\n"
         "MODULES\n"
         "assert main(['cluster', '--nodes', 'g/nodes.csv', '--out', 'c']) == 0\n"
         "MODULES\n"
+        "assert main(['validate', '--clusters', 'c/clusters.csv', '--out', 'v']) == 0\n"
+        "MODULES\n"
+        "assert main(['simulate', '--out', 's']) == 0\n"
+        "MODULES\n"
     )
-    ran, clustered = loaded_after(code, tmp_path)
-    assert sorted({"_hashlib", "hashlib", "statistics", "datetime"} & (ran - bare)) == []
-    assert "hashlib" in clustered  # a run that read a table hashes it
-    manifest = json.loads((tmp_path / "c" / "manifest.json").read_text())
-    digest = hashlib.sha256((tmp_path / "g" / "nodes.csv").read_bytes()).hexdigest()
-    assert manifest["input_nodes_sha256"] == digest
+    _, clustered, validated, simulated = (
+        loaded - bare for loaded in loaded_after(code, tmp_path)
+    )
+    heavy = {"_hashlib", "hashlib", "_blake2", "statistics", "datetime"}
+    assert sorted(heavy & simulated) == []  # by any of the four commands
+    assert "array" not in validated  # nor by generate or cluster
+    assert "array" in simulated
+    assert "_sha256" in clustered  # a run that read a table hashes it
+    for out, table, field in [
+        ("c", "g/nodes.csv", "input_nodes_sha256"),
+        ("v", "c/clusters.csv", "input_clusters_sha256"),
+    ]:
+        manifest = json.loads((tmp_path / out / "manifest.json").read_text())
+        digest = hashlib.sha256((tmp_path / table).read_bytes()).hexdigest()
+        assert manifest[field] == digest

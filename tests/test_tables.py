@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import importlib
 import json
 import math
@@ -768,3 +769,16 @@ def test_sha256_is_stable(tmp_path):
     assert sha256_file(path) == (
         "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
     )
+
+
+# Empty, one whole 64 KiB block, and a few blocks with a partial last one;
+# hashed by the built-in module and, with it blocked, by hashlib's fallback.
+@pytest.mark.parametrize("size", [0, 1 << 16, 200_003])
+@pytest.mark.parametrize("built_in", [True, False], ids=["_sha256", "hashlib"])
+def test_sha256_file_equals_hashlib(tmp_path, monkeypatch, size, built_in):
+    data = bytes(i * 7919 % 251 for i in range(size))
+    path = tmp_path / "x"
+    path.write_bytes(data)
+    if not built_in:
+        monkeypatch.setitem(sys.modules, "_sha256", None)
+    assert sha256_file(path) == hashlib.sha256(data).hexdigest()
