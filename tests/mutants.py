@@ -290,6 +290,14 @@ MUTANTS = (
         ("tests/test_validation.py::test_index_in_the_subnormal_range",),
     ),
     Mutant(
+        "hashlib-is-imported-at-module-load",
+        "clusterbench/tables.py",
+        "import csv\nimport json\n",
+        "import csv\nimport hashlib\nimport json\n",
+        "the lazy imports: no command loads OpenSSL, so tables imports no hashlib at load",
+        ("tests/test_stdlib_only.py::test_a_command_loads_only_the_stdlib_it_runs",),
+    ),
+    Mutant(
         "the-input-hash-loads-openssl",
         "clusterbench/tables.py",
         "    try:\n        from _sha256 import sha256\n    except ImportError:\n",
