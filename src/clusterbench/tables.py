@@ -547,18 +547,20 @@ def read_clusters_csv(path: str | Path) -> tuple[ClusterSet, dict[NodeId, Positi
 def sha256_file(path: str | Path) -> str:
     """A file's sha256, in hex, read in 64 KiB blocks. Only a run that read a
     table hashes one, so the hash is imported here, from the interpreter's
-    built-in ``_sha256`` (3.10 and 3.11), as CPython's own ``random`` takes
-    ``_sha512``: ``hashlib`` loads OpenSSL's libcrypto and ``_blake2``, about
-    3.6 MB of resident memory and 3 ms, where ``_sha256`` adds next to none.
-    The built-in is slower, about 4 ms a MB against OpenSSL's 0.7 ms. 3.12
-    renamed the module ``_sha2``; it is not named here, as
-    ``tests/test_stdlib_only.py`` checks each import against the running
-    interpreter's stdlib names. An interpreter without ``_sha256`` falls
-    back to ``hashlib``, and the digest is the same either way."""
+    built-in module, as CPython's own ``random`` takes ``_sha512``:
+    ``hashlib`` loads OpenSSL's libcrypto and ``_blake2``, about 3.6 MB of
+    resident memory and 3 ms, where the built-in adds next to none. The
+    built-in is slower, about 4 ms a MB against OpenSSL's 0.7 ms. It is
+    ``_sha256`` on 3.10 and 3.11 and ``_sha2`` from 3.12; an interpreter
+    with neither falls back to ``hashlib``. The digest is the same either
+    way."""
     try:
         from _sha256 import sha256
     except ImportError:
-        from hashlib import sha256
+        try:
+            from _sha2 import sha256
+        except ImportError:
+            from hashlib import sha256
 
     digest = sha256()
     with open(path, "rb") as fh:

@@ -771,14 +771,23 @@ def test_sha256_is_stable(tmp_path):
     )
 
 
+try:
+    import _sha256 as built_in_sha256
+except ImportError:  # renamed in 3.12
+    import _sha2 as built_in_sha256
+
+
 # Empty, one whole 64 KiB block, and a few blocks with a partial last one;
-# hashed by the built-in module and, with it blocked, by hashlib's fallback.
+# hashed through each import sha256_file tries, the others blocked. The
+# built-in module stands in under either of its names, so each branch runs
+# on any interpreter.
 @pytest.mark.parametrize("size", [0, 1 << 16, 200_003])
-@pytest.mark.parametrize("built_in", [True, False], ids=["_sha256", "hashlib"])
-def test_sha256_file_equals_hashlib(tmp_path, monkeypatch, size, built_in):
+@pytest.mark.parametrize("source", ["_sha256", "_sha2", "hashlib"])
+def test_sha256_file_equals_hashlib(tmp_path, monkeypatch, size, source):
     data = bytes(i * 7919 % 251 for i in range(size))
     path = tmp_path / "x"
     path.write_bytes(data)
-    if not built_in:
-        monkeypatch.setitem(sys.modules, "_sha256", None)
+    modules = {"_sha256": built_in_sha256, "_sha2": built_in_sha256, "hashlib": hashlib}
+    for name, module in modules.items():
+        monkeypatch.setitem(sys.modules, name, module if name == source else None)
     assert sha256_file(path) == hashlib.sha256(data).hexdigest()
